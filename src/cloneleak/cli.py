@@ -15,13 +15,14 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import leakage, oracle, verify
 from .pauli import dense_to_pauli_sum, pauli_sum_to_dense
-from .subsets import (PairTag, RegisterSubset, Verdict, enumerate_classifications)
+from .subsets import (PairTag, RegisterSubset, Verdict, classify,
+                      enumerate_classifications)
 
 _LABEL = re.compile(r"([SN])([0-9]+)")
 
@@ -75,24 +76,13 @@ def parse_bloch(text: str) -> np.ndarray:
         vec = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise UsageError(f"non-numeric Bloch component in {text!r}") from exc
+    if not np.isfinite(vec).all():
+        raise UsageError(f"non-finite Bloch component in {text!r}")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-6:
         raise UsageError(f"Bloch vector {text!r} has norm {norm!r}; "
                          "pure input states must be unit length")
     return vec / norm
-
-
-@dataclass
-class RunConfig:
-    n: int
-    engine: str = "oracle"
-    grid_size: int = 26
-    seed: int = 0
-    fmt: str = "json"
-    oracle_cap: int = oracle.ORACLE_CAP_DEFAULT
-    out: str | None = None
-    tolerances: leakage.Tolerances = leakage.Tolerances()
-    tamper_analytic_sign: bool = False
 
 
 _VERDICT_ORDER = (Verdict.AUTHORIZED, Verdict.COMPLETELY_UNINFORMATIVE,
@@ -109,18 +99,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, rows: list[dict], summary: dict,
+def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
           columns: list[str]) -> None:
-    if config.fmt == "json":
+    if args.fmt == "json":
         record = {
-            "n": config.n,
-            "engine": config.engine,
-            "seed": config.seed,
+            "n": args.n,
+            "engine": args.engine,
+            "seed": args.seed,
             "rows": rows,
             "summary": summary,
-            "tolerances": asdict(config.tolerances),
+            "tolerances": asdict(leakage.Tolerances()),
         }
-        text = json.dumps(record, indent=2) + "\n"
+        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -128,15 +118,15 @@ def _emit(config: RunConfig, rows: list[dict], summary: dict,
         for row in rows:
             writer.writerow([_fmt(row.get(col)) for col in columns])
         text = buf.getvalue()
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _note_single_pair(config: RunConfig) -> None:
-    if config.n == 1:
+def _note_single_pair(args: argparse.Namespace) -> None:
+    if args.n == 1:
         print("note: n=1 keeps a single clone/noise pair; the encoding is "
               "meant for more than one clone and its single clone is only "
               "partially hidden. Proceeding anyway.", file=sys.stderr)
@@ -159,10 +149,9 @@ TABLE_COLUMNS = ["pattern", "size", "p", "q", "verdict", "rule",
                  "max_distance", "y_signal"]
 
 
-def cmd_classify(config: RunConfig, subset_text: str) -> int:
-    from .subsets import classify
-    subset = parse_subset(subset_text, config.n)
-    _note_single_pair(config)
+def cmd_classify(args: argparse.Namespace) -> int:
+    subset = parse_subset(args.subset, args.n)
+    _note_single_pair(args)
     cls = classify(subset)
     row = _structural_row(subset, cls)
     summary = {"verdict": cls.verdict.value, "rule": cls.reason.value}
@@ -171,18 +160,18 @@ def cmd_classify(config: RunConfig, subset_text: str) -> int:
         row["sign"] = cls.leak.sign
         summary["observable"] = cls.leak.observable
         summary["sign"] = cls.leak.sign
-    _emit(config, [row], summary, TABLE_COLUMNS + ["observable", "sign"])
+    _emit(args, [row], summary, TABLE_COLUMNS + ["observable", "sign"])
     return 0
 
 
-def cmd_table(config: RunConfig) -> int:
-    _note_single_pair(config)
-    entries = enumerate_classifications(config.n)
+def cmd_table(args: argparse.Namespace) -> int:
+    _note_single_pair(args)
+    entries = enumerate_classifications(args.n)
     rows = [_structural_row(subset, cls) for subset, cls in entries]
     counts = {v.value: 0 for v in _VERDICT_ORDER}
     for _, cls in entries:
         counts[cls.verdict.value] += 1
-    _emit(config, rows, {"patterns": len(rows), "verdict_counts": counts},
+    _emit(args, rows, {"patterns": len(rows), "verdict_counts": counts},
           TABLE_COLUMNS)
     return 0
 
@@ -192,55 +181,44 @@ def _pauli_rows(ps, engine: str) -> list[dict]:
             for letters, coeff in sorted(ps.terms.items())]
 
 
-def cmd_reduce(config: RunConfig, subset_text: str, psi_text: str,
-               include_dense: bool = False) -> int:
-    from . import branch
-    from .subsets import AlignedShape, canonical_shape
-    subset = parse_subset(subset_text, config.n)
-    bloch = parse_bloch(psi_text)
-    _note_single_pair(config)
-    engines = [config.engine] if config.engine != "both" else \
+def cmd_reduce(args: argparse.Namespace) -> int:
+    subset = parse_subset(args.subset, args.n)
+    bloch = parse_bloch(args.psi)
+    _note_single_pair(args)
+    engines = [args.engine] if args.engine != "both" else \
         [leakage.ENGINE_ORACLE, leakage.ENGINE_ANALYTIC]
     rows = []
     dense = {}
     summary: dict = {"subset": subset.labels(),
                      "psi": [float(v) for v in bloch]}
     for engine in engines:
+        # The analytic engine's Pauli form is exact; print it as computed.
         if engine == leakage.ENGINE_ANALYTIC:
-            shape = canonical_shape(subset)
-            if not isinstance(shape, AlignedShape):
-                raise UsageError(f"analytic engine needs an aligned subset "
-                                 f"(one qubit per pair); {subset.labels()!r} "
-                                 f"is {shape.value}")
-            ps = branch.analytic_reduced_state(shape.n, shape.p, bloch)
+            ps = leakage.analytic_state(subset, bloch)
             dense[engine] = pauli_sum_to_dense(ps)
         else:
-            rho = leakage.reduced_state(config.n, subset, bloch, engine,
-                                        config.oracle_cap)
-            ps = dense_to_pauli_sum(rho)
-            dense[engine] = rho
+            dense[engine] = leakage.reduced_state(args.n, subset, bloch, engine,
+                                                  args.oracle_cap)
+            ps = dense_to_pauli_sum(dense[engine])
         rows.extend(_pauli_rows(ps, engine))
     if len(engines) == 2:
         err = float(np.abs(dense[engines[0]] - dense[engines[1]]).max())
         summary["engine_max_entry_error"] = err
-    if include_dense:
+    if args.dense:
         summary["dense"] = {
             eng: [[[float(c.real), float(c.imag)] for c in row] for row in mat]
             for eng, mat in dense.items()
         }
-    _emit(config, rows, summary, ["term", "coefficient", "engine"])
+    _emit(args, rows, summary, ["term", "coefficient", "engine"])
     return 0
 
 
-def cmd_sweep(config: RunConfig, subset_text: str) -> int:
-    subset = parse_subset(subset_text, config.n)
-    _note_single_pair(config)
-    if config.engine == "both":
-        raise UsageError("sweep runs one engine at a time; pick oracle or analytic")
-    grid = leakage.bloch_grid(config.grid_size, config.seed)
-    rhos = [leakage.reduced_state(config.n, subset, b, config.engine,
-                                  config.oracle_cap)
-            for b in grid.points]
+def cmd_sweep(args: argparse.Namespace) -> int:
+    subset = parse_subset(args.subset, args.n)
+    _note_single_pair(args)
+    grid = leakage.bloch_grid(args.grid, args.seed)
+    rhos = leakage.probe_states(args.n, subset, grid.points, args.engine,
+                                args.oracle_cap)
     max_d, per_point = leakage.pairwise_max_trace_distance(rhos)
     estimates = [leakage.y_leak_estimate(r, subset.size) for r in rhos]
     rows = []
@@ -254,19 +232,18 @@ def cmd_sweep(config: RunConfig, subset_text: str) -> int:
     summary = {"max_pairwise_distance": max_d,
                "slope": float(slope),
                "intercept": float(intercept)}
-    _emit(config, rows, summary,
+    _emit(args, rows, summary,
           ["index", "x", "y", "z", "y_leak_estimate", "max_distance"])
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     vconfig = verify.VerifyConfig(
-        n_max=config.n,
-        oracle_cap=config.oracle_cap,
-        grid_size=config.grid_size,
-        seed=config.seed,
-        tolerances=config.tolerances,
-        tamper_analytic_sign=config.tamper_analytic_sign,
+        n_max=args.n,
+        oracle_cap=args.oracle_cap,
+        grid_size=args.grid,
+        seed=args.seed,
+        tamper_analytic_sign=args.tamper_analytic_sign,
     )
     results = verify.run_checks(vconfig)
     for res in results:
@@ -275,7 +252,7 @@ def cmd_verify(config: RunConfig) -> int:
     rows = [{"check": r.name, "passed": r.passed, "detail": r.detail}
             for r in results]
     all_passed = all(r.passed for r in results)
-    resolution = leakage.resolve_sign_rule(config.oracle_cap)
+    resolution = leakage.resolve_sign_rule()
     summary = {
         "passed": all_passed,
         "sign": {
@@ -284,7 +261,7 @@ def cmd_verify(config: RunConfig) -> int:
             "rule_formula": resolution.rule.describe(),
         },
     }
-    _emit(config, rows, summary, ["check", "passed", "detail"])
+    _emit(args, rows, summary, ["check", "passed", "detail"])
     return 0 if all_passed else 1
 
 
@@ -295,20 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "storage register reveal about the stored qubit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_n=True, engines=None):
+    def common(p, *, needs_n=True, engines=None, grid=False,
+               oracle_cap=False):
         if needs_n:
             p.add_argument("--n", type=int, required=True,
                            help="number of clone/noise pairs")
         if engines:
             p.add_argument("--engine", choices=engines, default=engines[0])
-        p.add_argument("--grid", type=int, default=26, metavar="N",
-                       help="number of probe states (>= 6)")
+        else:
+            p.set_defaults(engine=leakage.ENGINE_ORACLE)
+        if grid:
+            p.add_argument("--grid", type=int, default=26, metavar="N",
+                           help="number of probe states (>= 6)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        dest="fmt")
-        p.add_argument("--oracle-cap", type=int,
-                       default=oracle.ORACLE_CAP_DEFAULT,
-                       help="largest n the brute-force engine accepts")
+        if oracle_cap:
+            p.add_argument("--oracle-cap", type=int,
+                           default=oracle.ORACLE_CAP_DEFAULT,
+                           help="largest n the brute-force engine accepts")
         p.add_argument("--out", metavar="PATH",
                        help="write output to a file instead of stdout")
 
@@ -316,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, metavar="SPEC",
                    help="comma-separated labels, e.g. S1,N2,N3")
     common(p)
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("reduce", help="reduced state of one subset")
     p.add_argument("--subset", required=True, metavar="SPEC")
@@ -323,51 +306,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Bloch vector of the stored qubit")
     p.add_argument("--dense", action="store_true",
                    help="include dense matrix entries in the summary")
-    common(p, engines=["oracle", "analytic", "both"])
+    common(p, engines=["oracle", "analytic", "both"], oracle_cap=True)
+    p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("table", help="classify every nonempty subset pattern")
     common(p)
+    p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("verify", help="run the full cross-check battery")
     p.add_argument("--n", type=int, default=4,
                    help="largest n for the brute-force comparisons")
     p.add_argument("--tamper-analytic-sign", action="store_true",
                    help=argparse.SUPPRESS)
-    common(p, needs_n=False)
+    common(p, needs_n=False, grid=True, oracle_cap=True)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("sweep", help="leakage estimates across a probe grid")
     p.add_argument("--subset", required=True, metavar="SPEC")
-    common(p, engines=["oracle", "analytic"])
+    common(p, engines=["oracle", "analytic"], grid=True, oracle_cap=True)
+    p.set_defaults(run=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        n=args.n,
-        engine=getattr(args, "engine", "oracle"),
-        grid_size=args.grid,
-        seed=args.seed,
-        fmt=args.fmt,
-        oracle_cap=args.oracle_cap,
-        out=args.out,
-        tamper_analytic_sign=getattr(args, "tamper_analytic_sign", False),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            return cmd_classify(config, args.subset)
-        if args.command == "reduce":
-            return cmd_reduce(config, args.subset, args.psi,
-                              include_dense=args.dense)
-        if args.command == "table":
-            return cmd_table(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.subset)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (SubsetSpecError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import branch, oracle
-from .pauli import expectation, pauli_sum_to_dense, state_from_bloch
+from .pauli import PauliSum, expectation, pauli_sum_to_dense, state_from_bloch
 from .subsets import AlignedShape, PairTag, RegisterSubset, canonical_shape
 
 ENGINE_ORACLE = "oracle"
@@ -126,6 +126,16 @@ def keep_positions(subset: RegisterSubset) -> list[int]:
     return pos
 
 
+def analytic_state(subset: RegisterSubset, bloch) -> PauliSum:
+    """Exact Pauli form of an aligned subset's reduced state (branch calculus)."""
+    shape = canonical_shape(subset)
+    if not isinstance(shape, AlignedShape):
+        raise ValueError(f"analytic engine needs an aligned subset (one qubit "
+                         f"per pair); {subset.labels() or '(empty)'!r} is "
+                         f"{shape.value}")
+    return branch.analytic_reduced_state(shape.n, shape.p, bloch)
+
+
 def reduced_state(n: int, subset: RegisterSubset, bloch, engine: str,
                   oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> np.ndarray:
     """Dense reduced state of a subset via the requested engine."""
@@ -135,13 +145,29 @@ def reduced_state(n: int, subset: RegisterSubset, bloch, engine: str,
         state = oracle.build_encoded_state(n, state_from_bloch(bloch), cap=oracle_cap)
         return oracle.reduced_density(state, keep_positions(subset))
     if engine == ENGINE_ANALYTIC:
-        shape = canonical_shape(subset)
-        if not isinstance(shape, AlignedShape):
-            raise ValueError(f"analytic engine needs an aligned subset; "
-                             f"{subset.labels() or '(empty)'} is {shape.value}")
-        return pauli_sum_to_dense(branch.analytic_reduced_state(shape.n, shape.p,
-                                                                bloch))
+        return pauli_sum_to_dense(analytic_state(subset, bloch))
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def encode_points(n: int, points,
+                  oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> list[np.ndarray]:
+    """Brute-force encoded state for each Bloch point, for sharing across subsets."""
+    return [oracle.build_encoded_state(n, state_from_bloch(b), cap=oracle_cap)
+            for b in points]
+
+
+def probe_states(n: int, subset: RegisterSubset, points, engine: str,
+                 oracle_cap: int = oracle.ORACLE_CAP_DEFAULT,
+                 encoded_states=None) -> list[np.ndarray]:
+    """Dense reduced states of one subset at each Bloch point.
+
+    `encoded_states` (brute-force encodings of the same points, from
+    `encode_points`) are reduced in place of encoding each point again.
+    """
+    if encoded_states is None:
+        return [reduced_state(n, subset, b, engine, oracle_cap) for b in points]
+    keep = keep_positions(subset)
+    return [oracle.reduced_density(s, keep) for s in encoded_states]
 
 
 def y_leak_estimate(rho: np.ndarray, k: int) -> float:
@@ -165,11 +191,6 @@ class LeakageReport:
 _Y_POLE = np.array([0.0, 1.0, 0.0])
 
 
-def _states_for_grid(n: int, grid: BlochGrid, oracle_cap: int) -> list[np.ndarray]:
-    return [oracle.build_encoded_state(n, state_from_bloch(b), cap=oracle_cap)
-            for b in grid.points]
-
-
 def _verdict(max_distance: float, tol: Tolerances, context: str) -> ProbeVerdict:
     if max_distance < tol.uninformative:
         return ProbeVerdict.UNINFORMATIVE
@@ -184,27 +205,21 @@ def _verdict(max_distance: float, tol: Tolerances, context: str) -> ProbeVerdict
 
 def probe_patterns(n: int, subsets, grid: BlochGrid, engine: str,
                    oracle_cap: int = oracle.ORACLE_CAP_DEFAULT,
-                   tol: Tolerances = Tolerances(),
-                   encoded_states=None) -> list[LeakageReport]:
+                   tol: Tolerances = Tolerances()) -> list[LeakageReport]:
     """Informativeness probes for many subsets sharing one grid.
 
     With the brute-force engine the encoded states are built once per grid
-    point and reused across subsets; `encoded_states` can supply them.
+    point and reused across subsets.
     """
-    subsets = list(subsets)
-    if engine == ENGINE_ORACLE and encoded_states is None:
-        encoded_states = _states_for_grid(n, grid, oracle_cap)
     pole_index = int(np.argmin(np.linalg.norm(grid.points - _Y_POLE, axis=1)))
     if np.linalg.norm(grid.points[pole_index] - _Y_POLE) > 1e-12:
         raise ValueError("grid does not contain the +y pole")
+    encoded_states = (encode_points(n, grid.points, oracle_cap)
+                      if engine == ENGINE_ORACLE else None)
     reports = []
     for subset in subsets:
-        if engine == ENGINE_ORACLE:
-            keep = keep_positions(subset)
-            rhos = [oracle.reduced_density(s, keep) for s in encoded_states]
-        else:
-            rhos = [reduced_state(n, subset, b, engine, oracle_cap)
-                    for b in grid.points]
+        rhos = probe_states(n, subset, grid.points, engine, oracle_cap,
+                            encoded_states)
         max_d, per_point = pairwise_max_trace_distance(rhos)
         signal = y_leak_estimate(rhos[pole_index], subset.size)
         reports.append(LeakageReport(
@@ -243,8 +258,8 @@ def fixed_y_slice_probe(n: int, subset: RegisterSubset, y: float, k: int,
     blochs = np.column_stack([r * np.cos(angles),
                               np.full(k, y),
                               r * np.sin(angles)])
-    rhos = [reduced_state(n, subset, b, engine, oracle_cap) for b in blochs]
-    max_d, _ = pairwise_max_trace_distance(rhos)
+    max_d, _ = pairwise_max_trace_distance(
+        probe_states(n, subset, blochs, engine, oracle_cap))
     return max_d
 
 
@@ -288,18 +303,16 @@ def aligned_subset(n: int, p: int) -> RegisterSubset:
 
 
 @lru_cache(maxsize=None)
-def resolve_sign_rule(oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> SignResolution:
+def resolve_sign_rule() -> SignResolution:
     """Measure the leakage sign on the brute-force engine and match a rule.
 
     The all-Y expectation of the all-signal aligned subset at the +y pole
     equals the sign exactly; n = 1 and n = 3 together discriminate the two
     candidate conventions.
     """
-    cap = max(3, oracle_cap)
     observed = []
     for n in (1, 3):
-        rho = reduced_state(n, aligned_subset(n, n), _Y_POLE, ENGINE_ORACLE,
-                            oracle_cap=cap)
+        rho = reduced_state(n, aligned_subset(n, n), _Y_POLE, ENGINE_ORACLE)
         est = y_leak_estimate(rho, n)
         sign = round(est)
         if sign not in (-1, 1) or abs(est - sign) > 1e-10:

@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+from .branch import leak_sum_closed_form
+
 
 class PairTag(str, Enum):
     BOTH = "BOTH"
@@ -141,13 +143,12 @@ def canonical_shape(subset: RegisterSubset) -> AlignedShape | ShapeMarker:
     return AlignedShape(subset.n, p, subset.n - p)
 
 
-def classify(subset: RegisterSubset, leak_sign: int | None = None) -> Classification:
+def classify(subset: RegisterSubset) -> Classification:
     """Decide authorized / completely uninformative / partially informative.
 
     Purely structural: no state is computed. For a partially informative
-    verdict the leak descriptor carries the sign of the y-coefficient;
-    pass `leak_sign` to supply it, otherwise the cached sign rule resolved
-    against the brute-force engine is used.
+    verdict the leak descriptor carries the sign of the y-coefficient, taken
+    from the interference calculus's closed form, a pure function of (n, p).
     """
     if subset.size == 0:
         raise ValueError("empty subset has no classification")
@@ -161,11 +162,9 @@ def classify(subset: RegisterSubset, leak_sign: int | None = None) -> Classifica
         return Classification(Verdict.COMPLETELY_UNINFORMATIVE, Rule.PARITY_EVEN_N)
     if p % 2 == 0:
         return Classification(Verdict.COMPLETELY_UNINFORMATIVE, Rule.PARITY_EVEN_P)
-    if leak_sign is None:
-        from .leakage import resolve_sign_rule
-        leak_sign = resolve_sign_rule().rule.sign_for(n)
     return Classification(Verdict.PARTIALLY_INFORMATIVE, Rule.PARITY_ODD_ODD,
-                          LeakDescriptor(leak_sign, "Y" * n))
+                          LeakDescriptor(leak_sum_closed_form(n, p) // 4,
+                                         "Y" * n))
 
 
 ENUMERATION_GUARD = 10
@@ -173,7 +172,6 @@ ENUMERATION_GUARD = 10
 
 def enumerate_classifications(
     n: int,
-    leak_sign: int | None = None,
     guard: int = ENUMERATION_GUARD,
 ) -> list[tuple[RegisterSubset, Classification]]:
     """Classify every nonempty membership pattern (4^n - 1 of them).
@@ -184,13 +182,10 @@ def enumerate_classifications(
     if n > guard:
         raise ValueError(f"n={n} exceeds the enumeration guard {guard} "
                          f"(4^n patterns)")
-    if leak_sign is None and n % 2 == 1:
-        from .leakage import resolve_sign_rule
-        leak_sign = resolve_sign_rule().rule.sign_for(n)
     out = []
     for tags in itertools.product(PairTag, repeat=n):
         subset = RegisterSubset(n, tags)
         if subset.size == 0:
             continue
-        out.append((subset, classify(subset, leak_sign=leak_sign)))
+        out.append((subset, classify(subset)))
     return out

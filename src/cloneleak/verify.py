@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import branch, leakage, oracle
-from .pauli import SIGMA, PauliSum, pauli_sum_to_dense, state_from_bloch
-from .subsets import (PairTag, RegisterSubset, Verdict,
-                      enumerate_classifications)
+from .pauli import SIGMA, PauliSum, pauli_sum_to_dense
+from .subsets import Verdict, enumerate_classifications
 
 
 @dataclass
@@ -94,7 +93,7 @@ def check_sign_resolution(config: VerifyConfig) -> CheckResult:
     """Resolve the odd-n leak sign on the brute-force engine and report
     which closed-form convention it matches."""
     try:
-        res = leakage.resolve_sign_rule(config.oracle_cap)
+        res = leakage.resolve_sign_rule()
     except RuntimeError as exc:
         return CheckResult("sign_resolution", False, str(exc))
     observed = ", ".join(f"n={n}: {s:+d}" for n, s in res.observed)
@@ -130,14 +129,12 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     worst = 0.0
     worst_case = ""
     for n in range(1, min(config.n_max, config.oracle_cap) + 1):
-        states = [oracle.build_encoded_state(n, state_from_bloch(b),
-                                             cap=config.oracle_cap)
-                  for b in grid.points]
+        states = leakage.encode_points(n, grid.points, config.oracle_cap)
         for p in range(0, n + 1):
-            subset = leakage.aligned_subset(n, p)
-            keep = leakage.keep_positions(subset)
-            for b, state in zip(grid.points, states):
-                dense_oracle = oracle.reduced_density(state, keep)
+            rhos = leakage.probe_states(n, leakage.aligned_subset(n, p),
+                                        grid.points, leakage.ENGINE_ORACLE,
+                                        encoded_states=states)
+            for b, dense_oracle in zip(grid.points, rhos):
                 ps = branch.analytic_reduced_state(n, p, b)
                 if config.tamper_analytic_sign:
                     ps = _tampered(ps)
@@ -150,14 +147,6 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
                        + ("" if passed else f" at {worst_case}"))
 
 
-def _missing_pair_subsets(n: int):
-    from itertools import product
-    for tags in product(PairTag, repeat=n):
-        subset = RegisterSubset(n, tags)
-        if subset.size > 0 and subset.missing_pairs >= 1:
-            yield subset
-
-
 def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """Every subset missing a full pair is independent of the input state."""
     tol = config.tolerances.uninformative
@@ -166,19 +155,23 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     worst_case = ""
     count = 0
     for n in range(1, min(config.n_max, config.oracle_cap) + 1):
-        subsets = list(_missing_pair_subsets(n))
+        subsets = [s for s, _ in enumerate_classifications(n)
+                   if s.missing_pairs >= 1]
         if not subsets:
             continue
-        states = [oracle.build_encoded_state(n, state_from_bloch(b),
-                                             cap=config.oracle_cap)
-                  for b in grid.points]
-        for subset in subsets:
-            keep = leakage.keep_positions(subset)
-            rhos = [oracle.reduced_density(s, keep) for s in states]
-            max_d, _ = leakage.pairwise_max_trace_distance(rhos)
+        try:
+            reports = leakage.probe_patterns(n, subsets, grid,
+                                             leakage.ENGINE_ORACLE,
+                                             config.oracle_cap,
+                                             config.tolerances)
+        except leakage.SeparationGapError as exc:
+            return CheckResult("missing_pair_uninformative", False,
+                               f"threshold gap not empty: {exc}")
+        for report in reports:
             count += 1
-            if max_d > worst:
-                worst, worst_case = max_d, f"n={n}, {subset.labels()}"
+            if report.max_pairwise_distance > worst:
+                worst = report.max_pairwise_distance
+                worst_case = f"n={n}, {report.subset.labels()}"
     passed = worst < tol
     return CheckResult("missing_pair_uninformative", passed,
                        f"{count} patterns, max distance {worst:.3e} "
@@ -187,23 +180,18 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
 
 
 def check_parity_classification(config: VerifyConfig) -> CheckResult:
-    """Structural verdicts match brute-force probes on every pattern."""
+    """Structural verdicts and leak signs match brute-force probes on every
+    pattern."""
     tol = config.tolerances
     grid = _grid(config)
-    resolution = leakage.resolve_sign_rule(config.oracle_cap)
     disagreements = []
     total = 0
     for n in range(1, min(config.n_max, config.oracle_cap) + 1):
-        sign = resolution.rule.sign_for(n) if n % 2 else None
-        entries = enumerate_classifications(n, leak_sign=sign)
-        states = [oracle.build_encoded_state(n, state_from_bloch(b),
-                                             cap=config.oracle_cap)
-                  for b in grid.points]
+        entries = enumerate_classifications(n)
         subsets = [s for s, _ in entries]
         try:
             reports = leakage.probe_patterns(n, subsets, grid, leakage.ENGINE_ORACLE,
-                                             config.oracle_cap, tol,
-                                             encoded_states=states)
+                                             config.oracle_cap, tol)
         except leakage.SeparationGapError as exc:
             return CheckResult("parity_classification", False,
                                f"threshold gap not empty: {exc}")
@@ -249,9 +237,7 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
         positions = [("A", 0)]
         positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
         positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
-        for b in grid.points:
-            state = oracle.build_encoded_state(n, state_from_bloch(b),
-                                               cap=config.oracle_cap)
+        for state in leakage.encode_points(n, grid.points, config.oracle_cap):
             for label, pos in positions:
                 err = float(np.abs(oracle.reduced_density(state, [pos])
                                    - half_identity).max())

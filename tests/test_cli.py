@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cloneleak import cli
+from cloneleak import cli, leakage, oracle
 from cloneleak.cli import SubsetSpecError, main, parse_bloch, parse_subset
 from cloneleak.subsets import PairTag, RegisterSubset
 
@@ -51,6 +51,52 @@ def test_parse_bloch():
         parse_bloch("1,0")
     with pytest.raises(ValueError, match="numeric"):
         parse_bloch("a,b,c")
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_reduce_rejects_non_finite_bloch(capsys, component):
+    code = main(["reduce", "--n", "1", "--subset", "S1",
+                 f"--psi={component},0,0", "--engine", "analytic"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_json_output_refuses_nan(capsys):
+    args = cli.build_parser().parse_args(["table", "--n", "1"])
+    with pytest.raises(ValueError):
+        cli._emit(args, [{"y": float("nan")}], {}, ["y"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "2", "--subset", "S1", "--grid", "1"],
+    ["classify", "--n", "2", "--subset", "S1", "--oracle-cap", "3"],
+    ["reduce", "--n", "1", "--subset", "S1", "--psi", "0,1,0", "--grid", "6"],
+    ["table", "--n", "2", "--grid", "3", "--oracle-cap", "0"],
+    ["table", "--n", "2", "--oracle-cap", "0"],
+])
+def test_flags_only_on_verbs_that_use_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_structural_verbs_never_encode(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structural verb built an encoded state")
+
+    monkeypatch.setattr(oracle, "build_encoded_state", refuse)
+    leakage.resolve_sign_rule.cache_clear()
+    code, record = run_json(capsys, ["classify", "--n", "3",
+                                     "--subset", "S1,S2,S3"])
+    assert code == 0
+    assert record["summary"]["sign"] == -1
+    code, record = run_json(capsys, ["table", "--n", "3"])
+    assert code == 0
+    assert record["summary"]["verdict_counts"]["PARTIALLY_INFORMATIVE"] == 4
 
 
 def test_classify_partially_informative(capsys):

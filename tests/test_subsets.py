@@ -1,7 +1,11 @@
+import ast
+import graphlib
 import itertools
+from pathlib import Path
 
 import pytest
 
+import cloneleak
 from cloneleak.subsets import (AlignedShape, Classification, LeakDescriptor,
                                PairTag, RegisterSubset, Rule, ShapeMarker,
                                Verdict, canonical_shape, classify,
@@ -42,21 +46,21 @@ def test_is_authorized_examples():
 
 
 def test_classify_examples():
-    c = classify(subset(S, S), leak_sign=1)
+    c = classify(subset(S, S))
     assert (c.verdict, c.reason) == (Verdict.COMPLETELY_UNINFORMATIVE,
                                      Rule.PARITY_EVEN_N)
-    c = classify(subset(S, S, S, N, N), leak_sign=1)
+    c = classify(subset(S, S, S, N, N))
     assert c.verdict is Verdict.PARTIALLY_INFORMATIVE
     assert c.reason is Rule.PARITY_ODD_ODD
     assert c.leak == LeakDescriptor(1, "YYYYY")
-    c = classify(subset(B, E), leak_sign=1)
+    c = classify(subset(B, E))
     assert (c.verdict, c.reason) == (Verdict.COMPLETELY_UNINFORMATIVE,
                                      Rule.PROP1_MISSING_PAIR)
-    c = classify(subset(B, S, S, N), leak_sign=1)
+    c = classify(subset(B, S, S, N))
     assert (c.verdict, c.reason) == (Verdict.AUTHORIZED, Rule.AUTH1)
-    c = classify(subset(N, S, N), leak_sign=-1)
+    c = classify(subset(N, S, N))
     assert c.verdict is Verdict.PARTIALLY_INFORMATIVE
-    c = classify(subset(S, S, N), leak_sign=1)
+    c = classify(subset(S, S, N))
     assert (c.verdict, c.reason) == (Verdict.COMPLETELY_UNINFORMATIVE,
                                      Rule.PARITY_EVEN_P)
 
@@ -93,7 +97,7 @@ def test_aligned_shape_validation():
 
 
 def test_enumerate_n1():
-    entries = enumerate_classifications(1, leak_sign=1)
+    entries = enumerate_classifications(1)
     verdicts = {s.labels(): c.verdict for s, c in entries}
     assert verdicts == {
         "S1,N1": Verdict.AUTHORIZED,
@@ -103,7 +107,7 @@ def test_enumerate_n1():
 
 
 def test_enumerate_n2_counts():
-    entries = enumerate_classifications(2, leak_sign=1)
+    entries = enumerate_classifications(2)
     assert len(entries) == 15
     by_verdict = {}
     for s, c in entries:
@@ -118,7 +122,7 @@ def test_enumerate_n2_counts():
 
 
 def test_enumerate_n3_partially_informative_count():
-    entries = enumerate_classifications(3, leak_sign=-1)
+    entries = enumerate_classifications(3)
     leaky = [s for s, c in entries
              if c.verdict is Verdict.PARTIALLY_INFORMATIVE]
     # Aligned patterns with an odd signal count: C(3,1) + C(3,3).
@@ -151,7 +155,7 @@ def test_rule_consistency_exhaustive():
             s = RegisterSubset(n, tags)
             if s.size == 0:
                 continue
-            assert classify(s, leak_sign=1).verdict == _independent_decision(s)
+            assert classify(s).verdict == _independent_decision(s)
 
 
 def test_permutation_invariance_exhaustive():
@@ -162,11 +166,11 @@ def test_permutation_invariance_exhaustive():
             s = RegisterSubset(n, tags)
             if s.size == 0:
                 continue
-            baseline = classify(s, leak_sign=1)
+            baseline = classify(s)
             shuffled = list(tags)
             shuffler.shuffle(shuffled)
             for other in (tags[1:] + tags[:1], tuple(shuffled)):
-                permuted = classify(RegisterSubset(n, other), leak_sign=1)
+                permuted = classify(RegisterSubset(n, other))
                 assert permuted.verdict == baseline.verdict
                 assert permuted.reason == baseline.reason
 
@@ -178,5 +182,34 @@ def test_size_dichotomy():
             s = RegisterSubset(n, tags)
             if 0 < s.size < n:
                 assert s.missing_pairs >= 1
-                assert (classify(s, leak_sign=1).verdict
+                assert (classify(s).verdict
                         is Verdict.COMPLETELY_UNINFORMATIVE)
+
+
+def _imported_names(node) -> list[str]:
+    """Dotted names an import statement pulls in, relative ones resolved."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = ("cloneleak." if node.level else "") + (node.module or "")
+        return [f"{base.rstrip('.')}.{a.name}" for a in node.names]
+    return []
+
+
+def _intra_package_imports() -> dict[str, set[str]]:
+    """Module -> package modules it imports, function-level imports included."""
+    pkg = Path(cloneleak.__file__).parent
+    modules = {path.stem for path in pkg.glob("*.py")}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((pkg / f"{name}.py").read_text())
+        graph[name] = {dotted.split(".")[1] for node in ast.walk(tree)
+                       for dotted in _imported_names(node)
+                       if dotted.startswith("cloneleak.")} & modules - {name}
+    return graph
+
+
+def test_import_graph_is_acyclic():
+    graph = _intra_package_imports()
+    assert {"leakage", "oracle"} & graph["subsets"] == set()
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError if not

@@ -1,9 +1,11 @@
 import pytest
 
+from cloneleak import branch, subsets
 from cloneleak.leakage import aligned_subset, fixed_y_slice_probe
 from cloneleak.verify import (VerifyConfig, check_bell_trace_identities,
                               check_engine_agreement,
                               check_interference_sums,
+                              check_parity_classification,
                               check_phase_table_decomposition,
                               check_sign_resolution, run_checks)
 
@@ -18,6 +20,16 @@ def test_engine_agreement_detects_tampered_sign():
                                                  tamper_analytic_sign=True))
     assert not result.passed
     assert "n=1, p=1" in result.detail
+
+
+def test_parity_classification_detects_flipped_classifier_sign(monkeypatch):
+    # The classifier's sign comes from the closed form; flipping it there
+    # must contradict the brute-force pole signal.
+    monkeypatch.setattr(subsets, "leak_sum_closed_form",
+                        lambda n, p: -branch.leak_sum_closed_form(n, p))
+    result = check_parity_classification(VerifyConfig(n_max=1))
+    assert not result.passed
+    assert "n=1 S1: pole signal +1.000e+00 != predicted -1" in result.detail
 
 
 def test_fixed_y_independence_all_aligned_shapes():
