@@ -167,6 +167,8 @@ def analytic_reduced_state(n: int, p: int, bloch) -> PauliSum:
     b = np.asarray(bloch, dtype=float)
     if b.shape != (3,):
         raise ValueError(f"expected a Bloch triple, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"non-finite Bloch component in {b}")
     if float(np.linalg.norm(b)) > 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(b)!r} exceeds 1")
     scale = 1.0 / 2 ** n

@@ -85,6 +85,17 @@ def parse_bloch(text: str) -> np.ndarray:
     return vec / norm
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 _VERDICT_ORDER = (Verdict.AUTHORIZED, Verdict.COMPLETELY_UNINFORMATIVE,
                   Verdict.PARTIALLY_INFORMATIVE)
 
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        dest="fmt")
         if oracle_cap:
-            p.add_argument("--oracle-cap", type=int,
+            p.add_argument("--oracle-cap", type=_positive_int,
                            default=oracle.ORACLE_CAP_DEFAULT,
                            help="largest n the brute-force engine accepts")
         p.add_argument("--out", metavar="PATH",

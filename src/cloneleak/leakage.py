@@ -95,6 +95,21 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(r1 - r2)).sum())
 
 
+def _pairwise_max(count: int, spectra, chunk: int) -> tuple[float, np.ndarray]:
+    """Max trace distance over all pairs of `count` states, plus each state's
+    max to any other; `spectra(i, j)` gives the eigenvalues of each
+    difference rho_i - rho_j for index arrays of at most `chunk` pairs."""
+    per_point = np.zeros(count)
+    ii, jj = np.triu_indices(count, 1)
+    for start in range(0, ii.size, chunk):
+        i = ii[start:start + chunk]
+        j = jj[start:start + chunk]
+        dists = 0.5 * np.abs(spectra(i, j)).sum(axis=-1)
+        np.maximum.at(per_point, i, dists)
+        np.maximum.at(per_point, j, dists)
+    return float(per_point.max(initial=0.0)), per_point
+
+
 def pairwise_max_trace_distance(rhos, chunk: int = 64) -> tuple[float, np.ndarray]:
     """Max trace distance over all pairs, plus each state's max to any other.
 
@@ -102,17 +117,34 @@ def pairwise_max_trace_distance(rhos, chunk: int = 64) -> tuple[float, np.ndarra
     bound memory.
     """
     arr = np.stack([np.asarray(r) for r in rhos])
-    k = arr.shape[0]
-    per_point = np.zeros(k)
-    ii, jj = np.triu_indices(k, 1)
-    for start in range(0, ii.size, chunk):
-        i = ii[start:start + chunk]
-        j = jj[start:start + chunk]
-        eigs = np.linalg.eigvalsh(arr[i] - arr[j])
-        dists = 0.5 * np.abs(eigs).sum(axis=-1)
-        np.maximum.at(per_point, i, dists)
-        np.maximum.at(per_point, j, dists)
-    return float(per_point.max(initial=0.0)), per_point
+    return _pairwise_max(arr.shape[0],
+                         lambda i, j: np.linalg.eigvalsh(arr[i] - arr[j]), chunk)
+
+
+def pairwise_max_trace_distance_factored(factors, chunk: int = 64
+                                         ) -> tuple[float, np.ndarray]:
+    """`pairwise_max_trace_distance` of the states M M^dagger, given the M.
+
+    Each M is d_keep x d_rest (`oracle.reduced_factor`). A difference
+    M_i M_i^dagger - M_j M_j^dagger is A J A^dagger with A = [M_i | M_j] and
+    J = diag(I, -I). Writing A = Q R with Q an isometry, its nonzero
+    eigenvalues are those of R J R^dagger = Rp Rp^dagger - Rm Rm^dagger,
+    which is 2 d_rest square: trace distance is unchanged by an isometry
+    (Nielsen & Chuang, ch. 9). When 2 d_rest >= d_keep that is no smaller
+    than the states themselves, and the dense states are compared instead.
+    """
+    arr = np.stack([np.asarray(m, dtype=complex) for m in factors])
+    count, d_keep, d_rest = arr.shape
+    if 2 * d_rest >= d_keep:
+        return pairwise_max_trace_distance([m @ m.conj().T for m in arr], chunk)
+
+    def spectra(i, j):
+        r = np.linalg.qr(np.concatenate([arr[i], arr[j]], axis=2), mode="r")
+        rp, rm = r[..., :d_rest], r[..., d_rest:]
+        return np.linalg.eigvalsh(rp @ rp.conj().swapaxes(1, 2)
+                                  - rm @ rm.conj().swapaxes(1, 2))
+
+    return _pairwise_max(count, spectra, chunk)
 
 
 def keep_positions(subset: RegisterSubset) -> list[int]:
@@ -209,7 +241,8 @@ def probe_patterns(n: int, subsets, grid: BlochGrid, engine: str,
     """Informativeness probes for many subsets sharing one grid.
 
     With the brute-force engine the encoded states are built once per grid
-    point and reused across subsets.
+    point and reused across subsets, and distances are taken from the
+    reduced states' factors (`pairwise_max_trace_distance_factored`).
     """
     pole_index = int(np.argmin(np.linalg.norm(grid.points - _Y_POLE, axis=1)))
     if np.linalg.norm(grid.points[pole_index] - _Y_POLE) > 1e-12:
@@ -218,14 +251,20 @@ def probe_patterns(n: int, subsets, grid: BlochGrid, engine: str,
                       if engine == ENGINE_ORACLE else None)
     reports = []
     for subset in subsets:
-        rhos = probe_states(n, subset, grid.points, engine, oracle_cap,
-                            encoded_states)
-        max_d, per_point = pairwise_max_trace_distance(rhos)
-        signal = y_leak_estimate(rhos[pole_index], subset.size)
+        if encoded_states is None:
+            rhos = probe_states(n, subset, grid.points, engine, oracle_cap)
+            max_d, per_point = pairwise_max_trace_distance(rhos)
+            pole_rho = rhos[pole_index]
+        else:
+            keep = keep_positions(subset)
+            factors = [oracle.reduced_factor(s, keep) for s in encoded_states]
+            max_d, per_point = pairwise_max_trace_distance_factored(factors)
+            pole = factors[pole_index]
+            pole_rho = pole @ pole.conj().T
         reports.append(LeakageReport(
             subset=subset,
             max_pairwise_distance=max_d,
-            y_signal=signal,
+            y_signal=y_leak_estimate(pole_rho, subset.size),
             verdict=_verdict(max_d, tol, subset.labels() or "(empty)"),
             engine=engine,
             per_point_max=per_point,

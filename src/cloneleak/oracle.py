@@ -82,13 +82,14 @@ def build_encoded_state(n: int, psi: np.ndarray,
     return total / 2.0
 
 
-def reduced_density(state: np.ndarray, keep: Sequence[int],
-                    dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Partial trace of |state><state| keeping the given qubit positions.
+def reduced_factor(state: np.ndarray, keep: Sequence[int],
+                   dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    """Amplitudes as a (2**len(keep), 2**rest) matrix M with M M^dagger the
+    reduced density of the kept qubit positions.
 
-    Works directly on the amplitude vector: permute the kept axes to the
-    front, flatten, and contract the complement, so the full density matrix
-    is never materialized. The kept factors appear in the order listed.
+    Permutes the kept axes to the front and flattens, so no density matrix
+    is formed. The kept factors appear in the order listed; `dense_cap`
+    bounds the kept qubit count, since callers may form M M^dagger.
     """
     state = np.asarray(state, dtype=complex)
     nq = int(state.size).bit_length() - 1
@@ -105,5 +106,15 @@ def reduced_density(state: np.ndarray, keep: Sequence[int],
         raise ValueError(f"keeping {len(keep)} qubits exceeds the dense cap {dense_cap}")
     rest = [q for q in range(nq) if q not in keep]
     tensor = state.reshape([2] * nq).transpose(keep + rest)
-    mat = tensor.reshape(2 ** len(keep), 2 ** len(rest))
+    return tensor.reshape(2 ** len(keep), 2 ** len(rest))
+
+
+def reduced_density(state: np.ndarray, keep: Sequence[int],
+                    dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    """Partial trace of |state><state| keeping the given qubit positions.
+
+    Contracts the complement of `reduced_factor`'s matrix, so the full
+    density matrix is never materialized.
+    """
+    mat = reduced_factor(state, keep, dense_cap)
     return mat @ mat.conj().T

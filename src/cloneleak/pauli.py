@@ -62,6 +62,8 @@ def bloch_from_state(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape != (2,):
         raise ValueError(f"expected a 2-amplitude state, got shape {state.shape}")
+    if not np.isfinite(state).all():
+        raise ValueError(f"non-finite amplitude in {state}")
     norm2 = float(np.vdot(state, state).real)
     if abs(norm2 - 1.0) > _NORM_ATOL:
         raise ValueError(f"state is not normalized: |amp|^2 = {norm2!r}")
@@ -82,6 +84,8 @@ def state_from_bloch(bloch: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     b = np.asarray(bloch, dtype=float)
     if b.shape != (3,):
         raise ValueError(f"expected a Bloch triple, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"non-finite Bloch component in {b}")
     norm = float(np.linalg.norm(b))
     if abs(norm - 1.0) > atol:
         raise ValueError(f"Bloch vector has norm {norm!r}; only pure (unit) vectors "

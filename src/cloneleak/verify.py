@@ -6,6 +6,7 @@ and never stops early, so a report always covers every check.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,42 @@ class VerifyConfig:
 
 def _grid(config: VerifyConfig) -> leakage.BlochGrid:
     return leakage.bloch_grid(config.grid_size, config.seed)
+
+
+def _top_n(config: VerifyConfig) -> int:
+    """Largest n the brute-force checks cover."""
+    return min(config.n_max, config.oracle_cap)
+
+
+def _nothing_to_check(name: str, config: VerifyConfig) -> CheckResult:
+    return CheckResult(name, False,
+                       f"no n to check: n_max={config.n_max}, oracle cap "
+                       f"{config.oracle_cap}")
+
+
+# Probe results of `_pattern_probes`, by n, shared by the checks of one
+# `run_checks` call; None outside such a call.
+_SHARED_PROBES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "cloneleak_shared_probes", default=None)
+
+
+def _pattern_probes(config: VerifyConfig, n: int) -> list:
+    """(subset, classification, oracle probe report) for every pattern at n.
+
+    Computed once per n within a `run_checks` call. May raise
+    `leakage.SeparationGapError`.
+    """
+    shared = _SHARED_PROBES.get()
+    if shared is not None and n in shared:
+        return shared[n]
+    entries = enumerate_classifications(n)
+    reports = leakage.probe_patterns(n, [s for s, _ in entries], _grid(config),
+                                     leakage.ENGINE_ORACLE, config.oracle_cap,
+                                     config.tolerances)
+    probes = [(s, cls, r) for (s, cls), r in zip(entries, reports)]
+    if shared is not None:
+        shared[n] = probes
+    return probes
 
 
 def check_bell_trace_identities(config: VerifyConfig) -> CheckResult:
@@ -124,11 +161,13 @@ def _tampered(ps: PauliSum) -> PauliSum:
 
 def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     """Brute-force and analytic reduced states agree on aligned subsets."""
+    if _top_n(config) < 1:
+        return _nothing_to_check("engine_agreement", config)
     tol = config.tolerances.engine_agreement
     grid = _grid(config)
     worst = 0.0
     worst_case = ""
-    for n in range(1, min(config.n_max, config.oracle_cap) + 1):
+    for n in range(1, _top_n(config) + 1):
         states = leakage.encode_points(n, grid.points, config.oracle_cap)
         for p in range(0, n + 1):
             rhos = leakage.probe_states(n, leakage.aligned_subset(n, p),
@@ -143,59 +182,54 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
                     worst, worst_case = err, f"n={n}, p={p}, bloch={b.round(6)}"
     passed = worst <= tol
     return CheckResult("engine_agreement", passed,
-                       f"max entry error {worst:.3e} (tolerance {tol:g})"
+                       f"max entry error {worst:.3e} (tolerance {tol:g}) "
+                       f"across n<={_top_n(config)}"
                        + ("" if passed else f" at {worst_case}"))
 
 
 def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """Every subset missing a full pair is independent of the input state."""
+    if _top_n(config) < 1:
+        return _nothing_to_check("missing_pair_uninformative", config)
     tol = config.tolerances.uninformative
-    grid = _grid(config)
     worst = 0.0
     worst_case = ""
     count = 0
-    for n in range(1, min(config.n_max, config.oracle_cap) + 1):
-        subsets = [s for s, _ in enumerate_classifications(n)
-                   if s.missing_pairs >= 1]
-        if not subsets:
-            continue
+    for n in range(1, _top_n(config) + 1):
         try:
-            reports = leakage.probe_patterns(n, subsets, grid,
-                                             leakage.ENGINE_ORACLE,
-                                             config.oracle_cap,
-                                             config.tolerances)
+            probes = _pattern_probes(config, n)
         except leakage.SeparationGapError as exc:
             return CheckResult("missing_pair_uninformative", False,
                                f"threshold gap not empty: {exc}")
-        for report in reports:
+        for subset, _, report in probes:
+            if subset.missing_pairs < 1:
+                continue
             count += 1
             if report.max_pairwise_distance > worst:
                 worst = report.max_pairwise_distance
-                worst_case = f"n={n}, {report.subset.labels()}"
+                worst_case = f"n={n}, {subset.labels()}"
     passed = worst < tol
     return CheckResult("missing_pair_uninformative", passed,
                        f"{count} patterns, max distance {worst:.3e} "
-                       f"(threshold {tol:g})"
+                       f"(threshold {tol:g}) across n<={_top_n(config)}"
                        + ("" if passed else f" at {worst_case}"))
 
 
 def check_parity_classification(config: VerifyConfig) -> CheckResult:
     """Structural verdicts and leak signs match brute-force probes on every
     pattern."""
+    if _top_n(config) < 1:
+        return _nothing_to_check("parity_classification", config)
     tol = config.tolerances
-    grid = _grid(config)
     disagreements = []
     total = 0
-    for n in range(1, min(config.n_max, config.oracle_cap) + 1):
-        entries = enumerate_classifications(n)
-        subsets = [s for s, _ in entries]
+    for n in range(1, _top_n(config) + 1):
         try:
-            reports = leakage.probe_patterns(n, subsets, grid, leakage.ENGINE_ORACLE,
-                                             config.oracle_cap, tol)
+            probes = _pattern_probes(config, n)
         except leakage.SeparationGapError as exc:
             return CheckResult("parity_classification", False,
                                f"threshold gap not empty: {exc}")
-        for (subset, cls), report in zip(entries, reports):
+        for subset, cls, report in probes:
             total += 1
             label = f"n={n} {subset.labels()}"
             if cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
@@ -218,8 +252,7 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                                          f"{report.y_signal:+.3e} != predicted "
                                          f"{expected:+d}")
     passed = not disagreements
-    detail = (f"{total} patterns agree across n<="
-              f"{min(config.n_max, config.oracle_cap)}")
+    detail = f"{total} patterns agree across n<={_top_n(config)}"
     if disagreements:
         detail = f"{len(disagreements)} disagreement(s): " + "; ".join(
             disagreements[:5])
@@ -227,13 +260,20 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
 
 
 def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
-    """Each single register qubit and the source qubit reduce to I/2."""
+    """Each single register qubit and the source qubit reduce to I/2, for
+    n >= 2 (the lone clone of n = 1 leaks)."""
+    if _top_n(config) < 1:
+        return _nothing_to_check("singleton_mixedness", config)
+    if _top_n(config) == 1:
+        # Not a failure: `verify --n 1` is a valid run with no n in range.
+        return CheckResult("singleton_mixedness", True,
+                           "not applicable across n<=1: the claim starts at n=2")
     tol = config.tolerances.golden
     grid = _grid(config)
     half_identity = np.eye(2) / 2
     worst = 0.0
     worst_case = ""
-    for n in range(2, min(config.n_max, config.oracle_cap) + 1):
+    for n in range(2, _top_n(config) + 1):
         positions = [("A", 0)]
         positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
         positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
@@ -245,7 +285,8 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
                     worst, worst_case = err, f"n={n}, {label}"
     passed = worst <= tol
     return CheckResult("singleton_mixedness", passed,
-                       f"max deviation from I/2: {worst:.3e} (tolerance {tol:g})"
+                       f"max deviation from I/2: {worst:.3e} (tolerance {tol:g}) "
+                       f"across n=2..{_top_n(config)}"
                        + ("" if passed else f" at {worst_case}"))
 
 
@@ -263,4 +304,8 @@ ALL_CHECKS = (
 
 def run_checks(config: VerifyConfig | None = None) -> list[CheckResult]:
     config = config or VerifyConfig()
-    return [check(config) for check in ALL_CHECKS]
+    token = _SHARED_PROBES.set({})
+    try:
+        return [check(config) for check in ALL_CHECKS]
+    finally:
+        _SHARED_PROBES.reset(token)

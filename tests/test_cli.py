@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cloneleak import cli, leakage, oracle
+from cloneleak import cli, leakage, oracle, verify
 from cloneleak.cli import SubsetSpecError, main, parse_bloch, parse_subset
 from cloneleak.subsets import PairTag, RegisterSubset
 
@@ -271,6 +271,25 @@ def test_verify_small_config(capsys):
     assert sign["rule"] == "alternating"
     assert sign["observed"] == {"1": 1, "3": -1}
     assert "[PASS] sign_resolution" in captured.err
+
+
+@pytest.mark.parametrize("verb", [
+    ["verify", "--n", "3"],
+    ["sweep", "--n", "1", "--subset", "S1"],
+    ["reduce", "--n", "1", "--subset", "S1", "--psi", "0,1,0"],
+])
+def test_oracle_cap_below_one_is_a_usage_error(capsys, monkeypatch, verb):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran work despite an invalid --oracle-cap")
+
+    monkeypatch.setattr(verify, "run_checks", refuse)
+    monkeypatch.setattr(oracle, "build_encoded_state", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--oracle-cap", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle-cap: must be >= 1, got 0" in captured.err
 
 
 def test_verify_tampered_sign_fails(capsys):

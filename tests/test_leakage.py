@@ -4,12 +4,15 @@ import pytest
 from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, ProbeVerdict,
                                SeparationGapError, SignRule, Tolerances,
                                _verdict, aligned_subset, bloch_grid,
-                               fixed_y_slice_probe, informativeness_probe,
-                               keep_positions, pairwise_max_trace_distance,
+                               encode_points, fixed_y_slice_probe,
+                               informativeness_probe, keep_positions,
+                               pairwise_max_trace_distance,
+                               pairwise_max_trace_distance_factored,
                                probe_patterns, reduced_state,
                                resolve_sign_rule, trace_distance,
                                y_leak_estimate)
-from cloneleak.subsets import PairTag, RegisterSubset
+from cloneleak.oracle import reduced_factor
+from cloneleak.subsets import PairTag, RegisterSubset, enumerate_classifications
 
 from conftest import I2, Y
 
@@ -57,6 +60,49 @@ def test_pairwise_max_matches_direct_loop(rng):
                 direct[i] = max(direct[i], trace_distance(rhos[i], rhos[j]))
     np.testing.assert_allclose(per_point, direct, atol=1e-12)
     assert max_d == pytest.approx(direct.max())
+
+
+def random_factor(rng, d_keep, d_rest):
+    m = rng.normal(size=(d_keep, d_rest)) + 1j * rng.normal(size=(d_keep, d_rest))
+    return m / np.linalg.norm(m)  # unit trace for m m^dagger
+
+
+def assert_factored_matches_dense(factors):
+    dense = pairwise_max_trace_distance([m @ m.conj().T for m in factors])
+    max_d, per_point = pairwise_max_trace_distance_factored(factors)
+    assert abs(max_d - dense[0]) <= 1e-12
+    np.testing.assert_allclose(per_point, dense[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_keep, d_rest", [
+    (16, 2), (32, 4), (64, 1), (32, 15),  # 2 d_rest < d_keep: spectra of R
+    (8, 4), (8, 8), (4, 16),              # dense comparison
+])
+def test_factored_distance_matches_dense_random(rng, d_keep, d_rest):
+    factors = [random_factor(rng, d_keep, d_rest) for _ in range(7)]
+    assert_factored_matches_dense(factors)
+    # Rank-deficient pairs (states sharing a support) as well.
+    shared = factors[0] @ np.diag(rng.uniform(0.5, 1.5, size=d_rest))
+    assert_factored_matches_dense(factors[:3] + [shared / np.linalg.norm(shared)])
+
+
+def test_factored_distance_matches_dense_every_pattern_small_n(grid):
+    for n in range(1, 4):
+        states = encode_points(n, grid.points)
+        for sub, _ in enumerate_classifications(n):
+            keep = keep_positions(sub)
+            assert_factored_matches_dense([reduced_factor(s, keep)
+                                           for s in states])
+
+
+def test_factored_distance_matches_dense_large_subsets_n4():
+    # 6-, 7- and 8-qubit subsets of the 9-qubit n = 4 state, on a small grid.
+    states = encode_points(4, bloch_grid(8, 0).points)
+    subsets = [sub for sub, _ in enumerate_classifications(4) if sub.size >= 6]
+    assert {sub.size for sub in subsets} == {6, 7, 8}
+    for sub in subsets:
+        keep = keep_positions(sub)
+        assert_factored_matches_dense([reduced_factor(s, keep) for s in states])
 
 
 def test_bloch_grid_contents():
@@ -119,6 +165,13 @@ def test_probe_analytic_engine_agrees_with_oracle(grid):
 def test_probe_analytic_rejects_nonaligned(grid):
     with pytest.raises(ValueError, match="aligned"):
         informativeness_probe(2, subset(B, E), grid, ENGINE_ANALYTIC)
+
+
+@pytest.mark.parametrize("engine", [ENGINE_ANALYTIC, ENGINE_ORACLE])
+def test_reduced_state_rejects_nan_bloch(engine):
+    # The leaking Y term must not be silently dropped as a NaN coefficient.
+    with pytest.raises(ValueError, match="non-finite"):
+        reduced_state(1, subset(S), [float("nan"), 0.0, 0.0], engine)
 
 
 def test_probe_rejects_unknown_engine(grid):

@@ -3,7 +3,8 @@ import pytest
 
 from cloneleak.oracle import (ORACLE_CAP_DEFAULT, bell_branch, branch_phases,
                               build_encoded_state, noise_position,
-                              reduced_density, signal_position)
+                              reduced_density, reduced_factor,
+                              signal_position)
 from cloneleak.pauli import state_from_bloch
 
 from conftest import I2, Y, kron_chain
@@ -165,14 +166,16 @@ def test_missing_pair_subset_not_always_maximally_mixed():
 
 def test_reduced_density_errors():
     state = build_encoded_state(1, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="nonempty"):
-        reduced_density(state, [])
-    with pytest.raises(ValueError, match="duplicate"):
-        reduced_density(state, [1, 1])
-    with pytest.raises(ValueError, match="out of range"):
-        reduced_density(state, [3])
-    with pytest.raises(ValueError, match="dense cap"):
-        reduced_density(state, [0, 1, 2], dense_cap=2)
+    # reduced_density validates through its factor helper.
+    for reduce in (reduced_density, reduced_factor):
+        with pytest.raises(ValueError, match="nonempty"):
+            reduce(state, [])
+        with pytest.raises(ValueError, match="duplicate"):
+            reduce(state, [1, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            reduce(state, [3])
+        with pytest.raises(ValueError, match="dense cap"):
+            reduce(state, [0, 1, 2], dense_cap=2)
 
 
 def test_layout_positions():

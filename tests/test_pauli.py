@@ -83,6 +83,23 @@ def test_state_from_bloch_rejects_mixed():
         state_from_bloch([0.5, 0.0, 0.0])
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_state_from_bloch_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        state_from_bloch([bad, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_bloch_from_state_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        bloch_from_state(np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        bloch_from_state(np.array([1.0, complex(0.0, bad)]))
+
+
 def test_state_from_bloch_canonical_phase():
     s = state_from_bloch(np.array([-0.3, 0.4, np.sqrt(1 - 0.25)]))
     assert s[0].imag == 0 and s[0].real >= 0

@@ -70,8 +70,8 @@ def test_classify_empty_rejected():
         classify(subset(E, E))
 
 
-def test_classify_default_sign_comes_from_brute_force():
-    # n=3 leak sign resolved against the simulator: -1.
+def test_classify_sign_comes_from_closed_form():
+    # n=3 leak sign from branch.leak_sum_closed_form: -1.
     c = classify(subset(S, S, S))
     assert c.leak == LeakDescriptor(-1, "YYY")
 

@@ -1,13 +1,18 @@
 import pytest
 
-from cloneleak import branch, subsets
+from cloneleak import branch, leakage, subsets, verify
 from cloneleak.leakage import aligned_subset, fixed_y_slice_probe
 from cloneleak.verify import (VerifyConfig, check_bell_trace_identities,
                               check_engine_agreement,
                               check_interference_sums,
+                              check_missing_pair_uninformative,
                               check_parity_classification,
                               check_phase_table_decomposition,
-                              check_sign_resolution, run_checks)
+                              check_sign_resolution,
+                              check_singleton_mixedness, run_checks)
+
+BRUTE_FORCE_CHECKS = ("engine_agreement", "missing_pair_uninformative",
+                      "parity_classification", "singleton_mixedness")
 
 
 def test_engine_agreement_up_to_four_pairs():
@@ -55,3 +60,52 @@ def test_full_battery_small_config_all_named_checks():
                      "engine_agreement", "missing_pair_uninformative",
                      "parity_classification", "singleton_mixedness"]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("config", [VerifyConfig(n_max=3, oracle_cap=0),
+                                    VerifyConfig(n_max=0)])
+def test_empty_brute_force_range_fails(config):
+    results = {r.name: r for r in run_checks(config)}
+    for name in BRUTE_FORCE_CHECKS:
+        assert not results[name].passed, results[name].detail
+        assert results[name].detail.startswith("no n to check")
+    assert all(r.passed for name, r in results.items()
+               if name not in BRUTE_FORCE_CHECKS)
+
+
+def test_details_state_the_n_range_covered():
+    # n_max above the cap: the checks cover n <= cap and say so.
+    config = VerifyConfig(n_max=7, oracle_cap=2)
+    assert check_engine_agreement(config).detail.endswith(" across n<=2")
+    missing = check_missing_pair_uninformative(config).detail
+    assert missing.startswith("6 patterns, ")
+    assert missing.endswith(" across n<=2")
+    assert (check_parity_classification(config).detail
+            == "18 patterns agree across n<=2")
+    assert check_singleton_mixedness(config).detail.endswith(" across n=2..2")
+
+
+def test_singleton_check_at_n1_says_it_checked_nothing():
+    result = check_singleton_mixedness(VerifyConfig(n_max=1))
+    assert result.passed
+    assert result.detail == "not applicable across n<=1: the claim starts at n=2"
+
+
+def test_run_checks_probes_each_n_once(monkeypatch):
+    calls = []
+    probe = leakage.probe_patterns
+
+    def counting(n, subsets, *args, **kwargs):
+        calls.append((n, len(subsets)))
+        return probe(n, subsets, *args, **kwargs)
+
+    monkeypatch.setattr(leakage, "probe_patterns", counting)
+    results = run_checks(VerifyConfig(n_max=3))
+    assert all(r.passed for r in results), [r.detail for r in results]
+    assert calls == [(1, 3), (2, 15), (3, 63)]  # every pattern, once per n
+    # The shared probes do not outlive the call.
+    assert verify._SHARED_PROBES.get() is None
+    calls.clear()
+    assert check_parity_classification(VerifyConfig(n_max=2)).passed
+    assert check_missing_pair_uninformative(VerifyConfig(n_max=2)).passed
+    assert calls == [(1, 3), (2, 15)] * 2
