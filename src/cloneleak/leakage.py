@@ -95,6 +95,10 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(r1 - r2)).sum())
 
 
+# Pairs per stacked eigenvalue call: bounds the memory of one batch.
+_CHUNK = 64
+
+
 def _pairwise_max(count: int, spectra, chunk: int) -> tuple[float, np.ndarray]:
     """Max trace distance over all pairs of `count` states, plus each state's
     max to any other; `spectra(i, j)` gives the eigenvalues of each
@@ -110,7 +114,7 @@ def _pairwise_max(count: int, spectra, chunk: int) -> tuple[float, np.ndarray]:
     return float(per_point.max(initial=0.0)), per_point
 
 
-def pairwise_max_trace_distance(rhos, chunk: int = 64) -> tuple[float, np.ndarray]:
+def pairwise_max_trace_distance(rhos, chunk: int = _CHUNK) -> tuple[float, np.ndarray]:
     """Max trace distance over all pairs, plus each state's max to any other.
 
     Eigenvalues are computed on stacked difference matrices in chunks to
@@ -121,8 +125,7 @@ def pairwise_max_trace_distance(rhos, chunk: int = 64) -> tuple[float, np.ndarra
                          lambda i, j: np.linalg.eigvalsh(arr[i] - arr[j]), chunk)
 
 
-def pairwise_max_trace_distance_factored(factors, chunk: int = 64
-                                         ) -> tuple[float, np.ndarray]:
+def pairwise_max_trace_distance_factored(factors) -> tuple[float, np.ndarray]:
     """`pairwise_max_trace_distance` of the states M M^dagger, given the M.
 
     Each M is d_keep x d_rest (`oracle.reduced_factor`). A difference
@@ -136,7 +139,7 @@ def pairwise_max_trace_distance_factored(factors, chunk: int = 64
     arr = np.stack([np.asarray(m, dtype=complex) for m in factors])
     count, d_keep, d_rest = arr.shape
     if 2 * d_rest >= d_keep:
-        return pairwise_max_trace_distance([m @ m.conj().T for m in arr], chunk)
+        return pairwise_max_trace_distance([m @ m.conj().T for m in arr])
 
     def spectra(i, j):
         r = np.linalg.qr(np.concatenate([arr[i], arr[j]], axis=2), mode="r")
@@ -144,7 +147,7 @@ def pairwise_max_trace_distance_factored(factors, chunk: int = 64
         return np.linalg.eigvalsh(rp @ rp.conj().swapaxes(1, 2)
                                   - rm @ rm.conj().swapaxes(1, 2))
 
-    return _pairwise_max(count, spectra, chunk)
+    return _pairwise_max(count, spectra, _CHUNK)
 
 
 def keep_positions(subset: RegisterSubset) -> list[int]:

@@ -44,10 +44,12 @@ def _top_n(config: VerifyConfig) -> int:
     return min(config.n_max, config.oracle_cap)
 
 
-def _nothing_to_check(name: str, config: VerifyConfig) -> CheckResult:
+def _nothing_to_check(name: str, config: VerifyConfig,
+                      first: int = 1) -> CheckResult:
+    """A brute-force check whose range n=first..top is empty fails."""
     return CheckResult(name, False,
-                       f"no n to check: n_max={config.n_max}, oracle cap "
-                       f"{config.oracle_cap}")
+                       f"no n to check in n={first}..{_top_n(config)}: "
+                       f"n_max={config.n_max}, oracle cap {config.oracle_cap}")
 
 
 # Probe results of `_pattern_probes`, by n, shared by the checks of one
@@ -188,7 +190,11 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
 
 
 def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
-    """Every subset missing a full pair is independent of the input state."""
+    """Every subset missing a full pair is independent of the input state.
+
+    Reads the probes of every pattern (`_pattern_probes`, shared with the
+    parity check), so a threshold-gap error on any pattern fails it too.
+    """
     if _top_n(config) < 1:
         return _nothing_to_check("missing_pair_uninformative", config)
     tol = config.tolerances.uninformative
@@ -262,12 +268,8 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
 def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
     """Each single register qubit and the source qubit reduce to I/2, for
     n >= 2 (the lone clone of n = 1 leaks)."""
-    if _top_n(config) < 1:
-        return _nothing_to_check("singleton_mixedness", config)
-    if _top_n(config) == 1:
-        # Not a failure: `verify --n 1` is a valid run with no n in range.
-        return CheckResult("singleton_mixedness", True,
-                           "not applicable across n<=1: the claim starts at n=2")
+    if _top_n(config) < 2:
+        return _nothing_to_check("singleton_mixedness", config, first=2)
     tol = config.tolerances.golden
     grid = _grid(config)
     half_identity = np.eye(2) / 2

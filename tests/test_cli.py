@@ -293,7 +293,7 @@ def test_oracle_cap_below_one_is_a_usage_error(capsys, monkeypatch, verb):
 
 
 def test_verify_tampered_sign_fails(capsys):
-    code, record = run_json(capsys, ["verify", "--n", "1",
+    code, record = run_json(capsys, ["verify", "--n", "2",
                                      "--tamper-analytic-sign"])
     assert code == 1
     failed = [r["check"] for r in record["rows"] if not r["passed"]]

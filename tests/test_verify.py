@@ -85,10 +85,11 @@ def test_details_state_the_n_range_covered():
     assert check_singleton_mixedness(config).detail.endswith(" across n=2..2")
 
 
-def test_singleton_check_at_n1_says_it_checked_nothing():
+def test_singleton_check_at_n1_fails_with_empty_range():
+    # The claim starts at n=2, so n_max=1 leaves it nothing to check.
     result = check_singleton_mixedness(VerifyConfig(n_max=1))
-    assert result.passed
-    assert result.detail == "not applicable across n<=1: the claim starts at n=2"
+    assert not result.passed
+    assert result.detail == "no n to check in n=2..1: n_max=1, oracle cap 5"
 
 
 def test_run_checks_probes_each_n_once(monkeypatch):
