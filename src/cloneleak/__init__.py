@@ -10,7 +10,7 @@ exponential object. The `verify` battery cross-checks them.
 from .branch import (analytic_reduced_state, interference_table,
                      leak_sum_closed_form, phase_ratio_parts,
                      phase_ratio_table, table_sum)
-from .leakage import (BlochGrid, LeakageReport, SeparationGapError, Tolerances,
+from .leakage import (LeakageReport, SeparationGapError, Tolerances,
                       bloch_grid, fixed_y_slice_probe, informativeness_probe,
                       resolve_sign_rule, trace_distance, y_leak_estimate)
 from .oracle import (ORACLE_CAP_DEFAULT, bell_branch, branch_phases,
@@ -23,7 +23,7 @@ from .subsets import (AlignedShape, Classification, PairTag, RegisterSubset,
                       enumerate_classifications, is_authorized)
 
 __all__ = [
-    "AlignedShape", "BlochGrid", "Classification", "LeakageReport",
+    "AlignedShape", "Classification", "LeakageReport",
     "ORACLE_CAP_DEFAULT", "PairTag", "PauliSum", "RegisterSubset", "Rule",
     "SeparationGapError", "ShapeMarker", "Tolerances", "Verdict",
     "analytic_reduced_state", "bell_branch", "bloch_from_state", "bloch_grid",

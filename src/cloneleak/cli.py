@@ -119,7 +119,7 @@ def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
             "seed": args.seed,
             "rows": rows,
             "summary": summary,
-            "tolerances": asdict(leakage.Tolerances()),
+            "tolerances": asdict(leakage.TOLERANCES),
         }
         text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     else:
@@ -130,8 +130,11 @@ def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
             writer.writerow([_fmt(row.get(col)) for col in columns])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -208,7 +211,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             ps = leakage.analytic_state(subset, bloch)
             dense[engine] = pauli_sum_to_dense(ps)
         else:
-            dense[engine] = leakage.reduced_state(args.n, subset, bloch, engine,
+            dense[engine] = leakage.reduced_state(subset, bloch, engine,
                                                   args.oracle_cap)
             ps = dense_to_pauli_sum(dense[engine])
         rows.extend(_pauli_rows(ps, engine))
@@ -228,17 +231,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     subset = parse_subset(args.subset, args.n)
     _note_single_pair(args)
     grid = leakage.bloch_grid(args.grid, args.seed)
-    rhos = leakage.probe_states(args.n, subset, grid.points, args.engine,
-                                args.oracle_cap)
+    rhos = leakage.probe_states(subset, grid, args.engine, args.oracle_cap)
     max_d, per_point = leakage.pairwise_max_trace_distance(rhos)
     estimates = [leakage.y_leak_estimate(r, subset.size) for r in rhos]
     rows = []
-    for idx, (b, est, d) in enumerate(zip(grid.points, estimates, per_point)):
+    for idx, (b, est, d) in enumerate(zip(grid, estimates, per_point)):
         rows.append({"index": idx,
                      "x": float(b[0]), "y": float(b[1]), "z": float(b[2]),
                      "y_leak_estimate": float(est),
                      "max_distance": float(d)})
-    ys = grid.points[:, 1]
+    ys = grid[:, 1]
     slope, intercept = np.polyfit(ys, np.array(estimates), 1)
     summary = {"max_pairwise_distance": max_d,
                "slope": float(slope),
@@ -254,7 +256,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         oracle_cap=args.oracle_cap,
         grid_size=args.grid,
         seed=args.seed,
-        tamper_analytic_sign=args.tamper_analytic_sign,
     )
     results = verify.run_checks(vconfig)
     for res in results:
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, needs_n=True, engines=None, grid=False,
                oracle_cap=False):
         if needs_n:
-            p.add_argument("--n", type=int, required=True,
+            p.add_argument("--n", type=_positive_int, required=True,
                            help="number of clone/noise pairs")
         if engines:
             p.add_argument("--engine", choices=engines, default=engines[0])
@@ -327,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full cross-check battery")
     p.add_argument("--n", type=int, default=4,
                    help="largest n for the brute-force comparisons")
-    p.add_argument("--tamper-analytic-sign", action="store_true",
-                   help=argparse.SUPPRESS)
     common(p, needs_n=False, grid=True, oracle_cap=True)
     p.set_defaults(run=cmd_verify)
 

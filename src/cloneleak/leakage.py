@@ -6,7 +6,7 @@ leakage sign for odd clone counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -24,12 +24,15 @@ _GOLDEN = (1 + math.sqrt(5.0)) / 2
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used by probes and verification."""
+    """Numerical thresholds; every probe and check reads `TOLERANCES`."""
 
     uninformative: float = 1e-10   # below this a subset counts as state-independent
     informative: float = 1e-3      # above this a subset visibly depends on the input
     engine_agreement: float = 1e-10
     golden: float = 1e-12          # exact worked cases
+
+
+TOLERANCES = Tolerances()
 
 
 class SeparationGapError(RuntimeError):
@@ -47,15 +50,6 @@ class ProbeVerdict(str, Enum):
     INFORMATIVE = "INFORMATIVE"
 
 
-@dataclass
-class BlochGrid:
-    """Deterministic probe set of unit Bloch vectors; always contains the
-    six axis poles, so the extreme y values +-1 are always probed."""
-
-    points: np.ndarray
-    seed: int
-
-
 _POLES = np.array([
     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
     [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
@@ -63,8 +57,9 @@ _POLES = np.array([
 ])
 
 
-def bloch_grid(size: int = 26, seed: int = 0) -> BlochGrid:
-    """Six axis poles plus a golden-spiral covering of the sphere.
+def bloch_grid(size: int = 26, seed: int = 0) -> np.ndarray:
+    """(size, 3) array of unit Bloch vectors: the six axis poles, so y = +-1
+    is always probed, plus a golden-spiral covering of the sphere.
 
     The spiral is a low-discrepancy lattice; the seed only rotates it about
     the y axis, so the same (size, seed) always yields the same points.
@@ -83,7 +78,7 @@ def bloch_grid(size: int = 26, seed: int = 0) -> BlochGrid:
         pts.append(np.column_stack([r * np.cos(phi), y, r * np.sin(phi)]))
     points = np.vstack(pts)
     points /= np.linalg.norm(points, axis=1, keepdims=True)
-    return BlochGrid(points=points, seed=seed)
+    return points
 
 
 def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -99,22 +94,22 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 _CHUNK = 64
 
 
-def _pairwise_max(count: int, spectra, chunk: int) -> tuple[float, np.ndarray]:
+def _pairwise_max(count: int, spectra) -> tuple[float, np.ndarray]:
     """Max trace distance over all pairs of `count` states, plus each state's
     max to any other; `spectra(i, j)` gives the eigenvalues of each
-    difference rho_i - rho_j for index arrays of at most `chunk` pairs."""
+    difference rho_i - rho_j for index arrays of at most _CHUNK pairs."""
     per_point = np.zeros(count)
     ii, jj = np.triu_indices(count, 1)
-    for start in range(0, ii.size, chunk):
-        i = ii[start:start + chunk]
-        j = jj[start:start + chunk]
+    for start in range(0, ii.size, _CHUNK):
+        i = ii[start:start + _CHUNK]
+        j = jj[start:start + _CHUNK]
         dists = 0.5 * np.abs(spectra(i, j)).sum(axis=-1)
         np.maximum.at(per_point, i, dists)
         np.maximum.at(per_point, j, dists)
     return float(per_point.max(initial=0.0)), per_point
 
 
-def pairwise_max_trace_distance(rhos, chunk: int = _CHUNK) -> tuple[float, np.ndarray]:
+def pairwise_max_trace_distance(rhos) -> tuple[float, np.ndarray]:
     """Max trace distance over all pairs, plus each state's max to any other.
 
     Eigenvalues are computed on stacked difference matrices in chunks to
@@ -122,7 +117,7 @@ def pairwise_max_trace_distance(rhos, chunk: int = _CHUNK) -> tuple[float, np.nd
     """
     arr = np.stack([np.asarray(r) for r in rhos])
     return _pairwise_max(arr.shape[0],
-                         lambda i, j: np.linalg.eigvalsh(arr[i] - arr[j]), chunk)
+                         lambda i, j: np.linalg.eigvalsh(arr[i] - arr[j]))
 
 
 def pairwise_max_trace_distance_factored(factors) -> tuple[float, np.ndarray]:
@@ -147,7 +142,7 @@ def pairwise_max_trace_distance_factored(factors) -> tuple[float, np.ndarray]:
         return np.linalg.eigvalsh(rp @ rp.conj().swapaxes(1, 2)
                                   - rm @ rm.conj().swapaxes(1, 2))
 
-    return _pairwise_max(count, spectra, _CHUNK)
+    return _pairwise_max(count, spectra)
 
 
 def keep_positions(subset: RegisterSubset) -> list[int]:
@@ -171,13 +166,12 @@ def analytic_state(subset: RegisterSubset, bloch) -> PauliSum:
     return branch.analytic_reduced_state(shape.n, shape.p, bloch)
 
 
-def reduced_state(n: int, subset: RegisterSubset, bloch, engine: str,
+def reduced_state(subset: RegisterSubset, bloch, engine: str,
                   oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> np.ndarray:
     """Dense reduced state of a subset via the requested engine."""
-    if subset.n != n:
-        raise ValueError(f"subset is over {subset.n} pairs, expected {n}")
     if engine == ENGINE_ORACLE:
-        state = oracle.build_encoded_state(n, state_from_bloch(bloch), cap=oracle_cap)
+        state = oracle.build_encoded_state(subset.n, state_from_bloch(bloch),
+                                           cap=oracle_cap)
         return oracle.reduced_density(state, keep_positions(subset))
     if engine == ENGINE_ANALYTIC:
         return pauli_sum_to_dense(analytic_state(subset, bloch))
@@ -191,7 +185,7 @@ def encode_points(n: int, points,
             for b in points]
 
 
-def probe_states(n: int, subset: RegisterSubset, points, engine: str,
+def probe_states(subset: RegisterSubset, points, engine: str,
                  oracle_cap: int = oracle.ORACLE_CAP_DEFAULT,
                  encoded_states=None) -> list[np.ndarray]:
     """Dense reduced states of one subset at each Bloch point.
@@ -200,7 +194,7 @@ def probe_states(n: int, subset: RegisterSubset, points, engine: str,
     `encode_points`) are reduced in place of encoding each point again.
     """
     if encoded_states is None:
-        return [reduced_state(n, subset, b, engine, oracle_cap) for b in points]
+        return [reduced_state(subset, b, engine, oracle_cap) for b in points]
     keep = keep_positions(subset)
     return [oracle.reduced_density(s, keep) for s in encoded_states]
 
@@ -219,72 +213,57 @@ class LeakageReport:
     max_pairwise_distance: float
     y_signal: float
     verdict: ProbeVerdict
-    engine: str
-    per_point_max: np.ndarray = field(repr=False, default=None)
 
 
 _Y_POLE = np.array([0.0, 1.0, 0.0])
 
 
-def _verdict(max_distance: float, tol: Tolerances, context: str) -> ProbeVerdict:
-    if max_distance < tol.uninformative:
+def _verdict(max_distance: float, context: str) -> ProbeVerdict:
+    if max_distance < TOLERANCES.uninformative:
         return ProbeVerdict.UNINFORMATIVE
-    if max_distance > tol.informative:
+    if max_distance > TOLERANCES.informative:
         return ProbeVerdict.INFORMATIVE
     raise SeparationGapError(
         f"{context}: max pairwise distance {max_distance!r} lies between the "
-        f"uninformative threshold {tol.uninformative} and the informative "
-        f"threshold {tol.informative}; distances are expected to be one or "
-        f"the other")
+        f"uninformative threshold {TOLERANCES.uninformative} and the "
+        f"informative threshold {TOLERANCES.informative}; distances are "
+        f"expected to be one or the other")
 
 
-def probe_patterns(n: int, subsets, grid: BlochGrid, engine: str,
-                   oracle_cap: int = oracle.ORACLE_CAP_DEFAULT,
-                   tol: Tolerances = Tolerances()) -> list[LeakageReport]:
-    """Informativeness probes for many subsets sharing one grid.
+def probe_patterns(n: int, subsets, grid: np.ndarray,
+                   oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> list[LeakageReport]:
+    """Brute-force informativeness probes for many subsets sharing one grid.
 
-    With the brute-force engine the encoded states are built once per grid
-    point and reused across subsets, and distances are taken from the
-    reduced states' factors (`pairwise_max_trace_distance_factored`).
+    The encoded states are built once per grid point and reused across
+    subsets, and distances are taken from the reduced states' factors
+    (`pairwise_max_trace_distance_factored`).
     """
-    pole_index = int(np.argmin(np.linalg.norm(grid.points - _Y_POLE, axis=1)))
-    if np.linalg.norm(grid.points[pole_index] - _Y_POLE) > 1e-12:
+    pole_index = int(np.argmin(np.linalg.norm(grid - _Y_POLE, axis=1)))
+    if np.linalg.norm(grid[pole_index] - _Y_POLE) > 1e-12:
         raise ValueError("grid does not contain the +y pole")
-    encoded_states = (encode_points(n, grid.points, oracle_cap)
-                      if engine == ENGINE_ORACLE else None)
+    encoded_states = encode_points(n, grid, oracle_cap)
     reports = []
     for subset in subsets:
-        if encoded_states is None:
-            rhos = probe_states(n, subset, grid.points, engine, oracle_cap)
-            max_d, per_point = pairwise_max_trace_distance(rhos)
-            pole_rho = rhos[pole_index]
-        else:
-            keep = keep_positions(subset)
-            factors = [oracle.reduced_factor(s, keep) for s in encoded_states]
-            max_d, per_point = pairwise_max_trace_distance_factored(factors)
-            pole = factors[pole_index]
-            pole_rho = pole @ pole.conj().T
+        keep = keep_positions(subset)
+        factors = [oracle.reduced_factor(s, keep) for s in encoded_states]
+        max_d, _ = pairwise_max_trace_distance_factored(factors)
+        pole = factors[pole_index]
         reports.append(LeakageReport(
             subset=subset,
             max_pairwise_distance=max_d,
-            y_signal=y_leak_estimate(pole_rho, subset.size),
-            verdict=_verdict(max_d, tol, subset.labels() or "(empty)"),
-            engine=engine,
-            per_point_max=per_point,
+            y_signal=y_leak_estimate(pole @ pole.conj().T, subset.size),
+            verdict=_verdict(max_d, subset.labels() or "(empty)"),
         ))
     return reports
 
 
-def informativeness_probe(n: int, subset: RegisterSubset, grid: BlochGrid,
-                          engine: str,
-                          oracle_cap: int = oracle.ORACLE_CAP_DEFAULT,
-                          tol: Tolerances = Tolerances()) -> LeakageReport:
-    """Probe one subset for dependence on the stored state."""
-    return probe_patterns(n, [subset], grid, engine, oracle_cap, tol)[0]
+def informativeness_probe(subset: RegisterSubset, grid: np.ndarray,
+                          oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> LeakageReport:
+    """Brute-force probe of one subset for dependence on the stored state."""
+    return probe_patterns(subset.n, [subset], grid, oracle_cap)[0]
 
 
-def fixed_y_slice_probe(n: int, subset: RegisterSubset, y: float, k: int,
-                        engine: str = ENGINE_ORACLE,
+def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int,
                         oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> float:
     """Max pairwise distance among k states sharing y but differing in x, z.
 
@@ -301,7 +280,7 @@ def fixed_y_slice_probe(n: int, subset: RegisterSubset, y: float, k: int,
                               np.full(k, y),
                               r * np.sin(angles)])
     max_d, _ = pairwise_max_trace_distance(
-        probe_states(n, subset, blochs, engine, oracle_cap))
+        probe_states(subset, blochs, ENGINE_ORACLE, oracle_cap))
     return max_d
 
 
@@ -354,7 +333,7 @@ def resolve_sign_rule() -> SignResolution:
     """
     observed = []
     for n in (1, 3):
-        rho = reduced_state(n, aligned_subset(n, n), _Y_POLE, ENGINE_ORACLE)
+        rho = reduced_state(aligned_subset(n, n), _Y_POLE, ENGINE_ORACLE)
         est = y_leak_estimate(rho, n)
         sign = round(est)
         if sign not in (-1, 1) or abs(est - sign) > 1e-10:

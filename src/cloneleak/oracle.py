@@ -82,13 +82,12 @@ def build_encoded_state(n: int, psi: np.ndarray,
     return total / 2.0
 
 
-def reduced_factor(state: np.ndarray, keep: Sequence[int],
-                   dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def reduced_factor(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Amplitudes as a (2**len(keep), 2**rest) matrix M with M M^dagger the
     reduced density of the kept qubit positions.
 
     Permutes the kept axes to the front and flattens, so no density matrix
-    is formed. The kept factors appear in the order listed; `dense_cap`
+    is formed. The kept factors appear in the order listed; DENSE_QUBIT_CAP
     bounds the kept qubit count, since callers may form M M^dagger.
     """
     state = np.asarray(state, dtype=complex)
@@ -102,19 +101,19 @@ def reduced_factor(state: np.ndarray, keep: Sequence[int],
         raise ValueError(f"duplicate qubit positions in keep set {keep}")
     if any(q < 0 or q >= nq for q in keep):
         raise ValueError(f"keep positions {keep} out of range for {nq} qubits")
-    if len(keep) > dense_cap:
-        raise ValueError(f"keeping {len(keep)} qubits exceeds the dense cap {dense_cap}")
+    if len(keep) > DENSE_QUBIT_CAP:
+        raise ValueError(f"keeping {len(keep)} qubits exceeds the dense cap "
+                         f"{DENSE_QUBIT_CAP}")
     rest = [q for q in range(nq) if q not in keep]
     tensor = state.reshape([2] * nq).transpose(keep + rest)
     return tensor.reshape(2 ** len(keep), 2 ** len(rest))
 
 
-def reduced_density(state: np.ndarray, keep: Sequence[int],
-                    dense_cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def reduced_density(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Partial trace of |state><state| keeping the given qubit positions.
 
     Contracts the complement of `reduced_factor`'s matrix, so the full
     density matrix is never materialized.
     """
-    mat = reduced_factor(state, keep, dense_cap)
+    mat = reduced_factor(state, keep)
     return mat @ mat.conj().T

@@ -34,6 +34,7 @@ COEFF_PRUNE = 1e-14
 DENSE_QUBIT_CAP = 12
 
 _NORM_ATOL = 1e-12
+_BLOCH_NORM_ATOL = 1e-9
 
 # Cyclic products: sigma_a sigma_b = +i sigma_c for these (a, b).
 _CYCLIC = {(1, 2), (2, 3), (3, 1)}
@@ -75,10 +76,10 @@ def bloch_from_state(state: np.ndarray) -> np.ndarray:
     return np.array([x, y, z])
 
 
-def state_from_bloch(bloch: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def state_from_bloch(bloch: np.ndarray) -> np.ndarray:
     """Pure qubit state with the given unit Bloch vector, canonical phase.
 
-    Rejects vectors whose norm differs from 1 by more than `atol`
+    Rejects vectors whose norm differs from 1 by more than _BLOCH_NORM_ATOL
     (those describe mixed states, which have no state-vector form).
     """
     b = np.asarray(bloch, dtype=float)
@@ -87,7 +88,7 @@ def state_from_bloch(bloch: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     if not np.isfinite(b).all():
         raise ValueError(f"non-finite Bloch component in {b}")
     norm = float(np.linalg.norm(b))
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > _BLOCH_NORM_ATOL:
         raise ValueError(f"Bloch vector has norm {norm!r}; only pure (unit) vectors "
                          "correspond to state vectors")
     x, y, z = b / norm
@@ -132,10 +133,6 @@ class PauliSum:
                 pruned[letters] = coeff
         self.terms = pruned
 
-    @classmethod
-    def identity(cls, qubit_count: int, coeff: float = 1.0) -> "PauliSum":
-        return cls(qubit_count, {"I" * qubit_count: coeff})
-
     def coefficient(self, letters: str) -> float:
         return self.terms.get(letters, 0.0)
 
@@ -149,31 +146,33 @@ class PauliSum:
         return f"PauliSum({self.qubit_count}, {body or '0'})"
 
 
-def pauli_string_matrix(letters: str, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def pauli_string_matrix(letters: str) -> np.ndarray:
     """Dense matrix of a Pauli string (tensor product of 2x2 factors)."""
     k = len(letters)
     if k == 0:
         raise ValueError("empty Pauli string")
-    if k > cap:
-        raise ValueError(f"Pauli string on {k} qubits exceeds dense cap {cap}")
+    if k > DENSE_QUBIT_CAP:
+        raise ValueError(f"Pauli string on {k} qubits exceeds dense cap "
+                         f"{DENSE_QUBIT_CAP}")
     out = SIGMA[PAULI_LABELS.index(letters[0])]
     for ch in letters[1:]:
         out = np.kron(out, SIGMA[PAULI_LABELS.index(ch)])
     return out
 
 
-def pauli_sum_to_dense(ps: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def pauli_sum_to_dense(ps: PauliSum) -> np.ndarray:
     """Dense matrix of a sparse Pauli sum."""
-    if ps.qubit_count > cap:
-        raise ValueError(f"PauliSum on {ps.qubit_count} qubits exceeds dense cap {cap}")
+    if ps.qubit_count > DENSE_QUBIT_CAP:
+        raise ValueError(f"PauliSum on {ps.qubit_count} qubits exceeds dense "
+                         f"cap {DENSE_QUBIT_CAP}")
     dim = 2 ** ps.qubit_count
     out = np.zeros((dim, dim), dtype=complex)
     for letters, coeff in ps.terms.items():
-        out += coeff * pauli_string_matrix(letters, cap=cap)
+        out += coeff * pauli_string_matrix(letters)
     return out
 
 
-def dense_to_pauli_sum(rho: np.ndarray, prune: float = COEFF_PRUNE) -> PauliSum:
+def dense_to_pauli_sum(rho: np.ndarray) -> PauliSum:
     """Expand a Hermitian matrix in the Pauli-string basis.
 
     Contracts one qubit at a time, so the cost is O(k 4^k) rather than
@@ -193,7 +192,7 @@ def dense_to_pauli_sum(rho: np.ndarray, prune: float = COEFF_PRUNE) -> PauliSum:
     coeffs = t / rho.shape[0]  # shape (4,)*k_original, Tr normalization
     n = coeffs.ndim
     terms = {}
-    for idx in np.argwhere(np.abs(coeffs) >= prune):
+    for idx in np.argwhere(np.abs(coeffs) >= COEFF_PRUNE):
         c = coeffs[tuple(idx)]
         if abs(c.imag) > 1e-10:
             raise ValueError("matrix is not Hermitian: complex Pauli coefficient "
@@ -222,22 +221,6 @@ def expectation(rho: np.ndarray, letters: str) -> float:
     if abs(val.imag) > 1e-10:
         raise AssertionError(f"expectation has imaginary residue {val.imag!r}")
     return val.real
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
-    """Raise if rho is not Hermitian, unit-trace, and PSD within atol."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"not a square matrix: shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > atol:
-        raise ValueError(f"not Hermitian: max asymmetry {herm!r}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"trace is {tr!r}, expected 1")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -atol:
-        raise ValueError(f"negative eigenvalue {lo!r}")
 
 
 def _qubit_count_of(mat: np.ndarray) -> int:

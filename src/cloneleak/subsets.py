@@ -170,17 +170,14 @@ def classify(subset: RegisterSubset) -> Classification:
 ENUMERATION_GUARD = 10
 
 
-def enumerate_classifications(
-    n: int,
-    guard: int = ENUMERATION_GUARD,
-) -> list[tuple[RegisterSubset, Classification]]:
+def enumerate_classifications(n: int) -> list[tuple[RegisterSubset, Classification]]:
     """Classify every nonempty membership pattern (4^n - 1 of them).
 
     Patterns are emitted in a fixed order (tag order BOTH, SIGNAL, NOISE,
     NONE, varying the last pair fastest), so output is deterministic.
     """
-    if n > guard:
-        raise ValueError(f"n={n} exceeds the enumeration guard {guard} "
+    if n > ENUMERATION_GUARD:
+        raise ValueError(f"n={n} exceeds the enumeration guard {ENUMERATION_GUARD} "
                          f"(4^n patterns)")
     out = []
     for tags in itertools.product(PairTag, repeat=n):

@@ -7,12 +7,12 @@ and never stops early, so a report always covers every check.
 from __future__ import annotations
 
 import contextvars
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import branch, leakage, oracle
-from .pauli import SIGMA, PauliSum, pauli_sum_to_dense
+from .pauli import SIGMA, pauli_sum_to_dense
 from .subsets import Verdict, enumerate_classifications
 
 
@@ -29,13 +29,13 @@ class VerifyConfig:
     oracle_cap: int = oracle.ORACLE_CAP_DEFAULT
     grid_size: int = 26
     seed: int = 0
-    tolerances: leakage.Tolerances = field(default_factory=leakage.Tolerances)
-    # Negative-control hook: flip the analytic leak sign so that the
-    # engine-agreement check must fail.
-    tamper_analytic_sign: bool = False
 
 
-def _grid(config: VerifyConfig) -> leakage.BlochGrid:
+# Largest n of the exact branch-table checks.
+EXACT_N_MAX = 12
+
+
+def _grid(config: VerifyConfig) -> np.ndarray:
     return leakage.bloch_grid(config.grid_size, config.seed)
 
 
@@ -69,8 +69,7 @@ def _pattern_probes(config: VerifyConfig, n: int) -> list:
         return shared[n]
     entries = enumerate_classifications(n)
     reports = leakage.probe_patterns(n, [s for s, _ in entries], _grid(config),
-                                     leakage.ENGINE_ORACLE, config.oracle_cap,
-                                     config.tolerances)
+                                     config.oracle_cap)
     probes = [(s, cls, r) for (s, cls), r in zip(entries, reports)]
     if shared is not None:
         shared[n] = probes
@@ -79,7 +78,7 @@ def _pattern_probes(config: VerifyConfig, n: int) -> list:
 
 def check_bell_trace_identities(config: VerifyConfig) -> CheckResult:
     """Tracing one qubit of |phi_mu><phi_nu| leaves the predicted 2x2 factor."""
-    tol = config.tolerances.golden
+    tol = leakage.TOLERANCES.golden
     worst = 0.0
     for mu in range(4):
         for nu in range(4):
@@ -97,22 +96,21 @@ def check_bell_trace_identities(config: VerifyConfig) -> CheckResult:
                        f"(tolerance {tol:g})")
 
 
-def check_phase_table_decomposition(config: VerifyConfig,
-                                    n_max: int = 12) -> CheckResult:
+def check_phase_table_decomposition(config: VerifyConfig) -> CheckResult:
     """phase_ratio_table(n) == I4 + sum of its three parts, exactly."""
-    for n in range(1, n_max + 1):
+    for n in range(1, EXACT_N_MAX + 1):
         full = branch.phase_ratio_table(n)
         rebuilt = np.eye(4, dtype=complex) + sum(branch.phase_ratio_parts(n))
         if not np.array_equal(full, rebuilt):
             return CheckResult("phase_table_decomposition", False,
                                f"mismatch at n={n}")
     return CheckResult("phase_table_decomposition", True,
-                       f"exact for n=1..{n_max}")
+                       f"exact for n=1..{EXACT_N_MAX}")
 
 
-def check_interference_sums(config: VerifyConfig, n_max: int = 12) -> CheckResult:
+def check_interference_sums(config: VerifyConfig) -> CheckResult:
     """X and Z sums vanish; the Y sum equals its closed form, exactly."""
-    for n in range(1, n_max + 1):
+    for n in range(1, EXACT_N_MAX + 1):
         for p in range(0, n + 1):
             t1 = branch.table_sum(branch.interference_table(n, p, 1))
             t3 = branch.table_sum(branch.interference_table(n, p, 3))
@@ -125,7 +123,7 @@ def check_interference_sums(config: VerifyConfig, n_max: int = 12) -> CheckResul
                 return CheckResult("interference_sums", False,
                                    f"y sum {t2!r} != closed form at n={n}, p={p}")
     return CheckResult("interference_sums", True,
-                       f"exact for all n=1..{n_max}, 0 <= p <= n")
+                       f"exact for all n=1..{EXACT_N_MAX}, 0 <= p <= n")
 
 
 def check_sign_resolution(config: VerifyConfig) -> CheckResult:
@@ -142,7 +140,7 @@ def check_sign_resolution(config: VerifyConfig) -> CheckResult:
               + ", ".join(f"{r.kind} [{r.describe()}]" for r in rejected))
     # The engine's own sign must follow the resolved rule wherever the
     # closed form predicts leakage.
-    for n in range(1, 13, 2):
+    for n in range(1, EXACT_N_MAX + 1, 2):
         for p in range(1, n + 1, 2):
             t2 = branch.table_sum(branch.interference_table(n, p, 2))
             if t2 != 4 * res.rule.sign_for(n):
@@ -152,33 +150,22 @@ def check_sign_resolution(config: VerifyConfig) -> CheckResult:
     return CheckResult("sign_resolution", True, detail)
 
 
-def _tampered(ps: PauliSum) -> PauliSum:
-    letters = "Y" * ps.qubit_count
-    if letters not in ps.terms:
-        return ps
-    terms = dict(ps.terms)
-    terms[letters] = -terms[letters]
-    return PauliSum(ps.qubit_count, terms)
-
-
 def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     """Brute-force and analytic reduced states agree on aligned subsets."""
     if _top_n(config) < 1:
         return _nothing_to_check("engine_agreement", config)
-    tol = config.tolerances.engine_agreement
+    tol = leakage.TOLERANCES.engine_agreement
     grid = _grid(config)
     worst = 0.0
     worst_case = ""
     for n in range(1, _top_n(config) + 1):
-        states = leakage.encode_points(n, grid.points, config.oracle_cap)
+        states = leakage.encode_points(n, grid, config.oracle_cap)
         for p in range(0, n + 1):
-            rhos = leakage.probe_states(n, leakage.aligned_subset(n, p),
-                                        grid.points, leakage.ENGINE_ORACLE,
+            rhos = leakage.probe_states(leakage.aligned_subset(n, p), grid,
+                                        leakage.ENGINE_ORACLE,
                                         encoded_states=states)
-            for b, dense_oracle in zip(grid.points, rhos):
+            for b, dense_oracle in zip(grid, rhos):
                 ps = branch.analytic_reduced_state(n, p, b)
-                if config.tamper_analytic_sign:
-                    ps = _tampered(ps)
                 err = float(np.abs(dense_oracle - pauli_sum_to_dense(ps)).max())
                 if err > worst:
                     worst, worst_case = err, f"n={n}, p={p}, bloch={b.round(6)}"
@@ -197,7 +184,7 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """
     if _top_n(config) < 1:
         return _nothing_to_check("missing_pair_uninformative", config)
-    tol = config.tolerances.uninformative
+    tol = leakage.TOLERANCES.uninformative
     worst = 0.0
     worst_case = ""
     count = 0
@@ -226,7 +213,7 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
     pattern."""
     if _top_n(config) < 1:
         return _nothing_to_check("parity_classification", config)
-    tol = config.tolerances
+    tol = leakage.TOLERANCES
     disagreements = []
     total = 0
     for n in range(1, _top_n(config) + 1):
@@ -247,8 +234,8 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                     disagreements.append(f"{label}: classified {cls.verdict.value} "
                                          f"but no probe response")
             if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
-                slice_d = leakage.fixed_y_slice_probe(n, subset, 0.5, 8,
-                                                      oracle_cap=config.oracle_cap)
+                slice_d = leakage.fixed_y_slice_probe(subset, 0.5, 8,
+                                                      config.oracle_cap)
                 if slice_d >= tol.uninformative:
                     disagreements.append(f"{label}: leak depends on more than y "
                                          f"(fixed-y distance {slice_d:.3e})")
@@ -270,7 +257,7 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
     n >= 2 (the lone clone of n = 1 leaks)."""
     if _top_n(config) < 2:
         return _nothing_to_check("singleton_mixedness", config, first=2)
-    tol = config.tolerances.golden
+    tol = leakage.TOLERANCES.golden
     grid = _grid(config)
     half_identity = np.eye(2) / 2
     worst = 0.0
@@ -279,7 +266,7 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
         positions = [("A", 0)]
         positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
         positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
-        for state in leakage.encode_points(n, grid.points, config.oracle_cap):
+        for state in leakage.encode_points(n, grid, config.oracle_cap):
             for label, pos in positions:
                 err = float(np.abs(oracle.reduced_density(state, [pos])
                                    - half_identity).max())

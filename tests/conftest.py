@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloneleak import bloch_grid
+from cloneleak import PauliSum, bloch_grid, branch
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -24,3 +24,20 @@ def grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def tampered_analytic_sign(monkeypatch):
+    """Negative control: the branch calculus reports the all-Y term of every
+    reduced state with the wrong sign, so engine agreement must fail."""
+    exact = branch.analytic_reduced_state
+
+    def tampered(n, p, bloch):
+        ps = exact(n, p, bloch)
+        terms = dict(ps.terms)
+        letters = "Y" * ps.qubit_count
+        if letters in terms:
+            terms[letters] = -terms[letters]
+        return PauliSum(ps.qubit_count, terms)
+
+    monkeypatch.setattr(branch, "analytic_reduced_state", tampered)

@@ -34,7 +34,7 @@ def test_criterion_1_single_pair_golden_cases():
     tol = 1e-12
     start = time.perf_counter()
     worst = 0.0
-    for b in GRID.points:
+    for b in GRID:
         y = b[1]
         state = build_encoded_state(1, state_from_bloch(b))
         expected_s = (I2 + y * Y) / 2
@@ -59,7 +59,7 @@ def test_criterion_2_two_pair_cancellation():
     start = time.perf_counter()
     flat = np.eye(4) / 4
     worst = 0.0
-    for b in GRID.points:
+    for b in GRID:
         state = build_encoded_state(2, state_from_bloch(b))
         for p in (0, 1, 2):
             keep = keep_positions(aligned_subset(2, p))
@@ -82,7 +82,7 @@ def test_criterion_3_three_pair_cases_and_sign():
     yyy = kron_chain(Y, Y, Y)
     worst_exact = 0.0
     worst_engines = 0.0
-    for b in GRID.points:
+    for b in GRID:
         y = b[1]
         state = build_encoded_state(3, state_from_bloch(b))
         cases = {
@@ -146,7 +146,7 @@ def test_criterion_7_leakage_readout_linearity():
         estimates = []
         for y in ys:
             b = [np.sqrt(max(0.0, 1 - y * y)), y, 0.0]
-            rho = reduced_state(n, subset, b, ENGINE_ORACLE)
+            rho = reduced_state(subset, b, ENGINE_ORACLE)
             est = y_leak_estimate(rho, n)
             assert abs(est - s * y) < tol
             estimates.append(est)
@@ -154,7 +154,7 @@ def test_criterion_7_leakage_readout_linearity():
         intercept = estimates[2]
         assert abs(abs(slope) - 1.0) < tol
         assert abs(intercept) < tol
-        assert fixed_y_slice_probe(n, subset, 0.5, 8) < tol
+        assert fixed_y_slice_probe(subset, 0.5, 8) < tol
     _ok(7, "leakage readout",
         "linear in y with unit slope, zero intercept, flat fixed-y slices")
 

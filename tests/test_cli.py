@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,7 @@ def test_json_output_refuses_nan(capsys):
     ["reduce", "--n", "1", "--subset", "S1", "--psi", "0,1,0", "--grid", "6"],
     ["table", "--n", "2", "--grid", "3", "--oracle-cap", "0"],
     ["table", "--n", "2", "--oracle-cap", "0"],
+    ["verify", "--tamper-analytic-sign"],
 ])
 def test_flags_only_on_verbs_that_use_them(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -259,6 +264,36 @@ def test_exit_codes_for_parse_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "-1"],
+    ["table", "--n", "0"],
+    ["classify", "--n", "0", "--subset", "S1"],
+    ["sweep", "--n", "0", "--subset", "S1"],
+    ["reduce", "--n", "0", "--subset", "S1", "--psi", "0,1,0"],
+])
+def test_n_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--n: must be >= 1, got {argv[2]}" in captured.err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+def test_unwritable_out_is_a_usage_error(tmp_path, target):
+    out = tmp_path if target == "directory" else tmp_path / "absent" / "t.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "cloneleak.cli", "table",
+                           "--n", "1", "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
+    assert str(out) in proc.stderr
+
+
 def test_verify_small_config(capsys):
     code = main(["verify", "--n", "2"])
     captured = capsys.readouterr()
@@ -292,9 +327,8 @@ def test_oracle_cap_below_one_is_a_usage_error(capsys, monkeypatch, verb):
     assert "--oracle-cap: must be >= 1, got 0" in captured.err
 
 
-def test_verify_tampered_sign_fails(capsys):
-    code, record = run_json(capsys, ["verify", "--n", "2",
-                                     "--tamper-analytic-sign"])
+def test_verify_tampered_sign_fails(capsys, tampered_analytic_sign):
+    code, record = run_json(capsys, ["verify", "--n", "2"])
     assert code == 1
     failed = [r["check"] for r in record["rows"] if not r["passed"]]
     assert failed == ["engine_agreement"]

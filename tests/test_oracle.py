@@ -60,7 +60,7 @@ def test_build_rejects_bad_inputs():
 
 def test_source_qubit_maximally_mixed(grid):
     for n in (1, 2, 3):
-        for b in grid.points[:6]:
+        for b in grid[:6]:
             state = build_encoded_state(n, state_from_bloch(b))
             np.testing.assert_allclose(reduced_density(state, [0]), I2 / 2,
                                        atol=1e-12)
@@ -166,6 +166,8 @@ def test_missing_pair_subset_not_always_maximally_mixed():
 
 def test_reduced_density_errors():
     state = build_encoded_state(1, np.array([1.0, 0.0]))
+    thirteen_qubits = np.zeros(2 ** 13, dtype=complex)
+    thirteen_qubits[0] = 1.0
     # reduced_density validates through its factor helper.
     for reduce in (reduced_density, reduced_factor):
         with pytest.raises(ValueError, match="nonempty"):
@@ -175,7 +177,7 @@ def test_reduced_density_errors():
         with pytest.raises(ValueError, match="out of range"):
             reduce(state, [3])
         with pytest.raises(ValueError, match="dense cap"):
-            reduce(state, [0, 1, 2], dense_cap=2)
+            reduce(thirteen_qubits, list(range(13)))
 
 
 def test_layout_positions():

@@ -20,9 +20,8 @@ def test_engine_agreement_up_to_four_pairs():
     assert result.passed, result.detail
 
 
-def test_engine_agreement_detects_tampered_sign():
-    result = check_engine_agreement(VerifyConfig(n_max=1,
-                                                 tamper_analytic_sign=True))
+def test_engine_agreement_detects_tampered_sign(tampered_analytic_sign):
+    result = check_engine_agreement(VerifyConfig(n_max=1))
     assert not result.passed
     assert "n=1, p=1" in result.detail
 
@@ -41,7 +40,7 @@ def test_fixed_y_independence_all_aligned_shapes():
     # Unauthorized aligned subsets depend on the input only through y.
     for n in range(1, 5):
         for p in range(0, n + 1):
-            assert fixed_y_slice_probe(n, aligned_subset(n, p), 0.5, 6) < 1e-10
+            assert fixed_y_slice_probe(aligned_subset(n, p), 0.5, 6) < 1e-10
 
 
 def test_fast_checks_pass():
