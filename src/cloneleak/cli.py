@@ -15,6 +15,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -96,18 +97,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Largest --n of classify, reduce, table and sweep, checked before any of the
+# n pair tags is built (classify takes milliseconds at this n).
+N_MAX = 10_000
+
+
+def _pair_count(text: str) -> int:
+    """argparse type for --n: 1 <= n <= N_MAX."""
+    value = _positive_int(text)
+    if value > N_MAX:
+        raise argparse.ArgumentTypeError(f"must be <= {N_MAX}, got {value}")
+    return value
+
+
 _VERDICT_ORDER = (Verdict.AUTHORIZED, Verdict.COMPLETELY_UNINFORMATIVE,
                   Verdict.PARTIALLY_INFORMATIVE)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_cells(row: dict, columns: list[str]) -> list:
+    """One CSV row: booleans as in JSON, the rest as csv.writer writes it."""
+    return [("true" if v else "false") if type(v) is bool else v
+            for v in map(row.get, columns)]
 
 
 def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
@@ -127,7 +137,7 @@ def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
+            writer.writerow(_csv_cells(row, columns))
         text = buf.getvalue()
     if args.out:
         try:
@@ -182,9 +192,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     _note_single_pair(args)
     entries = enumerate_classifications(args.n)
     rows = [_structural_row(subset, cls) for subset, cls in entries]
-    counts = {v.value: 0 for v in _VERDICT_ORDER}
-    for _, cls in entries:
-        counts[cls.verdict.value] += 1
+    tally = Counter(cls.verdict for _, cls in entries)
+    counts = {v.value: tally[v] for v in _VERDICT_ORDER}
     _emit(args, rows, {"patterns": len(rows), "verdict_counts": counts},
           TABLE_COLUMNS)
     return 0
@@ -262,6 +271,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.detail}", file=sys.stderr)
     rows = [{"check": r.name, "passed": r.passed, "detail": r.detail}
+            | ({} if r.n_range is None else {"n_range": r.n_range})
             for r in results]
     all_passed = all(r.passed for r in results)
     resolution = leakage.resolve_sign_rule()
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, needs_n=True, engines=None, grid=False,
                oracle_cap=False):
         if needs_n:
-            p.add_argument("--n", type=_positive_int, required=True,
+            p.add_argument("--n", type=_pair_count, required=True,
                            help="number of clone/noise pairs")
         if engines:
             p.add_argument("--engine", choices=engines, default=engines[0])

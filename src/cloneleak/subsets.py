@@ -8,8 +8,9 @@ tags, which makes permutation invariance structural rather than incidental.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .branch import leak_sum_closed_form
@@ -20,6 +21,9 @@ class PairTag(str, Enum):
     SIGNAL = "SIGNAL"
     NOISE = "NOISE"
     NONE = "NONE"
+
+
+_BOTH, _SIGNAL, _NOISE, _NONE = PairTag  # Enum class attributes are slow
 
 
 class Verdict(str, Enum):
@@ -82,6 +86,11 @@ class RegisterSubset:
 
     n: int
     membership: tuple[PairTag, ...]
+    both_count: int = field(init=False, repr=False, compare=False)
+    missing_pairs: int = field(init=False, repr=False, compare=False)
+    # Signal (p) and noise (q) qubits present, counting those in full pairs.
+    signal_count: int = field(init=False, repr=False, compare=False)
+    noise_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -89,29 +98,15 @@ class RegisterSubset:
         if len(self.membership) != self.n:
             raise ValueError(f"expected {self.n} pair tags, got "
                              f"{len(self.membership)}")
-        object.__setattr__(self, "membership", tuple(PairTag(t)
-                                                     for t in self.membership))
-
-    def _count(self, tag: PairTag) -> int:
-        return sum(1 for t in self.membership if t is tag)
-
-    @property
-    def both_count(self) -> int:
-        return self._count(PairTag.BOTH)
-
-    @property
-    def missing_pairs(self) -> int:
-        return self._count(PairTag.NONE)
-
-    @property
-    def signal_count(self) -> int:
-        """Signal qubits present (p), counting those inside full pairs."""
-        return self.both_count + self._count(PairTag.SIGNAL)
-
-    @property
-    def noise_count(self) -> int:
-        """Noise qubits present (q), counting those inside full pairs."""
-        return self.both_count + self._count(PairTag.NOISE)
+        tags = self.membership
+        if type(tags) is not tuple or any(type(t) is not PairTag for t in tags):
+            tags = tuple(PairTag(t) for t in tags)
+        both = tags.count(_BOTH)
+        for name, value in (("membership", tags), ("both_count", both),
+                            ("missing_pairs", tags.count(_NONE)),
+                            ("signal_count", both + tags.count(_SIGNAL)),
+                            ("noise_count", both + tags.count(_NOISE))):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -119,13 +114,16 @@ class RegisterSubset:
 
     def labels(self) -> str:
         """Canonical textual form, e.g. 'S1,N1,S2'; empty subsets yield ''."""
-        parts = []
-        for i, tag in enumerate(self.membership, start=1):
-            if tag in (PairTag.BOTH, PairTag.SIGNAL):
-                parts.append(f"S{i}")
-            if tag in (PairTag.BOTH, PairTag.NOISE):
-                parts.append(f"N{i}")
-        return ",".join(parts)
+        return ",".join(filter(None, map(dict.__getitem__,
+                                         _label_fragments(self.n),
+                                         self.membership)))
+
+
+@functools.lru_cache(maxsize=16)
+def _label_fragments(n: int) -> tuple[dict[PairTag, str], ...]:
+    """Per position, the labels each tag contributes ('' for NONE)."""
+    return tuple(dict(zip(PairTag, (f"S{i},N{i}", f"S{i}", f"N{i}", "")))
+                 for i in range(1, n + 1))
 
 
 def is_authorized(subset: RegisterSubset) -> bool:
@@ -152,12 +150,18 @@ def classify(subset: RegisterSubset) -> Classification:
     """
     if subset.size == 0:
         raise ValueError("empty subset has no classification")
-    if is_authorized(subset):
+    return _classify_counts(subset.n, subset.both_count, subset.missing_pairs,
+                            subset.signal_count)
+
+
+@functools.lru_cache(maxsize=4096)  # all 1 807 count classes of n <= 12
+def _classify_counts(n: int, both: int, missing: int, p: int) -> Classification:
+    """The verdict shared by every subset with these per-pair counts."""
+    if both >= 1 and missing == 0:
         return Classification(Verdict.AUTHORIZED, Rule.AUTH1)
-    if subset.missing_pairs >= 1:
+    if missing >= 1:
         return Classification(Verdict.COMPLETELY_UNINFORMATIVE,
                               Rule.PROP1_MISSING_PAIR)
-    n, p = subset.n, subset.signal_count
     if n % 2 == 0:
         return Classification(Verdict.COMPLETELY_UNINFORMATIVE, Rule.PARITY_EVEN_N)
     if p % 2 == 0:

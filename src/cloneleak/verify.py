@@ -21,6 +21,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    # [first, last] n a brute-force check covered (last < first: none);
+    # None for the other checks.
+    n_range: tuple[int, int] | None = None
 
 
 @dataclass
@@ -49,7 +52,8 @@ def _nothing_to_check(name: str, config: VerifyConfig,
     """A brute-force check whose range n=first..top is empty fails."""
     return CheckResult(name, False,
                        f"no n to check in n={first}..{_top_n(config)}: "
-                       f"n_max={config.n_max}, oracle cap {config.oracle_cap}")
+                       f"n_max={config.n_max}, oracle cap {config.oracle_cap}",
+                       (first, _top_n(config)))
 
 
 # Probe results of `_pattern_probes`, by n, shared by the checks of one
@@ -173,7 +177,8 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     return CheckResult("engine_agreement", passed,
                        f"max entry error {worst:.3e} (tolerance {tol:g}) "
                        f"across n<={_top_n(config)}"
-                       + ("" if passed else f" at {worst_case}"))
+                       + ("" if passed else f" at {worst_case}"),
+                       (1, _top_n(config)))
 
 
 def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
@@ -193,7 +198,7 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
             probes = _pattern_probes(config, n)
         except leakage.SeparationGapError as exc:
             return CheckResult("missing_pair_uninformative", False,
-                               f"threshold gap not empty: {exc}")
+                               f"threshold gap not empty: {exc}", (1, n - 1))
         for subset, _, report in probes:
             if subset.missing_pairs < 1:
                 continue
@@ -205,7 +210,8 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     return CheckResult("missing_pair_uninformative", passed,
                        f"{count} patterns, max distance {worst:.3e} "
                        f"(threshold {tol:g}) across n<={_top_n(config)}"
-                       + ("" if passed else f" at {worst_case}"))
+                       + ("" if passed else f" at {worst_case}"),
+                       (1, _top_n(config)))
 
 
 def check_parity_classification(config: VerifyConfig) -> CheckResult:
@@ -221,7 +227,7 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
             probes = _pattern_probes(config, n)
         except leakage.SeparationGapError as exc:
             return CheckResult("parity_classification", False,
-                               f"threshold gap not empty: {exc}")
+                               f"threshold gap not empty: {exc}", (1, n - 1))
         for subset, cls, report in probes:
             total += 1
             label = f"n={n} {subset.labels()}"
@@ -249,7 +255,8 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
     if disagreements:
         detail = f"{len(disagreements)} disagreement(s): " + "; ".join(
             disagreements[:5])
-    return CheckResult("parity_classification", passed, detail)
+    return CheckResult("parity_classification", passed, detail,
+                       (1, _top_n(config)))
 
 
 def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
@@ -276,7 +283,8 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
     return CheckResult("singleton_mixedness", passed,
                        f"max deviation from I/2: {worst:.3e} (tolerance {tol:g}) "
                        f"across n=2..{_top_n(config)}"
-                       + ("" if passed else f" at {worst_case}"))
+                       + ("" if passed else f" at {worst_case}"),
+                       (2, _top_n(config)))
 
 
 ALL_CHECKS = (

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,8 @@ from cloneleak.cli import SubsetSpecError, main, parse_bloch, parse_subset
 from cloneleak.subsets import PairTag, RegisterSubset
 
 B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
+BRUTE_FORCE = ("engine_agreement", "missing_pair_uninformative",
+               "parity_classification", "singleton_mixedness")
 
 
 def run_json(capsys, argv):
@@ -360,3 +363,122 @@ def test_outputs_are_newline_terminated(capsys):
     main(["table", "--n", "1", "--format", "csv"])
     out = capsys.readouterr().out
     assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+def _stdout_sha256(capsys, argv) -> str:
+    code = main(argv)
+    assert code == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+# SHA-256 of `table --n K --format F` as first emitted, before the subset
+# counts were stored at build time; the output must not change.
+TABLE_DIGESTS = {
+    (1, "csv"): "6ae46948374a8c6c912bdebf0032a8ea56c3d5ec1b1e28d492ff3bcf05b0143d",
+    (1, "json"): "0c862c937dcf2cf6cc6a92dbbf61054bedef92e6ed7f2ccf68a5c94d88afa4fc",
+    (2, "csv"): "cc5cf07488e8873334f9cafef26b51a1c1cf8e59e5d86e2981ce28cdb3271539",
+    (2, "json"): "7a2e15968806ee4e7983d73e462e48094e7aff1533ccd1c91975a5edf097bd08",
+    (3, "csv"): "7c3a9f9dcf32bfbbe4ac377e5cc7cbed6c4796a7b1d8a7695ef1c753b37b7f61",
+    (3, "json"): "8d08a61772239d70ffc9974e56359c5c824488e0f53b6552a306f1471b3e2543",
+    (4, "csv"): "2c1e21cfd28b602e5826732837b24513846641b6080d70760add7f7ad35006b5",
+    (4, "json"): "f0488aa43dbe1d357ede340f28e8235c3eab14c7820ed8b7a1121c97fd1be0df",
+    (5, "csv"): "bd9b2b5319541cc1cfb68608c9139dbdb644a68e267ba270b9927f5fff48db9f",
+    (5, "json"): "bbc0c3e900af2167e5b477ef05dc67c226eef8bb49bc4953eec9fa1b7e4ffabe",
+    (6, "csv"): "141bfd118aaa693047a6200d77b0cdb78872e2a5f9eb23919b019e786a1f1aca",
+    (6, "json"): "f0d53f6c5bafadc757f3a9a457aa1bc50c6da2bc46e9e8fb36262f3e1e4192d6",
+    (7, "csv"): "c31b5c09d0de1b1857809a83e9c248c66a34c8772673b67d65765f36a6c33b1a",
+    (7, "json"): "9fc7ae61cbadefcfd225c9b4eae4731e4c02ffa9a41cf69763434c6e8d95f0b1",
+    (8, "csv"): "ea85cefd7af9c6b6bf8d6de078087f57de78076d5ed9406541d4acc56d745af4",
+    (8, "json"): "2d4d4cd9fe4246afd0efea4586e0b7fb91fa697db825c9c110dd8833842c0d31",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(TABLE_DIGESTS))
+def test_table_bytes_unchanged(capsys, n, fmt):
+    argv = ["table", "--n", str(n), "--format", fmt]
+    assert _stdout_sha256(capsys, argv) == TABLE_DIGESTS[(n, fmt)]
+
+
+# CSV with bool, float and None cells, as first emitted when every cell went
+# through str/repr by hand. The float cells come from numpy's linear algebra;
+# these digests were recorded with numpy 2.4 and OpenBLAS on x86-64.
+CSV_DIGESTS = {
+    ("verify", "--n", "2"):
+        "2c285e4423434d86112540c732bf2799bd9e72ff95539d62b8cbe225bc969a16",
+    ("sweep", "--n", "3", "--subset", "S1,N2,N3"):
+        "a7937bc06659e04131d48a1b4eaa1924334978184f3400ad8a08cc89b5101cca",
+    ("reduce", "--n", "3", "--subset", "S1,N2,S3", "--psi", "0,0.6,0.8",
+     "--engine", "both"):
+        "c58c450fbff19f5155fd6ea9b9c909f06bb9015a6e065bb743947f3188006c7f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CSV_DIGESTS), ids=lambda a: a[0])
+def test_csv_cells_unchanged(capsys, argv):
+    digest = _stdout_sha256(capsys, list(argv) + ["--format", "csv"])
+    assert digest == CSV_DIGESTS[argv]
+
+
+def test_csv_writes_booleans_as_json_does(capsys):
+    code, rows = run_csv(capsys, ["verify", "--n", "1", "--format", "csv"])
+    assert code == 1
+    assert {r["check"]: r["passed"] for r in rows}["singleton_mixedness"] \
+        == "false"
+    assert {r["passed"] for r in rows} == {"true", "false"}
+
+
+@pytest.mark.parametrize("verb", [
+    ["classify", "--subset", "S1"],
+    ["reduce", "--subset", "S1", "--psi", "0,1,0"],
+    ["sweep", "--subset", "S1"],
+    ["table"],
+])
+@pytest.mark.parametrize("n", [cli.N_MAX + 1, 10 ** 9])
+def test_n_above_the_bound_is_refused_before_parsing(capsys, monkeypatch,
+                                                     verb, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a subset despite an invalid --n")
+
+    monkeypatch.setattr(RegisterSubset, "__post_init__", refuse)
+    monkeypatch.setattr(cli, "parse_subset", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(verb[:1] + ["--n", str(n)] + verb[1:])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--n: must be <= {cli.N_MAX}, got {n}" in captured.err
+
+
+def test_classify_at_the_n_bound(capsys):
+    code, record = run_json(capsys, ["classify", "--n", str(cli.N_MAX),
+                                     "--subset", "S1"])
+    assert code == 0
+    assert record["summary"]["rule"] == "PROP1_MISSING_PAIR"
+
+
+def test_verify_json_carries_n_range(capsys):
+    code, record = run_json(capsys, ["verify", "--n", "4",
+                                     "--oracle-cap", "2"])
+    assert code == 0
+    ranges = {r["check"]: r.get("n_range") for r in record["rows"]}
+    assert ranges == {
+        "bell_trace_identities": None, "phase_table_decomposition": None,
+        "interference_sums": None, "sign_resolution": None,
+        "engine_agreement": [1, 2], "missing_pair_uninformative": [1, 2],
+        "parity_classification": [1, 2], "singleton_mixedness": [2, 2]}
+    assert all(set(r) == {"check", "passed", "detail"}
+               for r in record["rows"] if r["check"] not in BRUTE_FORCE)
+    code, rows = run_csv(capsys, ["verify", "--n", "4", "--oracle-cap", "2",
+                                  "--format", "csv"])
+    assert [set(r) for r in rows] == [{"check", "passed", "detail"}] * 8
+
+
+def test_verify_json_empty_n_range(capsys):
+    code, record = run_json(capsys, ["verify", "--n", "0"])
+    assert code == 1
+    ranges = {r["check"]: r["n_range"] for r in record["rows"]
+              if r["check"] in BRUTE_FORCE}
+    assert ranges == {"engine_agreement": [1, 0],
+                      "missing_pair_uninformative": [1, 0],
+                      "parity_classification": [1, 0],
+                      "singleton_mixedness": [2, 0]}

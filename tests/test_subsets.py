@@ -213,3 +213,54 @@ def test_import_graph_is_acyclic():
     graph = _intra_package_imports()
     assert {"leakage", "oracle"} & graph["subsets"] == set()
     list(graphlib.TopologicalSorter(graph).static_order())  # CycleError if not
+
+
+def test_stored_counts_and_labels_match_a_recount():
+    for n in range(1, 6):
+        for tags in itertools.product(PairTag, repeat=n):
+            s = RegisterSubset(n, tags)
+            recount = {tag: sum(1 for t in s.membership if t is tag)
+                       for tag in PairTag}
+            assert s.both_count == recount[B]
+            assert s.missing_pairs == recount[E]
+            assert s.signal_count == recount[B] + recount[S]
+            assert s.noise_count == recount[B] + recount[N]
+            assert s.size == s.signal_count + s.noise_count
+            assert s.labels() == _reference_labels(s)
+
+
+def _reference_labels(s: RegisterSubset) -> str:
+    parts = []
+    for i, tag in enumerate(s.membership, start=1):
+        if tag in (B, S):
+            parts.append(f"S{i}")
+        if tag in (B, N):
+            parts.append(f"N{i}")
+    return ",".join(parts)
+
+
+def test_str_tags_build_the_same_subset():
+    tags = (B, S, N, E)
+    from_str = RegisterSubset(4, [t.value for t in tags])
+    from_enum = RegisterSubset(4, tags)
+    assert all(type(t) is PairTag for t in from_str.membership)
+    assert from_str == from_enum
+    assert hash(from_str) == hash(from_enum)
+    assert repr(from_str) == repr(from_enum)
+    assert repr(from_enum) == ("RegisterSubset(n=4, membership=("
+                               "<PairTag.BOTH: 'BOTH'>, <PairTag.SIGNAL: "
+                               "'SIGNAL'>, <PairTag.NOISE: 'NOISE'>, "
+                               "<PairTag.NONE: 'NONE'>))")
+    assert from_str.both_count == from_enum.both_count == 1
+    with pytest.raises(ValueError):
+        RegisterSubset(1, ("BOTHER",))
+
+
+def test_classify_decides_once_per_count_class():
+    from cloneleak import subsets
+    subsets._classify_counts.cache_clear()
+    entries = enumerate_classifications(8)
+    info = subsets._classify_counts.cache_info()
+    # (#BOTH, #SIGNAL, #NOISE, #NONE) summing to 8, less the empty subset.
+    assert (info.misses, info.hits) == (164, len(entries) - 164)
+    assert len(entries) == 4 ** 8 - 1

@@ -28,10 +28,15 @@ def test_engine_agreement_detects_tampered_sign(tampered_analytic_sign):
 
 def test_parity_classification_detects_flipped_classifier_sign(monkeypatch):
     # The classifier's sign comes from the closed form; flipping it there
-    # must contradict the brute-force pole signal.
+    # must contradict the brute-force pole signal. classify keeps one verdict
+    # per count class, so that cache is emptied around the flip.
     monkeypatch.setattr(subsets, "leak_sum_closed_form",
                         lambda n, p: -branch.leak_sum_closed_form(n, p))
-    result = check_parity_classification(VerifyConfig(n_max=1))
+    subsets._classify_counts.cache_clear()
+    try:
+        result = check_parity_classification(VerifyConfig(n_max=1))
+    finally:
+        subsets._classify_counts.cache_clear()
     assert not result.passed
     assert "n=1 S1: pole signal +1.000e+00 != predicted -1" in result.detail
 
@@ -109,3 +114,42 @@ def test_run_checks_probes_each_n_once(monkeypatch):
     assert check_parity_classification(VerifyConfig(n_max=2)).passed
     assert check_missing_pair_uninformative(VerifyConfig(n_max=2)).passed
     assert calls == [(1, 3), (2, 15)] * 2
+
+
+def test_results_carry_the_covered_n_range():
+    results = {r.name: r for r in run_checks(VerifyConfig(n_max=4,
+                                                          oracle_cap=2))}
+    assert {name: r.n_range for name, r in results.items()} == {
+        "bell_trace_identities": None, "phase_table_decomposition": None,
+        "interference_sums": None, "sign_resolution": None,
+        "engine_agreement": (1, 2), "missing_pair_uninformative": (1, 2),
+        "parity_classification": (1, 2), "singleton_mixedness": (2, 2)}
+    # Every verdict is a plain bool, which the CSV writer prints as true/false.
+    assert all(type(r.passed) is bool for r in results.values())
+
+
+@pytest.mark.parametrize("config", [VerifyConfig(n_max=3, oracle_cap=0),
+                                    VerifyConfig(n_max=0)])
+def test_empty_range_is_last_below_first(config):
+    results = {r.name: r for r in run_checks(config)}
+    top = min(config.n_max, config.oracle_cap)
+    for name in BRUTE_FORCE_CHECKS:
+        first = 2 if name == "singleton_mixedness" else 1
+        assert results[name].n_range == (first, top)
+
+
+def test_gap_error_range_stops_before_the_failing_n(monkeypatch):
+    probe = leakage.probe_patterns
+
+    def gap_at_two(n, subsets, *args, **kwargs):
+        if n == 2:
+            raise leakage.SeparationGapError("distance in the gap")
+        return probe(n, subsets, *args, **kwargs)
+
+    monkeypatch.setattr(leakage, "probe_patterns", gap_at_two)
+    for check in (check_missing_pair_uninformative,
+                  check_parity_classification):
+        result = check(VerifyConfig(n_max=3))
+        assert not result.passed
+        assert result.detail.startswith("threshold gap not empty")
+        assert result.n_range == (1, 1)
