@@ -86,28 +86,35 @@ def parse_bloch(text: str) -> np.ndarray:
     return vec / norm
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int):
+    """argparse type for an int in [low, high]."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return parse
 
 
 # Largest --n of classify, reduce, table and sweep, checked before any of the
 # n pair tags is built (classify takes milliseconds at this n).
 N_MAX = 10_000
 
+# Largest --grid of sweep and verify. sweep compares every pair of grid
+# points, so its work and its pair index arrays grow as grid**2: 1 000
+# points are 499 500 eigendecompositions (about 3 s for a 3-qubit subset on
+# 2 cores); 20 000 would be 2e8 of them behind 1.5 GiB of pair indices.
+GRID_MAX = 1_000
 
-def _pair_count(text: str) -> int:
-    """argparse type for --n: 1 <= n <= N_MAX."""
-    value = _positive_int(text)
-    if value > N_MAX:
-        raise argparse.ArgumentTypeError(f"must be <= {N_MAX}, got {value}")
-    return value
+# Largest --oracle-cap. One encoded state holds 2**(2n+1) complex amplitudes:
+# 32 MiB at n = 10 (21 qubits), 32 TiB at n = 20.
+ORACLE_CAP_MAX = 10
 
 
 _VERDICT_ORDER = (Verdict.AUTHORIZED, Verdict.COMPLETELY_UNINFORMATIVE,
@@ -274,15 +281,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             | ({} if r.n_range is None else {"n_range": r.n_range})
             for r in results]
     all_passed = all(r.passed for r in results)
-    resolution = leakage.resolve_sign_rule()
-    summary = {
-        "passed": all_passed,
-        "sign": {
+    try:
+        resolution = leakage.resolve_sign_rule()
+        sign = {
             "observed": {str(n): s for n, s in resolution.observed},
             "rule": resolution.rule.kind,
             "rule_formula": resolution.rule.describe(),
-        },
-    }
+        }
+    except RuntimeError:
+        # The sign_resolution check has already failed with the reason.
+        sign = None
+    summary = {"passed": all_passed, "sign": sign}
     _emit(args, rows, summary, ["check", "passed", "detail"])
     return 0 if all_passed else 1
 
@@ -297,20 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, needs_n=True, engines=None, grid=False,
                oracle_cap=False):
         if needs_n:
-            p.add_argument("--n", type=_pair_count, required=True,
+            p.add_argument("--n", type=_int_in(1, N_MAX), required=True,
                            help="number of clone/noise pairs")
         if engines:
             p.add_argument("--engine", choices=engines, default=engines[0])
         else:
             p.set_defaults(engine=leakage.ENGINE_ORACLE)
         if grid:
-            p.add_argument("--grid", type=int, default=26, metavar="N",
-                           help="number of probe states (>= 6)")
+            p.add_argument("--grid", type=_int_in(6, GRID_MAX), default=26,
+                           metavar="N",
+                           help=f"number of probe states (6 to {GRID_MAX})")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        dest="fmt")
         if oracle_cap:
-            p.add_argument("--oracle-cap", type=_positive_int,
+            p.add_argument("--oracle-cap", type=_int_in(1, ORACLE_CAP_MAX),
                            default=oracle.ORACLE_CAP_DEFAULT,
                            help="largest n the brute-force engine accepts")
         p.add_argument("--out", metavar="PATH",

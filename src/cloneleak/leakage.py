@@ -50,11 +50,13 @@ class ProbeVerdict(str, Enum):
     INFORMATIVE = "INFORMATIVE"
 
 
+# +e_j then -e_j, for j = x, y, z.
 _POLES = np.array([
     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
     [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
     [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
 ])
+_Y_POLE = _POLES[2]
 
 
 def bloch_grid(size: int = 26, seed: int = 0) -> np.ndarray:
@@ -94,21 +96,6 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 _CHUNK = 64
 
 
-def _pairwise_max(count: int, spectra) -> tuple[float, np.ndarray]:
-    """Max trace distance over all pairs of `count` states, plus each state's
-    max to any other; `spectra(i, j)` gives the eigenvalues of each
-    difference rho_i - rho_j for index arrays of at most _CHUNK pairs."""
-    per_point = np.zeros(count)
-    ii, jj = np.triu_indices(count, 1)
-    for start in range(0, ii.size, _CHUNK):
-        i = ii[start:start + _CHUNK]
-        j = jj[start:start + _CHUNK]
-        dists = 0.5 * np.abs(spectra(i, j)).sum(axis=-1)
-        np.maximum.at(per_point, i, dists)
-        np.maximum.at(per_point, j, dists)
-    return float(per_point.max(initial=0.0)), per_point
-
-
 def pairwise_max_trace_distance(rhos) -> tuple[float, np.ndarray]:
     """Max trace distance over all pairs, plus each state's max to any other.
 
@@ -116,33 +103,33 @@ def pairwise_max_trace_distance(rhos) -> tuple[float, np.ndarray]:
     bound memory.
     """
     arr = np.stack([np.asarray(r) for r in rhos])
-    return _pairwise_max(arr.shape[0],
-                         lambda i, j: np.linalg.eigvalsh(arr[i] - arr[j]))
+    per_point = np.zeros(arr.shape[0])
+    ii, jj = np.triu_indices(arr.shape[0], 1)
+    for start in range(0, ii.size, _CHUNK):
+        i = ii[start:start + _CHUNK]
+        j = jj[start:start + _CHUNK]
+        dists = 0.5 * np.abs(np.linalg.eigvalsh(arr[i] - arr[j])).sum(axis=-1)
+        np.maximum.at(per_point, i, dists)
+        np.maximum.at(per_point, j, dists)
+    return float(per_point.max(initial=0.0)), per_point
 
 
-def pairwise_max_trace_distance_factored(factors) -> tuple[float, np.ndarray]:
-    """`pairwise_max_trace_distance` of the states M M^dagger, given the M.
+def factored_trace_distance(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Trace distance between P P^dagger and M M^dagger, given P and M.
 
-    Each M is d_keep x d_rest (`oracle.reduced_factor`). A difference
-    M_i M_i^dagger - M_j M_j^dagger is A J A^dagger with A = [M_i | M_j] and
+    `plus` and `minus` are stacks (..., d_keep, k) of factors with the same
+    shape. The difference is A J A^dagger with A = [P | M] and
     J = diag(I, -I). Writing A = Q R with Q an isometry, its nonzero
-    eigenvalues are those of R J R^dagger = Rp Rp^dagger - Rm Rm^dagger,
-    which is 2 d_rest square: trace distance is unchanged by an isometry
-    (Nielsen & Chuang, ch. 9). When 2 d_rest >= d_keep that is no smaller
-    than the states themselves, and the dense states are compared instead.
+    eigenvalues are those of R J R^dagger = Rp Rp^dagger - Rm Rm^dagger, and
+    trace distance is unchanged by an isometry (Nielsen & Chuang, ch. 9).
+    R has min(d_keep, 2 k) rows, so the spectrum is never larger than that
+    of the dense difference.
     """
-    arr = np.stack([np.asarray(m, dtype=complex) for m in factors])
-    count, d_keep, d_rest = arr.shape
-    if 2 * d_rest >= d_keep:
-        return pairwise_max_trace_distance([m @ m.conj().T for m in arr])
-
-    def spectra(i, j):
-        r = np.linalg.qr(np.concatenate([arr[i], arr[j]], axis=2), mode="r")
-        rp, rm = r[..., :d_rest], r[..., d_rest:]
-        return np.linalg.eigvalsh(rp @ rp.conj().swapaxes(1, 2)
-                                  - rm @ rm.conj().swapaxes(1, 2))
-
-    return _pairwise_max(count, spectra)
+    k = plus.shape[-1]
+    r = np.linalg.qr(np.concatenate([plus, minus], axis=-1), mode="r")
+    rp, rm = r[..., :k], r[..., k:]
+    diff = rp @ rp.conj().swapaxes(-1, -2) - rm @ rm.conj().swapaxes(-1, -2)
+    return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
 
 
 def keep_positions(subset: RegisterSubset) -> list[int]:
@@ -210,57 +197,83 @@ def y_leak_estimate(rho: np.ndarray, k: int) -> float:
 @dataclass
 class LeakageReport:
     subset: RegisterSubset
-    max_pairwise_distance: float
+    # Trace distance between the reduced states at the poles +-e_j, j = x, y, z.
+    axis_distances: tuple[float, float, float]
     y_signal: float
     verdict: ProbeVerdict
 
+    @property
+    def distance_bound(self) -> float:
+        """Upper bound on the distance between any two inputs' reduced states."""
+        return sum(self.axis_distances)
 
-_Y_POLE = np.array([0.0, 1.0, 0.0])
 
-
-def _verdict(max_distance: float, context: str) -> ProbeVerdict:
-    if max_distance < TOLERANCES.uninformative:
+def _verdict(axis_distances, context: str) -> ProbeVerdict:
+    bound = sum(axis_distances)
+    if bound < TOLERANCES.uninformative:
         return ProbeVerdict.UNINFORMATIVE
-    if max_distance > TOLERANCES.informative:
+    if max(axis_distances) > TOLERANCES.informative:
         return ProbeVerdict.INFORMATIVE
     raise SeparationGapError(
-        f"{context}: max pairwise distance {max_distance!r} lies between the "
-        f"uninformative threshold {TOLERANCES.uninformative} and the "
-        f"informative threshold {TOLERANCES.informative}; distances are "
-        f"expected to be one or the other")
+        f"{context}: pole distances {tuple(axis_distances)!r} sum to {bound!r}, "
+        f"not below the uninformative threshold {TOLERANCES.uninformative}, "
+        f"and none exceeds the informative threshold "
+        f"{TOLERANCES.informative}; distances are expected to be one or the "
+        f"other")
 
 
-def probe_patterns(n: int, subsets, grid: np.ndarray,
+def probe_patterns(n: int, subsets,
                    oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> list[LeakageReport]:
-    """Brute-force informativeness probes for many subsets sharing one grid.
+    """Brute-force informativeness probes of many subsets from the six poles.
 
-    The encoded states are built once per grid point and reused across
-    subsets, and distances are taken from the reduced states' factors
-    (`pairwise_max_trace_distance_factored`).
+    A reduced state is linear in the input |psi><psi| (Nielsen & Chuang,
+    ch. 8), so rho(b) = R0 + sum_j b_j R_j over the Bloch vector b, with
+    R_j = (rho(+e_j) - rho(-e_j)) / 2. Any two inputs are then at most
+    sum_j ||R_j||_1 apart, and the poles on axis j are exactly
+    D_j = ||R_j||_1 apart: the sum bounds the distance on the whole sphere
+    and the largest D_j is attained. The poles are encoded once and each
+    subset's distances come from its reduced factors
+    (`factored_trace_distance`).
+
+    Each axis also estimates R0 as (rho(+e_j) + rho(-e_j)) / 2. Estimates
+    that differ by the uninformative threshold or more mean the states are
+    not affine in b, and raise `SeparationGapError` like a distance in the
+    gap.
     """
-    pole_index = int(np.argmin(np.linalg.norm(grid - _Y_POLE, axis=1)))
-    if np.linalg.norm(grid[pole_index] - _Y_POLE) > 1e-12:
-        raise ValueError("grid does not contain the +y pole")
-    encoded_states = encode_points(n, grid, oracle_cap)
+    encoded_states = encode_points(n, _POLES, oracle_cap)
     reports = []
     for subset in subsets:
+        context = subset.labels() or "(empty)"
         keep = keep_positions(subset)
-        factors = [oracle.reduced_factor(s, keep) for s in encoded_states]
-        max_d, _ = pairwise_max_trace_distance_factored(factors)
-        pole = factors[pole_index]
+        factors = np.stack([oracle.reduced_factor(s, keep)
+                            for s in encoded_states])
+        plus, minus = factors[0::2], factors[1::2]
+        axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
+        # Trace distance of the y and z estimates of R0 to the x estimate:
+        # [M_+j | M_-j] is a factor of rho(+e_j) + rho(-e_j), twice R0.
+        pole_sums = np.concatenate([plus, minus], axis=-1)
+        r0_gap = 0.5 * float(factored_trace_distance(
+            pole_sums[1:], pole_sums[[0, 0]]).max())
+        if not r0_gap < TOLERANCES.uninformative:
+            raise SeparationGapError(
+                f"{context}: the axes' estimates of the input-independent "
+                f"part differ by {r0_gap!r}, not below the uninformative "
+                f"threshold {TOLERANCES.uninformative}; the pole states are "
+                f"not affine in the Bloch vector")
+        y_pole = plus[1]
         reports.append(LeakageReport(
             subset=subset,
-            max_pairwise_distance=max_d,
-            y_signal=y_leak_estimate(pole @ pole.conj().T, subset.size),
-            verdict=_verdict(max_d, subset.labels() or "(empty)"),
+            axis_distances=axes,
+            y_signal=y_leak_estimate(y_pole @ y_pole.conj().T, subset.size),
+            verdict=_verdict(axes, context),
         ))
     return reports
 
 
-def informativeness_probe(subset: RegisterSubset, grid: np.ndarray,
+def informativeness_probe(subset: RegisterSubset,
                           oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> LeakageReport:
     """Brute-force probe of one subset for dependence on the stored state."""
-    return probe_patterns(subset.n, [subset], grid, oracle_cap)[0]
+    return probe_patterns(subset.n, [subset], oracle_cap)[0]
 
 
 def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int,

@@ -6,7 +6,6 @@ and never stops early, so a report always covers every check.
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,30 +53,6 @@ def _nothing_to_check(name: str, config: VerifyConfig,
                        f"no n to check in n={first}..{_top_n(config)}: "
                        f"n_max={config.n_max}, oracle cap {config.oracle_cap}",
                        (first, _top_n(config)))
-
-
-# Probe results of `_pattern_probes`, by n, shared by the checks of one
-# `run_checks` call; None outside such a call.
-_SHARED_PROBES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "cloneleak_shared_probes", default=None)
-
-
-def _pattern_probes(config: VerifyConfig, n: int) -> list:
-    """(subset, classification, oracle probe report) for every pattern at n.
-
-    Computed once per n within a `run_checks` call. May raise
-    `leakage.SeparationGapError`.
-    """
-    shared = _SHARED_PROBES.get()
-    if shared is not None and n in shared:
-        return shared[n]
-    entries = enumerate_classifications(n)
-    reports = leakage.probe_patterns(n, [s for s, _ in entries], _grid(config),
-                                     config.oracle_cap)
-    probes = [(s, cls, r) for (s, cls), r in zip(entries, reports)]
-    if shared is not None:
-        shared[n] = probes
-    return probes
 
 
 def check_bell_trace_identities(config: VerifyConfig) -> CheckResult:
@@ -184,8 +159,8 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
 def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """Every subset missing a full pair is independent of the input state.
 
-    Reads the probes of every pattern (`_pattern_probes`, shared with the
-    parity check), so a threshold-gap error on any pattern fails it too.
+    The distance reported is the pole probe's bound sum_j D_j, which holds
+    for every pair of inputs on the Bloch sphere.
     """
     if _top_n(config) < 1:
         return _nothing_to_check("missing_pair_uninformative", config)
@@ -194,18 +169,18 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     worst_case = ""
     count = 0
     for n in range(1, _top_n(config) + 1):
+        subsets = [s for s, _ in enumerate_classifications(n)
+                   if s.missing_pairs]
         try:
-            probes = _pattern_probes(config, n)
+            reports = leakage.probe_patterns(n, subsets, config.oracle_cap)
         except leakage.SeparationGapError as exc:
             return CheckResult("missing_pair_uninformative", False,
                                f"threshold gap not empty: {exc}", (1, n - 1))
-        for subset, _, report in probes:
-            if subset.missing_pairs < 1:
-                continue
-            count += 1
-            if report.max_pairwise_distance > worst:
-                worst = report.max_pairwise_distance
-                worst_case = f"n={n}, {subset.labels()}"
+        count += len(reports)
+        for report in reports:
+            if report.distance_bound > worst:
+                worst = report.distance_bound
+                worst_case = f"n={n}, {report.subset.labels()}"
     passed = worst < tol
     return CheckResult("missing_pair_uninformative", passed,
                        f"{count} patterns, max distance {worst:.3e} "
@@ -223,18 +198,20 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
     disagreements = []
     total = 0
     for n in range(1, _top_n(config) + 1):
+        entries = enumerate_classifications(n)
         try:
-            probes = _pattern_probes(config, n)
+            reports = leakage.probe_patterns(n, [s for s, _ in entries],
+                                             config.oracle_cap)
         except leakage.SeparationGapError as exc:
             return CheckResult("parity_classification", False,
                                f"threshold gap not empty: {exc}", (1, n - 1))
-        for subset, cls, report in probes:
+        for (subset, cls), report in zip(entries, reports):
             total += 1
             label = f"n={n} {subset.labels()}"
             if cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
                 if report.verdict is not leakage.ProbeVerdict.UNINFORMATIVE:
                     disagreements.append(f"{label}: classified uninformative but "
-                                         f"distance {report.max_pairwise_distance:.3e}")
+                                         f"distance bound {report.distance_bound:.3e}")
             else:
                 if report.verdict is not leakage.ProbeVerdict.INFORMATIVE:
                     disagreements.append(f"{label}: classified {cls.verdict.value} "
@@ -301,8 +278,4 @@ ALL_CHECKS = (
 
 def run_checks(config: VerifyConfig | None = None) -> list[CheckResult]:
     config = config or VerifyConfig()
-    token = _SHARED_PROBES.set({})
-    try:
-        return [check(config) for check in ALL_CHECKS]
-    finally:
-        _SHARED_PROBES.reset(token)
+    return [check(config) for check in ALL_CHECKS]

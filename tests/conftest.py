@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloneleak import PauliSum, bloch_grid, branch
+from cloneleak import PauliSum, bloch_grid, branch, leakage
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,3 +41,18 @@ def tampered_analytic_sign(monkeypatch):
         return PauliSum(ps.qubit_count, terms)
 
     monkeypatch.setattr(branch, "analytic_reduced_state", tampered)
+
+
+@pytest.fixture
+def off_pole_encoding(monkeypatch):
+    """Negative control: the +x pole is encoded as another input, so the six
+    pole states are no longer an affine image of the Bloch vectors they stand
+    for, and the pole probe must refuse them."""
+    encode = leakage.encode_points
+
+    def perturbed(n, points, *args, **kwargs):
+        states = encode(n, points, *args, **kwargs)
+        states[0] = encode(n, [[0.6, 0.8, 0.0]], *args, **kwargs)[0]
+        return states
+
+    monkeypatch.setattr(leakage, "encode_points", perturbed)

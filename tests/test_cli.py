@@ -330,6 +330,69 @@ def test_oracle_cap_below_one_is_a_usage_error(capsys, monkeypatch, verb):
     assert "--oracle-cap: must be >= 1, got 0" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--grid", "5"],
+    ["verify", "--grid", str(cli.GRID_MAX + 1)],
+    ["sweep", "--n", "3", "--subset", "S1,N2,N3", "--grid", "5"],
+    ["sweep", "--n", "3", "--subset", "S1,N2,N3", "--grid", "20000"],
+])
+def test_grid_out_of_bounds_is_a_usage_error(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a grid despite an invalid --grid")
+
+    monkeypatch.setattr(leakage, "bloch_grid", refuse)
+    monkeypatch.setattr(verify, "run_checks", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bound = ">= 6" if argv[-1] == "5" else f"<= {cli.GRID_MAX}"
+    assert f"--grid: must be {bound}, got {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("verb", [
+    ["reduce", "--n", "20", "--subset", "S1", "--psi", "0,1,0"],
+    ["sweep", "--n", "20", "--subset", "S1"],
+    ["verify", "--n", "20"],
+])
+def test_oracle_cap_above_the_bound_is_a_usage_error(capsys, monkeypatch,
+                                                     verb):
+    def refuse(*args, **kwargs):
+        raise AssertionError("encoded a state despite an invalid --oracle-cap")
+
+    monkeypatch.setattr(oracle, "build_encoded_state", refuse)
+    monkeypatch.setattr(verify, "run_checks", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--oracle-cap", "20"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"--oracle-cap: must be <= {cli.ORACLE_CAP_MAX}, got 20"
+            in captured.err)
+
+
+def test_verify_reports_an_unresolved_sign_as_null(capsys, monkeypatch):
+    # With the matching convention gone, resolve_sign_rule raises on every
+    # call (lru_cache keeps no exception); the run still ends in JSON.
+    monkeypatch.setattr(leakage, "CANDIDATE_SIGN_RULES",
+                        (leakage.SignRule("constant_plus"),))
+    leakage.resolve_sign_rule.cache_clear()
+    try:
+        code = main(["verify", "--n", "2"])
+    finally:
+        leakage.resolve_sign_rule.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 1
+    record = json.loads(captured.out)
+    assert record["summary"] == {"passed": False, "sign": None}
+    failed = {r["check"]: r["detail"] for r in record["rows"]
+              if not r["passed"]}
+    assert list(failed) == ["sign_resolution"]
+    assert "match no candidate rule" in failed["sign_resolution"]
+    assert "Traceback" not in captured.err
+
+
 def test_verify_tampered_sign_fails(capsys, tampered_analytic_sign):
     code, record = run_json(capsys, ["verify", "--n", "2"])
     assert code == 1
@@ -401,10 +464,12 @@ def test_table_bytes_unchanged(capsys, n, fmt):
 
 # CSV with bool, float and None cells, as first emitted when every cell went
 # through str/repr by hand. The float cells come from numpy's linear algebra;
-# these digests were recorded with numpy 2.4 and OpenBLAS on x86-64.
+# these digests were recorded with numpy 2.4 and OpenBLAS on x86-64. The
+# verify digest was re-recorded when the missing-pair distance became the
+# pole bound max sum_j D_j (2.073e-16; the grid maximum was 3.331e-16).
 CSV_DIGESTS = {
     ("verify", "--n", "2"):
-        "2c285e4423434d86112540c732bf2799bd9e72ff95539d62b8cbe225bc969a16",
+        "8676584766dd237fc204b718a8263122c8d2066f66c12e663e50f61c3cc09bd5",
     ("sweep", "--n", "3", "--subset", "S1,N2,N3"):
         "a7937bc06659e04131d48a1b4eaa1924334978184f3400ad8a08cc89b5101cca",
     ("reduce", "--n", "3", "--subset", "S1,N2,S3", "--psi", "0,0.6,0.8",

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from cloneleak import leakage
 from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, ProbeVerdict,
                                SeparationGapError, SignRule, _verdict,
                                bloch_grid,
-                               encode_points, fixed_y_slice_probe,
+                               encode_points, factored_trace_distance,
+                               fixed_y_slice_probe,
                                informativeness_probe, keep_positions,
                                pairwise_max_trace_distance,
-                               pairwise_max_trace_distance_factored,
-                               probe_patterns, reduced_state,
+                               probe_patterns, probe_states, reduced_state,
                                resolve_sign_rule, trace_distance,
                                y_leak_estimate)
 from cloneleak.oracle import reduced_factor
@@ -70,15 +71,18 @@ def random_factor(rng, d_keep, d_rest):
 
 
 def assert_factored_matches_dense(factors):
-    dense = pairwise_max_trace_distance([m @ m.conj().T for m in factors])
-    max_d, per_point = pairwise_max_trace_distance_factored(factors)
-    assert abs(max_d - dense[0]) <= 1e-12
-    np.testing.assert_allclose(per_point, dense[1], rtol=0, atol=1e-12)
+    # Every pair of states, from the factors and from dense trace_distance.
+    arr = np.stack(factors)
+    ii, jj = np.triu_indices(len(factors), 1)
+    got = factored_trace_distance(arr[ii], arr[jj])
+    dense = [m @ m.conj().T for m in factors]
+    want = [trace_distance(dense[i], dense[j]) for i, j in zip(ii, jj)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d_keep, d_rest", [
-    (16, 2), (32, 4), (64, 1), (32, 15),  # 2 d_rest < d_keep: spectra of R
-    (8, 4), (8, 8), (4, 16),              # dense comparison
+    (16, 2), (32, 4), (64, 1), (32, 15),  # 2 d_rest < d_keep: R is tall
+    (8, 4), (8, 8), (4, 16),              # 2 d_rest >= d_keep: R is wide
 ])
 def test_factored_distance_matches_dense_random(rng, d_keep, d_rest):
     factors = [random_factor(rng, d_keep, d_rest) for _ in range(7)]
@@ -136,20 +140,47 @@ def test_keep_positions():
     assert keep_positions(subset(E, N)) == [4]
 
 
-def test_probe_uninformative_cases(grid):
+def test_probe_uninformative_cases():
     for tags in [(S, N), (N,)]:
-        rep = informativeness_probe(subset(*tags), grid)
+        rep = informativeness_probe(subset(*tags))
         assert rep.verdict is ProbeVerdict.UNINFORMATIVE
-        assert rep.max_pairwise_distance < 1e-10
+        assert rep.distance_bound < 1e-10
         assert abs(rep.y_signal) < 1e-10
 
 
-def test_probe_leaky_case_has_unit_distance(grid):
-    rep = informativeness_probe(subset(S, N, N), grid)
+def test_probe_leaky_case_has_unit_distance():
+    rep = informativeness_probe(subset(S, N, N))
     assert rep.verdict is ProbeVerdict.INFORMATIVE
-    # Poles y=+-1 differ by (2/8) YYY, giving trace distance |y1-y2|/2 = 1.
-    assert rep.max_pairwise_distance == pytest.approx(1.0, abs=1e-9)
+    # Poles y=+-1 differ by (2/8) YYY, giving trace distance |y1-y2|/2 = 1;
+    # the x and z poles give the same state.
+    assert rep.axis_distances == pytest.approx((0.0, 1.0, 0.0), abs=1e-9)
+    assert rep.distance_bound == pytest.approx(1.0, abs=1e-9)
     assert rep.y_signal == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_pole_verdicts_match_dense_grid_reference():
+    # The pole verdict against the max trace distance over every pair of grid
+    # points, from dense states. Above 4 qubits a dense spectrum costs up to
+    # 256^3, so those patterns use the poles and two spiral points.
+    grids = {size: bloch_grid(size, 0) for size in (26, 8)}
+    for n in range(1, 5):
+        encoded = {size: encode_points(n, g) for size, g in grids.items()}
+        subs = [sub for sub, _ in enumerate_classifications(n)]
+        for sub, report in zip(subs, probe_patterns(n, subs)):
+            size = 26 if sub.size <= 4 else 8
+            rhos = probe_states(sub, grids[size], ENGINE_ORACLE,
+                                encoded_states=encoded[size])
+            max_d, _ = pairwise_max_trace_distance(rhos)
+            assert report.verdict is _verdict([max_d], sub.labels()), \
+                (n, sub.labels(), report.axis_distances, max_d)
+            # The pole bound holds on the grid, and the poles are on it.
+            assert max(report.axis_distances) - 1e-12 <= max_d
+            assert max_d <= report.distance_bound + 1e-12
+
+
+def test_probe_rejects_states_that_are_not_affine(off_pole_encoding):
+    with pytest.raises(SeparationGapError, match="not affine"):
+        probe_patterns(1, [sub for sub, _ in enumerate_classifications(1)])
 
 
 def test_probe_analytic_rejects_nonaligned():
@@ -169,9 +200,9 @@ def test_probe_rejects_unknown_engine():
         reduced_state(subset(S), [0, 1, 0], "qft")
 
 
-def test_probe_patterns_shares_states(grid):
+def test_probe_patterns_shares_states():
     subs = [subset(S, N), subset(N, N), subset(B, B)]
-    reports = probe_patterns(2, subs, grid)
+    reports = probe_patterns(2, subs)
     assert [r.verdict for r in reports] == [ProbeVerdict.UNINFORMATIVE,
                                             ProbeVerdict.UNINFORMATIVE,
                                             ProbeVerdict.INFORMATIVE]
@@ -211,10 +242,13 @@ def test_fixed_y_slice_varies_for_authorized():
 
 
 def test_verdict_gap_guard():
-    assert _verdict(1e-12, "t") is ProbeVerdict.UNINFORMATIVE
-    assert _verdict(0.5, "t") is ProbeVerdict.INFORMATIVE
+    assert _verdict((1e-12, 0.0, 0.0), "t") is ProbeVerdict.UNINFORMATIVE
+    assert _verdict((0.0, 0.5, 0.0), "t") is ProbeVerdict.INFORMATIVE
     with pytest.raises(SeparationGapError):
-        _verdict(1e-6, "t")
+        _verdict((1e-6, 0.0, 0.0), "t")
+    # Uninformative needs the sum below the threshold, not each distance.
+    with pytest.raises(SeparationGapError):
+        _verdict((4e-11, 4e-11, 4e-11), "t")
 
 
 def test_sign_resolution():

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from cloneleak import branch, leakage, subsets, verify
+from cloneleak import branch, leakage, oracle, subsets
 from cloneleak.leakage import aligned_subset, fixed_y_slice_probe
+from cloneleak.pauli import bloch_from_state
 from cloneleak.verify import (VerifyConfig, check_bell_trace_identities,
                               check_engine_agreement,
                               check_interference_sums,
@@ -96,24 +98,28 @@ def test_singleton_check_at_n1_fails_with_empty_range():
     assert result.detail == "no n to check in n=2..1: n_max=1, oracle cap 5"
 
 
-def test_run_checks_probes_each_n_once(monkeypatch):
-    calls = []
-    probe = leakage.probe_patterns
+def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
+    encoded = []
+    build = oracle.build_encoded_state
 
-    def counting(n, subsets, *args, **kwargs):
-        calls.append((n, len(subsets)))
-        return probe(n, subsets, *args, **kwargs)
+    def counting(n, psi, *args, **kwargs):
+        encoded.append((n, bloch_from_state(psi)))
+        return build(n, psi, *args, **kwargs)
 
-    monkeypatch.setattr(leakage, "probe_patterns", counting)
-    results = run_checks(VerifyConfig(n_max=3))
-    assert all(r.passed for r in results), [r.detail for r in results]
-    assert calls == [(1, 3), (2, 15), (3, 63)]  # every pattern, once per n
-    # The shared probes do not outlive the call.
-    assert verify._SHARED_PROBES.get() is None
-    calls.clear()
-    assert check_parity_classification(VerifyConfig(n_max=2)).passed
-    assert check_missing_pair_uninformative(VerifyConfig(n_max=2)).passed
-    assert calls == [(1, 3), (2, 15)] * 2
+    monkeypatch.setattr(oracle, "build_encoded_state", counting)
+    assert check_missing_pair_uninformative(VerifyConfig(n_max=3)).passed
+    assert [n for n, _ in encoded] == [1] * 6 + [2] * 6 + [3] * 6
+    np.testing.assert_allclose([b for _, b in encoded],
+                               np.tile(leakage._POLES, (3, 1)), atol=1e-12)
+
+
+def test_parity_classification_fails_on_states_that_are_not_affine(
+        off_pole_encoding):
+    result = check_parity_classification(VerifyConfig(n_max=2))
+    assert not result.passed
+    assert result.detail.startswith("threshold gap not empty")
+    assert "not affine" in result.detail
+    assert result.n_range == (1, 0)
 
 
 def test_results_carry_the_covered_n_range():
