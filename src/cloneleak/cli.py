@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import re
 import sys
-from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 
 from . import leakage, oracle, verify
 from .pauli import dense_to_pauli_sum, pauli_sum_to_dense
-from .subsets import (PairTag, RegisterSubset, Verdict, classify,
-                      enumerate_classifications)
+from .subsets import (PairTag, RegisterSubset, classify,
+                      enumerate_classifications, row_fields)
 
 _LABEL = re.compile(r"([SN])([0-9]+)")
 
@@ -117,8 +116,39 @@ GRID_MAX = 1_000
 ORACLE_CAP_MAX = 10
 
 
-_VERDICT_ORDER = (Verdict.AUTHORIZED, Verdict.COMPLETELY_UNINFORMATIVE,
-                  Verdict.PARTIALLY_INFORMATIVE)
+# Output is written in blocks of at least this many characters (the last
+# block may be shorter), never once per JSON chunk or CSV row: at n = 7 the
+# JSON encoder yields about a million chunks.
+EMIT_BLOCK = 1 << 16
+
+# Pieces (JSON chunks or CSV lines) joined between two block-size checks.
+_BATCH = 1024
+
+
+class _RowStream(list):
+    """Rows made as they are iterated, for json's encoder.
+
+    The encoder takes a list subclass as a JSON array; it asks its length
+    (for `[]`) and iterates it, so the rows never exist all at once.
+    """
+
+    def __init__(self, make_rows, length: int):
+        super().__init__()
+        self._make_rows = make_rows
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return iter(self._make_rows())
+
+
+class _Echo:
+    """File stand-in for csv.writer: writerow returns the formatted line."""
+
+    def write(self, line: str) -> str:
+        return line
 
 
 def _csv_cells(row: dict, columns: list[str]) -> list:
@@ -127,8 +157,27 @@ def _csv_cells(row: dict, columns: list[str]) -> list:
             for v in map(row.get, columns)]
 
 
+def _blocks(pieces):
+    """Join text pieces into blocks of at least EMIT_BLOCK characters."""
+    block, size = [], 0
+    for batch in iter(lambda: "".join(itertools.islice(pieces, _BATCH)), ""):
+        block.append(batch)
+        size += len(batch)
+        if size >= EMIT_BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    if block:
+        yield "".join(block)
+
+
 def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
           columns: list[str]) -> None:
+    """Stream the record (JSON) or the rows (CSV) to --out or stdout.
+
+    The first block is encoded before the output is opened, so an output
+    shorter than EMIT_BLOCK that fails to encode (a NaN) writes nothing;
+    a longer one stops where its encoding failed.
+    """
     if args.fmt == "json":
         record = {
             "n": args.n,
@@ -138,22 +187,25 @@ def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
             "summary": summary,
             "tolerances": asdict(leakage.TOLERANCES),
         }
-        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
+        # The pure-Python encoder that json.dumps runs when indent is set.
+        encoder = json.JSONEncoder(indent=2, allow_nan=False)
+        pieces = itertools.chain(encoder.iterencode(record), ["\n"])
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(_csv_cells(row, columns))
-        text = buf.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+        writer = csv.writer(_Echo(), lineterminator="\n")
+        pieces = map(writer.writerow, itertools.chain(
+            [columns], (_csv_cells(row, columns) for row in rows)))
+    blocks = _blocks(pieces)
+    blocks = itertools.chain([next(blocks, "")], blocks)
+    if not args.out:
+        for block in blocks:
+            sys.stdout.write(block)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for block in blocks:
+                fh.write(block)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
 
 
 def _note_single_pair(args: argparse.Namespace) -> None:
@@ -163,14 +215,15 @@ def _note_single_pair(args: argparse.Namespace) -> None:
               "partially hidden. Proceeding anyway.", file=sys.stderr)
 
 
-def _structural_row(subset: RegisterSubset, cls) -> dict:
+def _structural_row(pattern: str, fields: tuple) -> dict:
+    size, p, q, verdict, rule = fields
     return {
-        "pattern": subset.labels(),
-        "size": subset.size,
-        "p": subset.signal_count,
-        "q": subset.noise_count,
-        "verdict": cls.verdict.value,
-        "rule": cls.reason.value,
+        "pattern": pattern,
+        "size": size,
+        "p": p,
+        "q": q,
+        "verdict": verdict,
+        "rule": rule,
         "max_distance": None,
         "y_signal": None,
     }
@@ -184,7 +237,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     subset = parse_subset(args.subset, args.n)
     _note_single_pair(args)
     cls = classify(subset)
-    row = _structural_row(subset, cls)
+    row = _structural_row(subset.labels(), row_fields(subset, cls))
     summary = {"verdict": cls.verdict.value, "rule": cls.reason.value}
     if cls.leak is not None:
         row["observable"] = cls.leak.observable
@@ -197,11 +250,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     _note_single_pair(args)
-    entries = enumerate_classifications(args.n)
-    rows = [_structural_row(subset, cls) for subset, cls in entries]
-    tally = Counter(cls.verdict for _, cls in entries)
-    counts = {v.value: tally[v] for v in _VERDICT_ORDER}
-    _emit(args, rows, {"patterns": len(rows), "verdict_counts": counts},
+    table = enumerate_classifications(args.n)
+    rows = _RowStream(lambda: itertools.starmap(_structural_row, table.rows()),
+                      len(table))
+    counts = {v.value: k for v, k in table.verdict_counts().items()}
+    _emit(args, rows, {"patterns": len(table), "verdict_counts": counts},
           TABLE_COLUMNS)
     return 0
 

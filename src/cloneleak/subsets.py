@@ -9,7 +9,7 @@ tags, which makes permutation invariance structural rather than incidental.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -174,19 +174,122 @@ def _classify_counts(n: int, both: int, missing: int, p: int) -> Classification:
 ENUMERATION_GUARD = 10
 
 
-def enumerate_classifications(n: int) -> list[tuple[RegisterSubset, Classification]]:
+def row_fields(subset: RegisterSubset,
+               cls: Classification) -> tuple[int, int, int, str, str]:
+    """(size, p, q, verdict, rule): the structural cells of one table row."""
+    return (subset.size, subset.signal_count, subset.noise_count,
+            cls.verdict.value, cls.reason.value)
+
+
+def _half(n: int, first: int, last: int) -> list[tuple[tuple, str, tuple]]:
+    """(tags, label, counts) of every tag tuple over pairs first..last.
+
+    Entries are in enumeration order (last pair fastest); counts are
+    (#BOTH, #SIGNAL, #NOISE, #NONE). An empty range gives the one empty entry.
+    """
+    entries = [((), "")]
+    for fragments in _label_fragments(n)[first - 1:last]:
+        entries = [(tags + (tag,),
+                    f"{label},{fragment}" if label and fragment
+                    else label or fragment)
+                   for tags, label in entries
+                   for tag, fragment in fragments.items()]
+    return [(tags, label, tuple(map(tags.count, PairTag)))
+            for tags, label in entries]
+
+
+def _patterns(n: int):
+    """(tags, label, counts) of every nonempty pattern, in enumeration order.
+
+    Each pattern joins an entry of a head list (the first n - n//2 pairs) to
+    one of a tail list (the last n//2 pairs), so both lists hold at most
+    4^ceil(n/2) entries. The empty pattern, the all-NONE head joined to the
+    all-NONE tail, comes last and is left out.
+    """
+    split = n - n // 2
+    tail = _half(n, split + 1, n)
+    tail_tags = [tags for tags, _, _ in tail]
+    after_head = ["," + label if label else "" for _, label, _ in tail]
+    alone = [label for _, label, _ in tail[:-1]]
+    totals = {}  # head counts -> summed counts, one per tail entry
+    for head_tags, head_label, head_counts in _half(n, 1, split):
+        sums = totals.get(head_counts)
+        if sums is None:
+            sums = totals[head_counts] = [
+                tuple(map(int.__add__, head_counts, counts))
+                for _, _, counts in tail]
+        for tags, label, counts in zip(tail_tags,
+                                       after_head if head_label else alone,
+                                       sums):
+            yield head_tags + tags, head_label + label, counts
+
+
+class ClassificationTable:
+    """Every nonempty membership pattern of n pairs with its classification.
+
+    A lazy view: nothing is enumerated until it is iterated, and each
+    iteration starts afresh. Patterns come in a fixed order (tag order BOTH,
+    SIGNAL, NOISE, NONE, varying the last pair fastest), so output is
+    deterministic.
+    """
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"clone count must be >= 1, got {n}")
+        if n > ENUMERATION_GUARD:
+            raise ValueError(f"n={n} exceeds the enumeration guard "
+                             f"{ENUMERATION_GUARD} (4^n patterns)")
+        self.n = n
+        self._fields: dict[tuple, tuple] = {}  # count class -> row_fields
+
+    def __len__(self) -> int:
+        return 4 ** self.n - 1
+
+    def __iter__(self):
+        """(RegisterSubset, Classification) per pattern."""
+        n = self.n
+        for tags, _, _ in _patterns(n):
+            subset = RegisterSubset(n, tags)
+            yield subset, classify(subset)
+
+    def _class_fields(self, counts: tuple[int, int, int, int]) -> tuple:
+        """row_fields of the count class (#BOTH, #SIGNAL, #NOISE, #NONE),
+        decided once per view through `classify` on one representative."""
+        fields = self._fields.get(counts)
+        if fields is None:
+            subset = RegisterSubset(self.n, sum(
+                ((tag,) * k for tag, k in zip(PairTag, counts)), ()))
+            fields = self._fields[counts] = row_fields(subset, classify(subset))
+        return fields
+
+    def rows(self):
+        """(label, row_fields) per pattern, without a RegisterSubset each."""
+        fields = self._fields
+        for _, label, counts in _patterns(self.n):
+            yield label, fields.get(counts) or self._class_fields(counts)
+
+    def verdict_counts(self) -> dict[Verdict, int]:
+        """Patterns per verdict, in Verdict order, summed over count classes:
+        the class (b, s, q, m) holds n! / (b! s! q! m!) patterns."""
+        n = self.n
+        tally = dict.fromkeys(Verdict, 0)
+        for both in range(n + 1):
+            for signal in range(n + 1 - both):
+                for noise in range(n + 1 - both - signal):
+                    if both + signal + noise == 0:
+                        continue  # the empty subset
+                    counts = (both, signal, noise, n - both - signal - noise)
+                    verdict = Verdict(self._class_fields(counts)[3])
+                    tally[verdict] += (math.comb(n, both)
+                                       * math.comb(n - both, signal)
+                                       * math.comb(n - both - signal, noise))
+        return tally
+
+
+def enumerate_classifications(n: int) -> ClassificationTable:
     """Classify every nonempty membership pattern (4^n - 1 of them).
 
-    Patterns are emitted in a fixed order (tag order BOTH, SIGNAL, NOISE,
-    NONE, varying the last pair fastest), so output is deterministic.
+    The clone count and the enumeration guard are checked before the view is
+    returned; the patterns are made as the view is iterated.
     """
-    if n > ENUMERATION_GUARD:
-        raise ValueError(f"n={n} exceeds the enumeration guard {ENUMERATION_GUARD} "
-                         f"(4^n patterns)")
-    out = []
-    for tags in itertools.product(PairTag, repeat=n):
-        subset = RegisterSubset(n, tags)
-        if subset.size == 0:
-            continue
-        out.append((subset, classify(subset)))
-    return out
+    return ClassificationTable(n)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,17 @@ def test_table_rows_reparse_to_same_subset(capsys):
 def test_table_guard_exit(capsys):
     assert main(["table", "--n", "11"]) == 2
     assert "guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_guard_writes_nothing(capsys, tmp_path, fmt):
+    assert main(["table", "--n", "11", "--format", fmt]) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "table.out"
+    assert main(["table", "--n", "11", "--format", fmt,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_slope_is_resolved_sign(capsys):
@@ -460,6 +472,44 @@ TABLE_DIGESTS = {
 def test_table_bytes_unchanged(capsys, n, fmt):
     argv = ["table", "--n", str(n), "--format", fmt]
     assert _stdout_sha256(capsys, argv) == TABLE_DIGESTS[(n, fmt)]
+
+
+def test_table_streams_in_bounded_memory(tmp_path):
+    # The rows are made as they are written; at n = 6 the JSON is 0.9 MB.
+    out = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        assert main(["table", "--n", "6", "--format", "json",
+                     "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == TABLE_DIGESTS[(6, "json")]
+    assert peak < 2 * 2 ** 20
+
+
+class _CountingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("n,fmt", [(7, "json"), (8, "csv")])
+def test_table_writes_in_large_blocks(monkeypatch, n, fmt):
+    fake = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main(["table", "--n", str(n), "--format", fmt]) == 0
+    output = "".join(fake.writes)
+    assert hashlib.sha256(output.encode("utf-8")).hexdigest() \
+        == TABLE_DIGESTS[(n, fmt)]
+    assert len(fake.writes) <= len(output) // 65536 + 2
 
 
 # CSV with bool, float and None cells, as first emitted when every cell went

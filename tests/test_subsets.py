@@ -9,7 +9,8 @@ import cloneleak
 from cloneleak.subsets import (AlignedShape, Classification, LeakDescriptor,
                                PairTag, RegisterSubset, Rule, ShapeMarker,
                                Verdict, canonical_shape, classify,
-                               enumerate_classifications, is_authorized)
+                               enumerate_classifications, is_authorized,
+                               row_fields)
 
 B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
 
@@ -138,6 +139,56 @@ def test_enumerate_guard():
         enumerate_classifications(11)
 
 
+def _eager_classifications(n):
+    """The enumeration as a list: every nonempty product of tags, in order."""
+    out = []
+    for tags in itertools.product(PairTag, repeat=n):
+        s = RegisterSubset(n, tags)
+        if s.size:
+            out.append((s, classify(s)))
+    return out
+
+
+def test_enumeration_view_matches_the_eager_loop():
+    for n in range(1, 6):
+        view = enumerate_classifications(n)
+        reference = _eager_classifications(n)
+        assert list(view) == reference
+        assert list(view) == reference  # a second pass starts afresh
+        assert list(view.rows()) == [(s.labels(), row_fields(s, c))
+                                     for s, c in reference]
+
+
+def test_enumeration_length_builds_no_subset(monkeypatch):
+    def refuse(self):
+        raise AssertionError("built a RegisterSubset")
+
+    monkeypatch.setattr(RegisterSubset, "__post_init__", refuse)
+    for n in range(1, 11):
+        assert len(enumerate_classifications(n)) == 4 ** n - 1
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match=">= 1"):
+        enumerate_classifications(n)
+
+
+def test_verdict_counts_are_multinomial_sums():
+    for n in range(1, 9):
+        view = enumerate_classifications(n)
+        tally = dict.fromkeys(Verdict, 0)
+        for _, (_, _, _, verdict, _) in view.rows():
+            tally[Verdict(verdict)] += 1
+        counts = view.verdict_counts()
+        assert list(counts) == list(Verdict)
+        assert counts == tally
+        assert sum(counts.values()) == len(view)
+        assert counts[Verdict.AUTHORIZED] == 3 ** n - 2 ** n
+        assert counts[Verdict.PARTIALLY_INFORMATIVE] == (
+            2 ** (n - 1) if n % 2 else 0)
+
+
 def _independent_decision(s: RegisterSubset) -> Verdict:
     # Decision tree written out separately from classify(), on raw counts.
     if s.both_count >= 1 and s.missing_pairs == 0:
@@ -259,7 +310,7 @@ def test_str_tags_build_the_same_subset():
 def test_classify_decides_once_per_count_class():
     from cloneleak import subsets
     subsets._classify_counts.cache_clear()
-    entries = enumerate_classifications(8)
+    entries = list(enumerate_classifications(8))
     info = subsets._classify_counts.cache_info()
     # (#BOTH, #SIGNAL, #NOISE, #NONE) summing to 8, less the empty subset.
     assert (info.misses, info.hits) == (164, len(entries) - 164)
