@@ -18,19 +18,17 @@ from .oracle import (ORACLE_CAP_DEFAULT, bell_branch, branch_phases,
 from .pauli import (PauliSum, bloch_from_state, dense_to_pauli_sum,
                     expectation, pauli_mul, pauli_sum_to_dense,
                     state_from_bloch)
-from .subsets import (AlignedShape, Classification, PairTag, RegisterSubset,
-                      Rule, ShapeMarker, Verdict, canonical_shape, classify,
-                      enumerate_classifications, is_authorized)
+from .subsets import (Classification, PairTag, RegisterSubset, Rule, Verdict,
+                      classify, enumerate_classifications)
 
 __all__ = [
-    "AlignedShape", "Classification", "LeakageReport",
-    "ORACLE_CAP_DEFAULT", "PairTag", "PauliSum", "RegisterSubset", "Rule",
-    "SeparationGapError", "ShapeMarker", "Tolerances", "Verdict",
-    "analytic_reduced_state", "bell_branch", "bloch_from_state", "bloch_grid",
-    "branch_phases", "build_encoded_state", "canonical_shape", "classify",
+    "Classification", "LeakageReport", "ORACLE_CAP_DEFAULT", "PairTag",
+    "PauliSum", "RegisterSubset", "Rule", "SeparationGapError", "Tolerances",
+    "Verdict", "analytic_reduced_state", "bell_branch", "bloch_from_state",
+    "bloch_grid", "branch_phases", "build_encoded_state", "classify",
     "dense_to_pauli_sum", "enumerate_classifications", "expectation",
     "fixed_y_slice_probe", "informativeness_probe", "interference_table",
-    "is_authorized", "leak_sum_closed_form", "pauli_mul", "pauli_sum_to_dense",
+    "leak_sum_closed_form", "pauli_mul", "pauli_sum_to_dense",
     "phase_ratio_parts", "phase_ratio_table", "reduced_density",
     "resolve_sign_rule", "state_from_bloch", "table_sum", "trace_distance",
     "y_leak_estimate",

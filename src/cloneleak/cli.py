@@ -253,8 +253,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     table = enumerate_classifications(args.n)
     rows = _RowStream(lambda: itertools.starmap(_structural_row, table.rows()),
                       len(table))
-    counts = {v.value: k for v, k in table.verdict_counts().items()}
-    _emit(args, rows, {"patterns": len(table), "verdict_counts": counts},
+    _emit(args, rows, {"patterns": len(table),
+                       "verdict_counts": table.verdict_counts()},
           TABLE_COLUMNS)
     return 0
 
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (SubsetSpecError, UsageError, ValueError) as exc:
+    except ValueError as exc:  # SubsetSpecError and UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import branch, oracle
 from .pauli import PauliSum, expectation, pauli_sum_to_dense, state_from_bloch
-from .subsets import AlignedShape, PairTag, RegisterSubset, canonical_shape
+from .subsets import PairTag, RegisterSubset
 
 ENGINE_ORACLE = "oracle"
 ENGINE_ANALYTIC = "analytic"
@@ -145,12 +145,12 @@ def keep_positions(subset: RegisterSubset) -> list[int]:
 
 def analytic_state(subset: RegisterSubset, bloch) -> PauliSum:
     """Exact Pauli form of an aligned subset's reduced state (branch calculus)."""
-    shape = canonical_shape(subset)
-    if not isinstance(shape, AlignedShape):
+    if subset.missing_pairs or subset.both_count:
+        reason = "MISSING_PAIR" if subset.missing_pairs else "OVERSIZED"
         raise ValueError(f"analytic engine needs an aligned subset (one qubit "
                          f"per pair); {subset.labels() or '(empty)'!r} is "
-                         f"{shape.value}")
-    return branch.analytic_reduced_state(shape.n, shape.p, bloch)
+                         f"{reason}")
+    return branch.analytic_reduced_state(subset.n, subset.signal_count, bloch)
 
 
 def reduced_state(subset: RegisterSubset, bloch, engine: str,

@@ -9,6 +9,7 @@ tags, which makes permutation invariance structural rather than incidental.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,24 +41,6 @@ class Rule(str, Enum):
     PARITY_EVEN_N = "PARITY_EVEN_N"          # aligned, even clone count
     PARITY_EVEN_P = "PARITY_EVEN_P"          # aligned, even signal count
     PARITY_ODD_ODD = "PARITY_ODD_ODD"        # aligned, n and p both odd: leaks
-
-
-class ShapeMarker(str, Enum):
-    MISSING_PAIR = "MISSING_PAIR"
-    OVERSIZED = "OVERSIZED"
-
-
-@dataclass(frozen=True)
-class AlignedShape:
-    """One qubit from every pair: p signals, q noises, p + q = n."""
-
-    n: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p + self.q != self.n or self.p < 0 or self.q < 0:
-            raise ValueError(f"invalid aligned shape {self}")
 
 
 @dataclass(frozen=True)
@@ -114,31 +97,16 @@ class RegisterSubset:
 
     def labels(self) -> str:
         """Canonical textual form, e.g. 'S1,N1,S2'; empty subsets yield ''."""
-        return ",".join(filter(None, map(dict.__getitem__,
-                                         _label_fragments(self.n),
-                                         self.membership)))
+        return "".join(map(dict.__getitem__, _label_fragments(self.n),
+                           self.membership))[1:]
 
 
 @functools.lru_cache(maxsize=16)
 def _label_fragments(n: int) -> tuple[dict[PairTag, str], ...]:
-    """Per position, the labels each tag contributes ('' for NONE)."""
-    return tuple(dict(zip(PairTag, (f"S{i},N{i}", f"S{i}", f"N{i}", "")))
+    """Per position, the label each tag contributes behind a comma ('' for
+    NONE): a pattern's label is its fragments joined, less the first comma."""
+    return tuple(dict(zip(PairTag, (f",S{i},N{i}", f",S{i}", f",N{i}", "")))
                  for i in range(1, n + 1))
-
-
-def is_authorized(subset: RegisterSubset) -> bool:
-    """True iff the subset holds a full pair and touches every pair."""
-    return subset.both_count >= 1 and subset.missing_pairs == 0
-
-
-def canonical_shape(subset: RegisterSubset) -> AlignedShape | ShapeMarker:
-    """Aligned (n, p, q) shape, or a marker for why the subset is not aligned."""
-    if subset.missing_pairs >= 1:
-        return ShapeMarker.MISSING_PAIR
-    if subset.both_count >= 1:
-        return ShapeMarker.OVERSIZED
-    p = subset.signal_count
-    return AlignedShape(subset.n, p, subset.n - p)
 
 
 def classify(subset: RegisterSubset) -> Classification:
@@ -181,47 +149,20 @@ def row_fields(subset: RegisterSubset,
             cls.verdict.value, cls.reason.value)
 
 
-def _half(n: int, first: int, last: int) -> list[tuple[tuple, str, tuple]]:
-    """(tags, label, counts) of every tag tuple over pairs first..last.
+def _half(n: int, first: int, last: int) -> list[tuple[str, tuple]]:
+    """(label, counts) of every pattern of pairs first..last.
 
-    Entries are in enumeration order (last pair fastest); counts are
-    (#BOTH, #SIGNAL, #NOISE, #NONE). An empty range gives the one empty entry.
+    Entries are in enumeration order (last pair fastest); labels are joined
+    fragments of `_label_fragments`, and counts are (#BOTH, #SIGNAL, #NOISE,
+    #NONE). An empty range gives the one empty entry.
     """
-    entries = [((), "")]
+    entries = [("", (0, 0, 0, 0))]
     for fragments in _label_fragments(n)[first - 1:last]:
-        entries = [(tags + (tag,),
-                    f"{label},{fragment}" if label and fragment
-                    else label or fragment)
-                   for tags, label in entries
-                   for tag, fragment in fragments.items()]
-    return [(tags, label, tuple(map(tags.count, PairTag)))
-            for tags, label in entries]
-
-
-def _patterns(n: int):
-    """(tags, label, counts) of every nonempty pattern, in enumeration order.
-
-    Each pattern joins an entry of a head list (the first n - n//2 pairs) to
-    one of a tail list (the last n//2 pairs), so both lists hold at most
-    4^ceil(n/2) entries. The empty pattern, the all-NONE head joined to the
-    all-NONE tail, comes last and is left out.
-    """
-    split = n - n // 2
-    tail = _half(n, split + 1, n)
-    tail_tags = [tags for tags, _, _ in tail]
-    after_head = ["," + label if label else "" for _, label, _ in tail]
-    alone = [label for _, label, _ in tail[:-1]]
-    totals = {}  # head counts -> summed counts, one per tail entry
-    for head_tags, head_label, head_counts in _half(n, 1, split):
-        sums = totals.get(head_counts)
-        if sums is None:
-            sums = totals[head_counts] = [
-                tuple(map(int.__add__, head_counts, counts))
-                for _, _, counts in tail]
-        for tags, label, counts in zip(tail_tags,
-                                       after_head if head_label else alone,
-                                       sums):
-            yield head_tags + tags, head_label + label, counts
+        entries = [(label + fragment,
+                    counts[:k] + (counts[k] + 1,) + counts[k + 1:])
+                   for label, counts in entries
+                   for k, fragment in enumerate(fragments.values())]
+    return entries
 
 
 class ClassificationTable:
@@ -248,7 +189,9 @@ class ClassificationTable:
     def __iter__(self):
         """(RegisterSubset, Classification) per pattern."""
         n = self.n
-        for tags, _, _ in _patterns(n):
+        # The empty pattern, all NONE, is the product's last element.
+        for tags in itertools.islice(itertools.product(PairTag, repeat=n),
+                                     len(self)):
             subset = RegisterSubset(n, tags)
             yield subset, classify(subset)
 
@@ -263,26 +206,44 @@ class ClassificationTable:
         return fields
 
     def rows(self):
-        """(label, row_fields) per pattern, without a RegisterSubset each."""
-        fields = self._fields
-        for _, label, counts in _patterns(self.n):
-            yield label, fields.get(counts) or self._class_fields(counts)
+        """(label, row_fields) per pattern, without a RegisterSubset each.
 
-    def verdict_counts(self) -> dict[Verdict, int]:
+        Each pattern joins an entry of a head list (the first n - n//2 pairs)
+        to one of a tail list (the last n//2 pairs), so both lists hold at
+        most 4^ceil(n/2) entries, and a row costs one string join and one
+        slice. The fields are listed once per head count class. Only the
+        all-NONE head reaches the empty pattern, with the all-NONE tail, which
+        comes last: that head's list stops one entry short, and so does `zip`.
+        """
+        n = self.n
+        split = n - n // 2
+        tail = _half(n, split + 1, n)
+        tail_labels = [label for label, _ in tail]
+        by_head = {}  # head counts -> row_fields per tail entry
+        for head_label, head_counts in _half(n, 1, split):
+            fields = by_head.get(head_counts)
+            if fields is None:
+                fields = by_head[head_counts] = [
+                    self._class_fields(tuple(map(int.__add__, head_counts, c)))
+                    for _, c in tail if head_counts[3] + c[3] < n]
+            for tail_label, row in zip(tail_labels, fields):
+                yield (head_label + tail_label)[1:], row
+
+    def verdict_counts(self) -> dict[str, int]:
         """Patterns per verdict, in Verdict order, summed over count classes:
         the class (b, s, q, m) holds n! / (b! s! q! m!) patterns."""
         n = self.n
-        tally = dict.fromkeys(Verdict, 0)
+        tally = dict.fromkeys((verdict.value for verdict in Verdict), 0)
         for both in range(n + 1):
             for signal in range(n + 1 - both):
                 for noise in range(n + 1 - both - signal):
                     if both + signal + noise == 0:
                         continue  # the empty subset
                     counts = (both, signal, noise, n - both - signal - noise)
-                    verdict = Verdict(self._class_fields(counts)[3])
-                    tally[verdict] += (math.comb(n, both)
-                                       * math.comb(n - both, signal)
-                                       * math.comb(n - both - signal, noise))
+                    tally[self._class_fields(counts)[3]] += (
+                        math.comb(n, both)
+                        * math.comb(n - both, signal)
+                        * math.comb(n - both - signal, noise))
         return tally
 
 

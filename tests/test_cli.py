@@ -181,6 +181,22 @@ def test_reduce_analytic_requires_aligned(capsys):
     assert "aligned" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,labels,reason", [
+    (["reduce", "--n", "2", "--subset", "S1,N1", "--psi", "0,1,0",
+      "--engine", "analytic"], "S1,N1", "MISSING_PAIR"),
+    (["reduce", "--n", "2", "--subset", "S1,N1,S2", "--psi", "0,1,0",
+      "--engine", "analytic"], "S1,N1,S2", "OVERSIZED"),
+    (["sweep", "--n", "3", "--subset", "S1,N3", "--engine", "analytic"],
+     "S1,N3", "MISSING_PAIR"),
+], ids=["missing-pair", "oversized", "sweep-missing-pair"])
+def test_analytic_refusal_bytes(capsys, argv, labels, reason):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: analytic engine needs an aligned subset "
+                            f"(one qubit per pair); '{labels}' is {reason}\n")
+
+
 def test_table_n1(capsys):
     code, rows = run_csv(capsys, ["table", "--n", "1", "--format", "csv"])
     assert code == 0

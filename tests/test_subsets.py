@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 import cloneleak
-from cloneleak.subsets import (AlignedShape, Classification, LeakDescriptor,
-                               PairTag, RegisterSubset, Rule, ShapeMarker,
-                               Verdict, canonical_shape, classify,
-                               enumerate_classifications, is_authorized,
-                               row_fields)
+from cloneleak import leakage
+from cloneleak.branch import analytic_reduced_state
+from cloneleak.subsets import (Classification, LeakDescriptor, PairTag,
+                               RegisterSubset, Rule, Verdict, classify,
+                               enumerate_classifications, row_fields)
 
 B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
 
@@ -40,10 +40,10 @@ def test_validation():
         RegisterSubset(0, ())
 
 
-def test_is_authorized_examples():
-    assert is_authorized(subset(B, S, S, N))
-    assert not is_authorized(subset(N, N, N))
-    assert not is_authorized(subset(B, E))
+def test_authorized_examples():
+    assert classify(subset(B, S, S, N)).verdict is Verdict.AUTHORIZED
+    assert classify(subset(N, N, N)).verdict is not Verdict.AUTHORIZED
+    assert classify(subset(B, E)).verdict is not Verdict.AUTHORIZED
 
 
 def test_classify_examples():
@@ -85,16 +85,15 @@ def test_leak_descriptor_only_when_leaking():
         Classification(Verdict.PARTIALLY_INFORMATIVE, Rule.PARITY_ODD_ODD)
 
 
-def test_canonical_shape_examples():
-    assert canonical_shape(subset(N, S, N)) == AlignedShape(3, 1, 2)
-    assert canonical_shape(subset(B, S)) is ShapeMarker.OVERSIZED
-    assert canonical_shape(subset(E, N)) is ShapeMarker.MISSING_PAIR
-    assert canonical_shape(subset(B, E)) is ShapeMarker.MISSING_PAIR
-
-
-def test_aligned_shape_validation():
-    with pytest.raises(ValueError):
-        AlignedShape(3, 2, 2)
+def test_analytic_state_refusal_examples():
+    b = (0.0, 1.0, 0.0)
+    assert (leakage.analytic_state(subset(N, S, N), b)
+            == analytic_reduced_state(3, 1, b))
+    with pytest.raises(ValueError, match=r"is OVERSIZED$"):
+        leakage.analytic_state(subset(B, S), b)
+    for tags in ((E, N), (B, E)):
+        with pytest.raises(ValueError, match=r"is MISSING_PAIR$"):
+            leakage.analytic_state(subset(*tags), b)
 
 
 def test_enumerate_n1():
@@ -118,7 +117,7 @@ def test_enumerate_n2_counts():
     assert Verdict.PARTIALLY_INFORMATIVE not in by_verdict
     # Every unauthorized pattern at n=2 is completely uninformative.
     for s, c in entries:
-        if not is_authorized(s):
+        if s.both_count == 0 or s.missing_pairs:
             assert c.verdict is Verdict.COMPLETELY_UNINFORMATIVE
 
 
@@ -128,9 +127,7 @@ def test_enumerate_n3_partially_informative_count():
              if c.verdict is Verdict.PARTIALLY_INFORMATIVE]
     # Aligned patterns with an odd signal count: C(3,1) + C(3,3).
     assert len(leaky) == 4
-    assert all(canonical_shape(s) == AlignedShape(3, s.signal_count,
-                                                  3 - s.signal_count)
-               for s in leaky)
+    assert all(s.both_count == 0 and s.missing_pairs == 0 for s in leaky)
     assert all(s.signal_count % 2 == 1 for s in leaky)
 
 
@@ -264,6 +261,29 @@ def test_import_graph_is_acyclic():
     graph = _intra_package_imports()
     assert {"leakage", "oracle"} & graph["subsets"] == set()
     list(graphlib.TopologicalSorter(graph).static_order())  # CycleError if not
+
+
+def test_module_level_imports_are_read():
+    # A deletion must not leave a dead import behind; in __init__ a name
+    # listed in __all__ counts as read.
+    pkg = Path(cloneleak.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.stem == "__init__":
+            read |= set(cloneleak.__all__)
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        assert bound <= read, (path.name, sorted(bound - read))
+
+
+def test_all_names_resolve():
+    assert [name for name in cloneleak.__all__
+            if not hasattr(cloneleak, name)] == []
 
 
 def test_stored_counts_and_labels_match_a_recount():
