@@ -116,32 +116,11 @@ GRID_MAX = 1_000
 ORACLE_CAP_MAX = 10
 
 
-# Output is written in blocks of at least this many characters (the last
-# block may be shorter), never once per JSON chunk or CSV row: at n = 7 the
-# JSON encoder yields about a million chunks.
+# Output is written in blocks of EMIT_BLOCK to 2 * EMIT_BLOCK characters, not
+# once per row: at n = 10 `table` has about a million rows.
 EMIT_BLOCK = 1 << 16
 
-# Pieces (JSON chunks or CSV lines) joined between two block-size checks.
-_BATCH = 1024
-
-
-class _RowStream(list):
-    """Rows made as they are iterated, for json's encoder.
-
-    The encoder takes a list subclass as a JSON array; it asks its length
-    (for `[]`) and iterates it, so the rows never exist all at once.
-    """
-
-    def __init__(self, make_rows, length: int):
-        super().__init__()
-        self._make_rows = make_rows
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self):
-        return iter(self._make_rows())
+_MARK = "@"  # a row's label while its text is rendered, or the record's rows
 
 
 class _Echo:
@@ -151,49 +130,91 @@ class _Echo:
         return line
 
 
-def _csv_cells(row: dict, columns: list[str]) -> list:
-    """One CSV row: booleans as in JSON, the rest as csv.writer writes it."""
-    return [("true" if v else "false") if type(v) is bool else v
-            for v in map(row.get, columns)]
-
-
 def _blocks(pieces):
-    """Join text pieces into blocks of at least EMIT_BLOCK characters."""
-    block, size = [], 0
-    for batch in iter(lambda: "".join(itertools.islice(pieces, _BATCH)), ""):
-        block.append(batch)
-        size += len(batch)
-        if size >= EMIT_BLOCK:
-            yield "".join(block)
-            block, size = [], 0
-    if block:
-        yield "".join(block)
+    """Join text pieces into blocks of EMIT_BLOCK to 2 * EMIT_BLOCK characters
+    (the last may be shorter), each batch of pieces sized from the last one's
+    mean piece size to fill about half the room left in the block."""
+    pieces, text, count = filter(None, pieces), "", 1
+    while batch := "".join(itertools.islice(pieces, count)):
+        size = len(batch)
+        text += batch
+        del batch  # so that the next += may extend the text in place
+        if len(text) >= EMIT_BLOCK:
+            last = (len(text) // EMIT_BLOCK - 1) * EMIT_BLOCK
+            yield from (text[i:i + EMIT_BLOCK]
+                        for i in range(0, last, EMIT_BLOCK))
+            yield text[last:]
+            text = ""
+        count = max(1, min(2 * count,
+                           (EMIT_BLOCK - len(text)) // 2 * count // size))
+    if text:
+        yield text
 
 
-def _emit(args: argparse.Namespace, rows: list[dict], summary: dict,
-          columns: list[str]) -> None:
+def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],
+          make_row=None) -> None:
     """Stream the record (JSON) or the rows (CSV) to --out or stdout.
+
+    Rows are dicts, each rendered on its own, or with make_row (label,
+    fields) pairs: make_row(_MARK, fields) is rendered once per fields
+    tuple, and a row is that text with its label's cell, as the encoder or
+    csv.writer writes it, in place of the marker's. The record's head, row
+    separator and tail are what its encoding around two marker rows leaves.
 
     The first block is encoded before the output is opened, so an output
     shorter than EMIT_BLOCK that fails to encode (a NaN) writes nothing;
     a longer one stops where its encoding failed.
     """
     if args.fmt == "json":
-        record = {
-            "n": args.n,
-            "engine": args.engine,
-            "seed": args.seed,
-            "rows": rows,
-            "summary": summary,
-            "tolerances": asdict(leakage.TOLERANCES),
-        }
         # The pure-Python encoder that json.dumps runs when indent is set.
         encoder = json.JSONEncoder(indent=2, allow_nan=False)
-        pieces = itertools.chain(encoder.iterencode(record), ["\n"])
+        cell = encoder.encode
+        # A row's text is cut from a stub with "rows" at the record's depth.
+        pre, post = encoder.encode({"rows": [_MARK]}).split(cell(_MARK))
+
+        def render(row: dict) -> str:
+            return encoder.encode({"rows": [row]})[len(pre):-len(post)]
+
+        def frame(items: list):
+            return itertools.chain(encoder.iterencode({
+                "n": args.n, "engine": args.engine, "seed": args.seed,
+                "rows": items, "summary": summary,
+                "tolerances": asdict(leakage.TOLERANCES)}), ["\n"])
     else:
         writer = csv.writer(_Echo(), lineterminator="\n")
-        pieces = map(writer.writerow, itertools.chain(
-            [columns], (_csv_cells(row, columns) for row in rows)))
+        quote = writer.dialect.quotechar
+
+        def cell(label: str) -> str:  # as csv.QUOTE_MINIMAL quotes a label
+            return quote + label + quote if "," in label else label
+
+        def render(row: dict) -> str:  # booleans as JSON writes them
+            return writer.writerow([
+                ("true" if v else "false") if type(v) is bool else v
+                for v in map(row.get, columns)])
+
+        def frame(items: list):
+            return itertools.chain([writer.writerow(columns)], items)
+
+    if make_row is None:
+        lines = map(render, rows)
+    else:
+        templates = {}  # fields -> row text before and after the label
+
+        def splice(label: str, fields: tuple) -> str:
+            parts = templates.get(fields)
+            if parts is None:
+                parts = templates[fields] = render(
+                    make_row(_MARK, fields)).split(cell(_MARK))
+            return parts[0] + cell(label) + parts[1]
+
+        lines = itertools.starmap(splice, rows)
+    mark, chunks, text = cell(_MARK), frame([_MARK, _MARK]), ""
+    while text.count(mark) < 2:  # the tail streams on from the chunks
+        text += next(chunks)
+    head, sep, text = text.split(mark, 2)
+    first = next(lines, None)
+    pieces = frame([]) if first is None else itertools.chain(
+        [head, first], map(sep.__add__, lines), [text], chunks)
     blocks = _blocks(pieces)
     blocks = itertools.chain([next(blocks, "")], blocks)
     if not args.out:
@@ -251,11 +272,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     _note_single_pair(args)
     table = enumerate_classifications(args.n)
-    rows = _RowStream(lambda: itertools.starmap(_structural_row, table.rows()),
-                      len(table))
-    _emit(args, rows, {"patterns": len(table),
-                       "verdict_counts": table.verdict_counts()},
-          TABLE_COLUMNS)
+    _emit(args, table.rows(), {"patterns": len(table),
+                               "verdict_counts": table.verdict_counts()},
+          TABLE_COLUMNS, _structural_row)
     return 0
 
 

@@ -160,22 +160,23 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """Every subset missing a full pair is independent of the input state.
 
     The distance reported is the pole probe's bound sum_j D_j, which holds
-    for every pair of inputs on the Bloch sphere.
+    for every pair of inputs on the Bloch sphere. Its range starts at n = 2:
+    the one pair of n = 1 is never missing.
     """
-    if _top_n(config) < 1:
-        return _nothing_to_check("missing_pair_uninformative", config)
+    if _top_n(config) < 2:
+        return _nothing_to_check("missing_pair_uninformative", config, first=2)
     tol = leakage.TOLERANCES.uninformative
     worst = 0.0
     worst_case = ""
     count = 0
-    for n in range(1, _top_n(config) + 1):
+    for n in range(2, _top_n(config) + 1):
         subsets = [s for s, _ in enumerate_classifications(n)
                    if s.missing_pairs]
         try:
             reports = leakage.probe_patterns(n, subsets, config.oracle_cap)
         except leakage.SeparationGapError as exc:
             return CheckResult("missing_pair_uninformative", False,
-                               f"threshold gap not empty: {exc}", (1, n - 1))
+                               f"threshold gap not empty: {exc}", (2, n - 1))
         count += len(reports)
         for report in reports:
             if report.distance_bound > worst:
@@ -186,7 +187,7 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
                        f"{count} patterns, max distance {worst:.3e} "
                        f"(threshold {tol:g}) across n<={_top_n(config)}"
                        + ("" if passed else f" at {worst_case}"),
-                       (1, _top_n(config)))
+                       (2, _top_n(config)))
 
 
 def check_parity_classification(config: VerifyConfig) -> CheckResult:

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 
 from cloneleak import cli, leakage, oracle, verify
 from cloneleak.cli import SubsetSpecError, main, parse_bloch, parse_subset
-from cloneleak.subsets import PairTag, RegisterSubset
+from cloneleak.subsets import (PairTag, RegisterSubset, Verdict, classify,
+                               enumerate_classifications, row_fields)
 
 B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
 BRUTE_FORCE = ("engine_agreement", "missing_pair_uninformative",
@@ -463,7 +466,8 @@ def _stdout_sha256(capsys, argv) -> str:
 
 
 # SHA-256 of `table --n K --format F` as first emitted, before the subset
-# counts were stored at build time; the output must not change.
+# counts were stored at build time (n = 9: as emitted before the text of each
+# row class was rendered once); the output must not change.
 TABLE_DIGESTS = {
     (1, "csv"): "6ae46948374a8c6c912bdebf0032a8ea56c3d5ec1b1e28d492ff3bcf05b0143d",
     (1, "json"): "0c862c937dcf2cf6cc6a92dbbf61054bedef92e6ed7f2ccf68a5c94d88afa4fc",
@@ -481,6 +485,8 @@ TABLE_DIGESTS = {
     (7, "json"): "9fc7ae61cbadefcfd225c9b4eae4731e4c02ffa9a41cf69763434c6e8d95f0b1",
     (8, "csv"): "ea85cefd7af9c6b6bf8d6de078087f57de78076d5ed9406541d4acc56d745af4",
     (8, "json"): "2d4d4cd9fe4246afd0efea4586e0b7fb91fa697db825c9c110dd8833842c0d31",
+    (9, "csv"): "ea2b6716da770f35a4e3ebaee80242323f6eb0a597a4cbfbe8574f6b3a86bc24",
+    (9, "json"): "e84b6fd9abc910bcb934d0560de78cb54e2e3d05727a04c74fe7e7b94f37acf2",
 }
 
 
@@ -526,6 +532,53 @@ def test_table_writes_in_large_blocks(monkeypatch, n, fmt):
     assert hashlib.sha256(output.encode("utf-8")).hexdigest() \
         == TABLE_DIGESTS[(n, fmt)]
     assert len(fake.writes) <= len(output) // 65536 + 2
+    assert all(cli.EMIT_BLOCK <= len(w) <= 2 * cli.EMIT_BLOCK
+               for w in fake.writes[:-1])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_renders_each_row_class_once(capsys, monkeypatch, fmt):
+    # n = 8 has 164 count classes (#BOTH, #SIGNAL, #NOISE, #NONE) among its
+    # 65 535 patterns. Classes with the same size, p, q and verdict share
+    # their row fields, and each distinct row text is rendered once.
+    classes = [RegisterSubset(8, tags) for tags in
+               itertools.combinations_with_replacement(PairTag, 8)]
+    fields = {row_fields(s, classify(s)) for s in classes if s.size}
+    assert len(classes) - 1 == 164 and len(fields) == 108
+    made, structural_row = [], cli._structural_row
+
+    def counting(pattern, fields):
+        made.append(fields)
+        return structural_row(pattern, fields)
+
+    monkeypatch.setattr(cli, "_structural_row", counting)
+    assert _stdout_sha256(capsys, ["table", "--n", "8", "--format", fmt]) \
+        == TABLE_DIGESTS[(8, fmt)]
+    assert len(made) == len(set(made)) and set(made) == fields
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_matches_the_stdlib_writers(capsys, n):
+    # Eager rows from iterating the view, written by json.dumps and
+    # csv.writer as a whole: no recorded digest involved.
+    table = enumerate_classifications(n)
+    rows = [dict(zip(cli.TABLE_COLUMNS, (subset.labels(),)
+                     + row_fields(subset, cls) + (None, None)))
+            for subset, cls in table]
+    counts = dict.fromkeys((v.value for v in Verdict), 0)
+    for row in rows:
+        counts[row["verdict"]] += 1
+    record = {"n": n, "engine": "oracle", "seed": 0, "rows": rows,
+              "summary": {"patterns": len(rows), "verdict_counts": counts},
+              "tolerances": asdict(leakage.TOLERANCES)}
+    assert main(["table", "--n", str(n), "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(record, indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(cli.TABLE_COLUMNS)
+    writer.writerows(row.values() for row in rows)
+    assert main(["table", "--n", str(n), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == expected.getvalue()
 
 
 # CSV with bool, float and None cells, as first emitted when every cell went
@@ -595,7 +648,7 @@ def test_verify_json_carries_n_range(capsys):
     assert ranges == {
         "bell_trace_identities": None, "phase_table_decomposition": None,
         "interference_sums": None, "sign_resolution": None,
-        "engine_agreement": [1, 2], "missing_pair_uninformative": [1, 2],
+        "engine_agreement": [1, 2], "missing_pair_uninformative": [2, 2],
         "parity_classification": [1, 2], "singleton_mixedness": [2, 2]}
     assert all(set(r) == {"check", "passed", "detail"}
                for r in record["rows"] if r["check"] not in BRUTE_FORCE)
@@ -610,6 +663,6 @@ def test_verify_json_empty_n_range(capsys):
     ranges = {r["check"]: r["n_range"] for r in record["rows"]
               if r["check"] in BRUTE_FORCE}
     assert ranges == {"engine_agreement": [1, 0],
-                      "missing_pair_uninformative": [1, 0],
+                      "missing_pair_uninformative": [2, 0],
                       "parity_classification": [1, 0],
                       "singleton_mixedness": [2, 0]}

@@ -91,6 +91,14 @@ def test_details_state_the_n_range_covered():
     assert check_singleton_mixedness(config).detail.endswith(" across n=2..2")
 
 
+def test_missing_pair_check_at_n1_fails_with_empty_range():
+    # The one pair of n = 1 is never missing: no pattern to check there.
+    result = check_missing_pair_uninformative(VerifyConfig(n_max=1))
+    assert not result.passed
+    assert result.detail == "no n to check in n=2..1: n_max=1, oracle cap 5"
+    assert result.n_range == (2, 1)
+
+
 def test_singleton_check_at_n1_fails_with_empty_range():
     # The claim starts at n=2, so n_max=1 leaves it nothing to check.
     result = check_singleton_mixedness(VerifyConfig(n_max=1))
@@ -108,9 +116,9 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
 
     monkeypatch.setattr(oracle, "build_encoded_state", counting)
     assert check_missing_pair_uninformative(VerifyConfig(n_max=3)).passed
-    assert [n for n, _ in encoded] == [1] * 6 + [2] * 6 + [3] * 6
+    assert [n for n, _ in encoded] == [2] * 6 + [3] * 6
     np.testing.assert_allclose([b for _, b in encoded],
-                               np.tile(leakage._POLES, (3, 1)), atol=1e-12)
+                               np.tile(leakage._POLES, (2, 1)), atol=1e-12)
 
 
 def test_parity_classification_fails_on_states_that_are_not_affine(
@@ -128,7 +136,7 @@ def test_results_carry_the_covered_n_range():
     assert {name: r.n_range for name, r in results.items()} == {
         "bell_trace_identities": None, "phase_table_decomposition": None,
         "interference_sums": None, "sign_resolution": None,
-        "engine_agreement": (1, 2), "missing_pair_uninformative": (1, 2),
+        "engine_agreement": (1, 2), "missing_pair_uninformative": (2, 2),
         "parity_classification": (1, 2), "singleton_mixedness": (2, 2)}
     # Every verdict is a plain bool, which the CSV writer prints as true/false.
     assert all(type(r.passed) is bool for r in results.values())
@@ -140,7 +148,8 @@ def test_empty_range_is_last_below_first(config):
     results = {r.name: r for r in run_checks(config)}
     top = min(config.n_max, config.oracle_cap)
     for name in BRUTE_FORCE_CHECKS:
-        first = 2 if name == "singleton_mixedness" else 1
+        first = 2 if name in ("missing_pair_uninformative",
+                              "singleton_mixedness") else 1
         assert results[name].n_range == (first, top)
 
 
@@ -153,9 +162,9 @@ def test_gap_error_range_stops_before_the_failing_n(monkeypatch):
         return probe(n, subsets, *args, **kwargs)
 
     monkeypatch.setattr(leakage, "probe_patterns", gap_at_two)
-    for check in (check_missing_pair_uninformative,
-                  check_parity_classification):
+    for check, first in ((check_missing_pair_uninformative, 2),
+                         (check_parity_classification, 1)):
         result = check(VerifyConfig(n_max=3))
         assert not result.passed
         assert result.detail.startswith("threshold gap not empty")
-        assert result.n_range == (1, 1)
+        assert result.n_range == (first, 1)
