@@ -14,6 +14,8 @@ mod 4, so sums like 1 + (-1) cancel exactly rather than to rounding error.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .oracle import branch_phases
@@ -173,12 +175,22 @@ def analytic_reduced_state(n: int, p: int, bloch) -> PauliSum:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(b)!r} exceeds 1")
     scale = 1.0 / 2 ** n
     terms = {"I" * n: scale}
+    for j, c in enumerate(_component_coefficients(n, p), start=1):
+        coeff = c * float(b[j - 1]) * scale
+        if coeff != 0.0:
+            terms[PAULI_LABELS[j] * n] = coeff
+    return PauliSum(n, terms)
+
+
+@functools.lru_cache(maxsize=256)
+def _component_coefficients(n: int, p: int) -> tuple[float, float, float]:
+    """c_j = (interference sum of component j) / 4 for j = 1, 2, 3: the
+    three sums an aligned (n, p) state needs, computed once per (n, p)."""
+    coeffs = []
     for j in (1, 2, 3):
         t = table_sum(interference_table(n, p, j))
         if t.imag != 0.0:
             raise AssertionError(f"interference sum for component {j} is not "
                                  f"real: {t!r}")
-        coeff = (t.real / 4.0) * float(b[j - 1]) * scale
-        if coeff != 0.0:
-            terms[PAULI_LABELS[j] * n] = coeff
-    return PauliSum(n, terms)
+        coeffs.append(t.real / 4.0)
+    return tuple(coeffs)

@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import leakage, oracle, verify
-from .pauli import dense_to_pauli_sum, pauli_sum_to_dense
+from .pauli import DENSE_QUBIT_CAP, dense_to_pauli_sum, pauli_sum_to_dense
 from .subsets import (PairTag, RegisterSubset, classify,
                       enumerate_classifications, row_fields)
 
@@ -339,6 +339,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # The parity check probes the all-BOTH pattern of the largest n, which
+    # keeps all 2n register qubits.
+    top = min(args.n, args.oracle_cap)
+    if 2 * top > DENSE_QUBIT_CAP:
+        raise UsageError(f"--n {args.n} with --oracle-cap {args.oracle_cap} "
+                         f"probes subsets of {2 * top} qubits, above the "
+                         f"dense cap {DENSE_QUBIT_CAP}; lower --n or "
+                         f"--oracle-cap to {DENSE_QUBIT_CAP // 2}")
     vconfig = verify.VerifyConfig(
         n_max=args.n,
         oracle_cap=args.oracle_cap,

@@ -6,7 +6,7 @@ leakage sign for odd clone counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -42,6 +42,15 @@ class SeparationGapError(RuntimeError):
     order |y1 - y2|, so a value in the gap means something is wrong with
     the configuration or the implementation; refusing to classify is safer
     than guessing.
+    """
+
+
+class PairSymmetryError(RuntimeError):
+    """An encoded pole state changed when two clone/noise pairs were swapped.
+
+    Patterns are probed once per pair-permutation orbit only because the
+    encoder treats every pair alike; a state that is not invariant leaves
+    orbit-mates with different reduced states, so the probe refuses.
     """
 
 
@@ -222,6 +231,35 @@ def _verdict(axis_distances, context: str) -> ProbeVerdict:
         f"other")
 
 
+def pair_orbit(subset: RegisterSubset) -> tuple[int, int, int, int]:
+    """The multiset of a subset's pair tags, as (#BOTH, #SIGNAL, #NOISE,
+    #NONE): the subsets a permutation of the pairs maps into each other."""
+    return tuple(map(subset.membership.count, PairTag))
+
+
+def certify_pair_symmetry(n: int, encoded_states) -> None:
+    """Raise `PairSymmetryError` unless every state is exactly invariant
+    under every transposition of adjacent clone/noise pairs.
+
+    These transpositions generate every permutation of the pairs. Run on
+    the six poles, whose +-z states encode |0> and |1>, the certificate
+    covers the linear encoder for every input.
+    """
+    nq = 2 * n + 1
+    for i in range(1, n):
+        axes = list(range(nq))
+        for pos in (oracle.signal_position, oracle.noise_position):
+            a, b = pos(i), pos(i + 1)
+            axes[a], axes[b] = b, a
+        for pole, state in zip(_POLES, encoded_states):
+            swapped = state.reshape([2] * nq).transpose(axes).reshape(-1)
+            if not np.array_equal(swapped, state):
+                raise PairSymmetryError(
+                    f"n={n}: the encoded pole {pole.astype(int).tolist()} "
+                    f"changes under the transposition of pairs {i} and "
+                    f"{i + 1}")
+
+
 def probe_patterns(n: int, subsets,
                    oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> list[LeakageReport]:
     """Brute-force informativeness probes of many subsets from the six poles.
@@ -239,35 +277,53 @@ def probe_patterns(n: int, subsets,
     that differ by the uninformative threshold or more mean the states are
     not affine in b, and raise `SeparationGapError` like a distance in the
     gap.
+
+    The encoded poles are first certified invariant under every pair
+    permutation (`certify_pair_symmetry`). Subsets in one `pair_orbit` then
+    have reduced states equal up to a permutation of their qubits, a
+    unitary, which changes neither a trace distance nor <Y...Y>: only the
+    first subset of each orbit is probed, and every subset gets its orbit's
+    numbers in a report of its own.
     """
     encoded_states = encode_points(n, _POLES, oracle_cap)
+    certify_pair_symmetry(n, encoded_states)
+    by_orbit: dict[tuple, LeakageReport] = {}
     reports = []
     for subset in subsets:
-        context = subset.labels() or "(empty)"
-        keep = keep_positions(subset)
-        factors = np.stack([oracle.reduced_factor(s, keep)
-                            for s in encoded_states])
-        plus, minus = factors[0::2], factors[1::2]
-        axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
-        # Trace distance of the y and z estimates of R0 to the x estimate:
-        # [M_+j | M_-j] is a factor of rho(+e_j) + rho(-e_j), twice R0.
-        pole_sums = np.concatenate([plus, minus], axis=-1)
-        r0_gap = 0.5 * float(factored_trace_distance(
-            pole_sums[1:], pole_sums[[0, 0]]).max())
-        if not r0_gap < TOLERANCES.uninformative:
-            raise SeparationGapError(
-                f"{context}: the axes' estimates of the input-independent "
-                f"part differ by {r0_gap!r}, not below the uninformative "
-                f"threshold {TOLERANCES.uninformative}; the pole states are "
-                f"not affine in the Bloch vector")
-        y_pole = plus[1]
-        reports.append(LeakageReport(
-            subset=subset,
-            axis_distances=axes,
-            y_signal=y_leak_estimate(y_pole @ y_pole.conj().T, subset.size),
-            verdict=_verdict(axes, context),
-        ))
+        orbit = pair_orbit(subset)
+        report = by_orbit.get(orbit)
+        if report is None:
+            report = by_orbit[orbit] = _probe_pattern(subset, encoded_states)
+        reports.append(replace(report, subset=subset))
     return reports
+
+
+def _probe_pattern(subset: RegisterSubset, encoded_states) -> LeakageReport:
+    """Pole report of one subset from the six encoded poles (`probe_patterns`)."""
+    context = subset.labels() or "(empty)"
+    keep = keep_positions(subset)
+    factors = np.stack([oracle.reduced_factor(s, keep)
+                        for s in encoded_states])
+    plus, minus = factors[0::2], factors[1::2]
+    axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
+    # Trace distance of the y and z estimates of R0 to the x estimate:
+    # [M_+j | M_-j] is a factor of rho(+e_j) + rho(-e_j), twice R0.
+    pole_sums = np.concatenate([plus, minus], axis=-1)
+    r0_gap = 0.5 * float(factored_trace_distance(
+        pole_sums[1:], pole_sums[[0, 0]]).max())
+    if not r0_gap < TOLERANCES.uninformative:
+        raise SeparationGapError(
+            f"{context}: the axes' estimates of the input-independent "
+            f"part differ by {r0_gap!r}, not below the uninformative "
+            f"threshold {TOLERANCES.uninformative}; the pole states are "
+            f"not affine in the Bloch vector")
+    y_pole = plus[1]
+    return LeakageReport(
+        subset=subset,
+        axis_distances=axes,
+        y_signal=y_leak_estimate(y_pole @ y_pole.conj().T, subset.size),
+        verdict=_verdict(axes, context),
+    )
 
 
 def informativeness_probe(subset: RegisterSubset,

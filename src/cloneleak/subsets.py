@@ -210,15 +210,18 @@ class ClassificationTable:
 
         Each pattern joins an entry of a head list (the first n - n//2 pairs)
         to one of a tail list (the last n//2 pairs), so both lists hold at
-        most 4^ceil(n/2) entries, and a row costs one string join and one
-        slice. The fields are listed once per head count class. Only the
-        all-NONE head reaches the empty pattern, with the all-NONE tail, which
-        comes last: that head's list stops one entry short, and so does `zip`.
+        most 4^ceil(n/2) entries, and a row costs one string join. Head
+        labels are kept without their leading comma; only the all-NONE head,
+        whose label is empty, takes the tail labels without theirs. The
+        fields are listed once per head count class. Only the all-NONE head
+        reaches the empty pattern, with the all-NONE tail, which comes last:
+        that head's list stops one entry short, and so does `zip`.
         """
         n = self.n
         split = n - n // 2
         tail = _half(n, split + 1, n)
         tail_labels = [label for label, _ in tail]
+        bare_tail_labels = [label[1:] for label in tail_labels]
         by_head = {}  # head counts -> row_fields per tail entry
         for head_label, head_counts in _half(n, 1, split):
             fields = by_head.get(head_counts)
@@ -226,8 +229,10 @@ class ClassificationTable:
                 fields = by_head[head_counts] = [
                     self._class_fields(tuple(map(int.__add__, head_counts, c)))
                     for _, c in tail if head_counts[3] + c[3] < n]
-            for tail_label, row in zip(tail_labels, fields):
-                yield (head_label + tail_label)[1:], row
+            head_label = head_label[1:]
+            labels = tail_labels if head_label else bare_tail_labels
+            for tail_label, row in zip(labels, fields):
+                yield head_label + tail_label, row
 
     def verdict_counts(self) -> dict[str, int]:
         """Patterns per verdict, in Verdict order, summed over count classes:

@@ -55,6 +55,18 @@ def _nothing_to_check(name: str, config: VerifyConfig,
                        (first, _top_n(config)))
 
 
+# Probe refusals that fail a pattern check rather than the whole battery.
+_PROBE_FAILURES = (leakage.SeparationGapError, leakage.PairSymmetryError)
+
+
+def _probe_failure(name: str, exc: Exception,
+                   n_range: tuple[int, int]) -> CheckResult:
+    prefix = ("pair symmetry not certified"
+              if isinstance(exc, leakage.PairSymmetryError)
+              else "threshold gap not empty")
+    return CheckResult(name, False, f"{prefix}: {exc}", n_range)
+
+
 def check_bell_trace_identities(config: VerifyConfig) -> CheckResult:
     """Tracing one qubit of |phi_mu><phi_nu| leaves the predicted 2x2 factor."""
     tol = leakage.TOLERANCES.golden
@@ -160,31 +172,33 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """Every subset missing a full pair is independent of the input state.
 
     The distance reported is the pole probe's bound sum_j D_j, which holds
-    for every pair of inputs on the Bloch sphere. Its range starts at n = 2:
-    the one pair of n = 1 is never missing.
+    for every pair of inputs on the Bloch sphere; pair-permutation orbits
+    share one report, so the maximum is over one probe per orbit. Its range
+    starts at n = 2: the one pair of n = 1 is never missing.
     """
     if _top_n(config) < 2:
         return _nothing_to_check("missing_pair_uninformative", config, first=2)
     tol = leakage.TOLERANCES.uninformative
     worst = 0.0
     worst_case = ""
-    count = 0
+    count = orbits = 0
     for n in range(2, _top_n(config) + 1):
         subsets = [s for s, _ in enumerate_classifications(n)
                    if s.missing_pairs]
         try:
             reports = leakage.probe_patterns(n, subsets, config.oracle_cap)
-        except leakage.SeparationGapError as exc:
-            return CheckResult("missing_pair_uninformative", False,
-                               f"threshold gap not empty: {exc}", (2, n - 1))
+        except _PROBE_FAILURES as exc:
+            return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
         count += len(reports)
+        orbits += len(set(map(leakage.pair_orbit, subsets)))
         for report in reports:
             if report.distance_bound > worst:
                 worst = report.distance_bound
                 worst_case = f"n={n}, {report.subset.labels()}"
     passed = worst < tol
     return CheckResult("missing_pair_uninformative", passed,
-                       f"{count} patterns, max distance {worst:.3e} "
+                       f"{count} patterns ({orbits} orbits probed), "
+                       f"max distance {worst:.3e} "
                        f"(threshold {tol:g}) across n<={_top_n(config)}"
                        + ("" if passed else f" at {worst_case}"),
                        (2, _top_n(config)))
@@ -192,20 +206,24 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
 
 def check_parity_classification(config: VerifyConfig) -> CheckResult:
     """Structural verdicts and leak signs match brute-force probes on every
-    pattern."""
+    pattern.
+
+    Each pattern is compared with its pair orbit's report, and the fixed-y
+    slice runs once per partially informative orbit (`probe_patterns`)."""
     if _top_n(config) < 1:
         return _nothing_to_check("parity_classification", config)
     tol = leakage.TOLERANCES
     disagreements = []
-    total = 0
+    total = orbits = 0
     for n in range(1, _top_n(config) + 1):
-        entries = enumerate_classifications(n)
+        entries = list(enumerate_classifications(n))
+        subsets = [s for s, _ in entries]
         try:
-            reports = leakage.probe_patterns(n, [s for s, _ in entries],
-                                             config.oracle_cap)
-        except leakage.SeparationGapError as exc:
-            return CheckResult("parity_classification", False,
-                               f"threshold gap not empty: {exc}", (1, n - 1))
+            reports = leakage.probe_patterns(n, subsets, config.oracle_cap)
+        except _PROBE_FAILURES as exc:
+            return _probe_failure("parity_classification", exc, (1, n - 1))
+        orbits += len(set(map(leakage.pair_orbit, subsets)))
+        slice_distances = {}  # pair orbit -> fixed-y distance
         for (subset, cls), report in zip(entries, reports):
             total += 1
             label = f"n={n} {subset.labels()}"
@@ -218,8 +236,11 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                     disagreements.append(f"{label}: classified {cls.verdict.value} "
                                          f"but no probe response")
             if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
-                slice_d = leakage.fixed_y_slice_probe(subset, 0.5, 8,
-                                                      config.oracle_cap)
+                orbit = leakage.pair_orbit(subset)
+                if orbit not in slice_distances:
+                    slice_distances[orbit] = leakage.fixed_y_slice_probe(
+                        subset, 0.5, 8, config.oracle_cap)
+                slice_d = slice_distances[orbit]
                 if slice_d >= tol.uninformative:
                     disagreements.append(f"{label}: leak depends on more than y "
                                          f"(fixed-y distance {slice_d:.3e})")
@@ -229,7 +250,8 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                                          f"{report.y_signal:+.3e} != predicted "
                                          f"{expected:+d}")
     passed = not disagreements
-    detail = f"{total} patterns agree across n<={_top_n(config)}"
+    detail = (f"{total} patterns ({orbits} orbits probed) agree across "
+              f"n<={_top_n(config)}")
     if disagreements:
         detail = f"{len(disagreements)} disagreement(s): " + "; ".join(
             disagreements[:5])

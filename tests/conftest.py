@@ -56,3 +56,19 @@ def off_pole_encoding(monkeypatch):
         return states
 
     monkeypatch.setattr(leakage, "encode_points", perturbed)
+
+
+@pytest.fixture
+def asymmetric_pair_encoding(monkeypatch):
+    """Negative control: pair 1 holds the Bell pair |01> + |10> (an X on its
+    noise qubit N1) while every other pair holds |00> + |11>, so the encoder
+    no longer treats every pair alike and the pair-symmetry certificate must
+    fail for n >= 2. (Swapping S1 and N1 would not do: that flips the sign
+    of the Y branch whichever pair it is applied to.)"""
+    encode = leakage.encode_points
+
+    def flipped(n, points, *args, **kwargs):
+        return [np.flip(s.reshape([2] * (2 * n + 1)), axis=2).reshape(-1)
+                for s in encode(n, points, *args, **kwargs)]
+
+    monkeypatch.setattr(leakage, "encode_points", flipped)

@@ -403,6 +403,38 @@ def test_oracle_cap_above_the_bound_is_a_usage_error(capsys, monkeypatch,
             in captured.err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "7", "--oracle-cap", "7"],
+    ["verify", "--n", "10", "--oracle-cap", str(cli.ORACLE_CAP_MAX)],
+])
+def test_verify_refuses_keep_sets_above_the_dense_cap(capsys, monkeypatch,
+                                                      argv):
+    # The all-BOTH pattern of n = min(--n, --oracle-cap) keeps 2n qubits.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran work above the dense cap")
+
+    monkeypatch.setattr(verify, "run_checks", refuse)
+    monkeypatch.setattr(oracle, "build_encoded_state", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the dense cap 12" in captured.err
+
+
+@pytest.mark.parametrize("argv, top", [
+    (["verify", "--n", "7"], 5),
+    (["verify", "--n", "6", "--oracle-cap", "6"], 6),
+    (["verify", "--n", "3", "--oracle-cap", "9"], 3),
+])
+def test_verify_accepts_keep_sets_within_the_dense_cap(capsys, monkeypatch,
+                                                       argv, top):
+    configs = []
+    monkeypatch.setattr(verify, "run_checks",
+                        lambda config: configs.append(config) or [])
+    assert main(argv) == 0
+    assert [min(c.n_max, c.oracle_cap) for c in configs] == [top]
+
+
 def test_verify_reports_an_unresolved_sign_as_null(capsys, monkeypatch):
     # With the matching convention gone, resolve_sign_rule raises on every
     # call (lru_cache keeps no exception); the run still ends in JSON.
@@ -585,10 +617,13 @@ def test_table_matches_the_stdlib_writers(capsys, n):
 # through str/repr by hand. The float cells come from numpy's linear algebra;
 # these digests were recorded with numpy 2.4 and OpenBLAS on x86-64. The
 # verify digest was re-recorded when the missing-pair distance became the
-# pole bound max sum_j D_j (2.073e-16; the grid maximum was 3.331e-16).
+# pole bound max sum_j D_j (2.073e-16; the grid maximum was 3.331e-16), and
+# again when the pattern checks began probing one pattern per pair orbit and
+# their details began counting the orbits ("6 patterns (3 orbits probed)",
+# "18 patterns (12 orbits probed)"; the distance is unchanged at n <= 2).
 CSV_DIGESTS = {
     ("verify", "--n", "2"):
-        "8676584766dd237fc204b718a8263122c8d2066f66c12e663e50f61c3cc09bd5",
+        "648f460dbaaeee409f81aaec25e056ecead251e39e94b1a322bff7d69b09b874",
     ("sweep", "--n", "3", "--subset", "S1,N2,N3"):
         "a7937bc06659e04131d48a1b4eaa1924334978184f3400ad8a08cc89b5101cca",
     ("reduce", "--n", "3", "--subset", "S1,N2,S3", "--psi", "0,0.6,0.8",

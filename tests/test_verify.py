@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from cloneleak import branch, leakage, oracle, subsets
 from cloneleak.leakage import aligned_subset, fixed_y_slice_probe
 from cloneleak.pauli import bloch_from_state
+from cloneleak.subsets import enumerate_classifications
 from cloneleak.verify import (VerifyConfig, check_bell_trace_identities,
                               check_engine_agreement,
                               check_interference_sums,
@@ -84,10 +87,10 @@ def test_details_state_the_n_range_covered():
     config = VerifyConfig(n_max=7, oracle_cap=2)
     assert check_engine_agreement(config).detail.endswith(" across n<=2")
     missing = check_missing_pair_uninformative(config).detail
-    assert missing.startswith("6 patterns, ")
+    assert missing.startswith("6 patterns (3 orbits probed), ")
     assert missing.endswith(" across n<=2")
     assert (check_parity_classification(config).detail
-            == "18 patterns agree across n<=2")
+            == "18 patterns (12 orbits probed) agree across n<=2")
     assert check_singleton_mixedness(config).detail.endswith(" across n=2..2")
 
 
@@ -119,6 +122,72 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
     assert [n for n, _ in encoded] == [2] * 6 + [3] * 6
     np.testing.assert_allclose([b for _, b in encoded],
                                np.tile(leakage._POLES, (2, 1)), atol=1e-12)
+
+
+def test_pattern_checks_probe_one_subset_per_pair_orbit(monkeypatch):
+    # Each pattern keeps a distinct qubit set, so the distinct keep sets
+    # reduced at each n are the subsets probed. The parity check's fixed-y
+    # slices reduce the keep sets of subsets it probed.
+    reduced = []
+    factor = oracle.reduced_factor
+
+    def recording(state, keep):
+        reduced.append(((state.size.bit_length() - 2) // 2, tuple(keep)))
+        return factor(state, keep)
+
+    monkeypatch.setattr(oracle, "reduced_factor", recording)
+    for check, orbits in ((check_parity_classification,
+                           {1: 3, 2: 9, 3: 19, 4: 34}),
+                          (check_missing_pair_uninformative,
+                           {2: 3, 3: 9, 4: 19})):
+        reduced.clear()
+        result = check(VerifyConfig(n_max=4))
+        assert result.passed, result.detail
+        assert Counter(n for n, _ in set(reduced)) == orbits
+        assert f"({sum(orbits.values())} orbits probed)" in result.detail
+
+
+@pytest.mark.parametrize("check", [check_missing_pair_uninformative,
+                                   check_parity_classification])
+def test_pattern_checks_fail_without_pair_symmetry(asymmetric_pair_encoding,
+                                                   check):
+    result = check(VerifyConfig(n_max=3))
+    assert not result.passed
+    assert result.detail.startswith("pair symmetry not certified: n=2: ")
+    assert "transposition of pairs 1 and 2" in result.detail
+    assert result.n_range[1] == 1
+
+
+def test_pair_symmetry_certificate_refuses_asymmetric_encoders(
+        asymmetric_pair_encoding):
+    # n = 1 has no pair to swap with; from n = 2 on every swap is checked.
+    subs = [sub for sub, _ in enumerate_classifications(1)]
+    assert len(leakage.probe_patterns(1, subs)) == 3
+    for n in (2, 3):
+        subs = [sub for sub, _ in enumerate_classifications(n)]
+        with pytest.raises(leakage.PairSymmetryError,
+                           match=f"n={n}: .* pairs 1 and 2"):
+            leakage.probe_patterns(n, subs)
+
+
+def test_engine_agreement_sums_each_table_once_per_aligned_shape(
+        monkeypatch):
+    # 14 aligned shapes (n, p) at n <= 4, three interference tables each.
+    tables = []
+    table = branch.interference_table
+
+    def counting(n, p, j):
+        tables.append((n, p, j))
+        return table(n, p, j)
+
+    monkeypatch.setattr(branch, "interference_table", counting)
+    branch._component_coefficients.cache_clear()
+    try:
+        assert check_engine_agreement(VerifyConfig(n_max=4)).passed
+    finally:
+        branch._component_coefficients.cache_clear()
+    assert sorted(tables) == [(n, p, j) for n in range(1, 5)
+                              for p in range(n + 1) for j in (1, 2, 3)]
 
 
 def test_parity_classification_fails_on_states_that_are_not_affine(
