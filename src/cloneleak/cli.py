@@ -111,9 +111,13 @@ N_MAX = 10_000
 # 2 cores); 20 000 would be 2e8 of them behind 1.5 GiB of pair indices.
 GRID_MAX = 1_000
 
-# Largest --oracle-cap. One encoded state holds 2**(2n+1) complex amplitudes:
-# 32 MiB at n = 10 (21 qubits), 32 TiB at n = 20.
-ORACLE_CAP_MAX = 10
+# Largest |--seed|, the signed 64-bit range: the probe grid turns the seed
+# into a float, which a much larger int overflows.
+SEED_MAX = 2 ** 63 - 1
+
+# Largest dense footprint of one sweep: --grid states of 16 * 4**size bytes,
+# plus a batch of PAIR_CHUNK differences and the two stacks they come from.
+SWEEP_BYTES_MAX = 1 << 30
 
 
 # Output is written in blocks of EMIT_BLOCK to 2 * EMIT_BLOCK characters, not
@@ -236,6 +240,33 @@ def _note_single_pair(args: argparse.Namespace) -> None:
               "partially hidden. Proceeding anyway.", file=sys.stderr)
 
 
+def _refuse_oversized(args: argparse.Namespace, subset=None) -> None:
+    """Refuse a brute-force run too large to finish, before anything is
+    encoded. argparse bounds each flag alone; these bounds join flags."""
+    if args.command == "verify":
+        # The parity check keeps all 2n register qubits of the largest n.
+        top = min(args.n, args.oracle_cap)
+        if 2 * top > DENSE_QUBIT_CAP:
+            raise UsageError(f"--n {args.n} with --oracle-cap {args.oracle_cap} "
+                             f"probes subsets of {2 * top} qubits, above the "
+                             f"dense cap {DENSE_QUBIT_CAP}; lower --n or "
+                             f"--oracle-cap to {DENSE_QUBIT_CAP // 2}")
+    elif args.engine != leakage.ENGINE_ANALYTIC and args.n > args.oracle_cap:
+        raise UsageError(f"n={args.n} exceeds the oracle cap {args.oracle_cap} "
+                         f"({2 * args.n + 1} qubits); raise the cap explicitly "
+                         f"to proceed")
+    elif args.command == "sweep" and subset.size <= DENSE_QUBIT_CAP and (
+            args.engine == leakage.ENGINE_ORACLE
+            or not (subset.missing_pairs or subset.both_count)):
+        # Larger subsets, and those the analytic engine refuses, are refused
+        # by the library before a state of their size is formed.
+        held = 16 * 4 ** subset.size * (args.grid + 3 * leakage.PAIR_CHUNK)
+        if held > SWEEP_BYTES_MAX:
+            raise UsageError(f"sweep would hold {held / 2 ** 30:.1f} GiB of "
+                             f"{subset.size}-qubit states, above the budget "
+                             f"of {SWEEP_BYTES_MAX >> 30} GiB; lower --grid")
+
+
 def _structural_row(pattern: str, fields: tuple) -> dict:
     size, p, q, verdict, rule = fields
     return {
@@ -287,6 +318,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     subset = parse_subset(args.subset, args.n)
     bloch = parse_bloch(args.psi)
     _note_single_pair(args)
+    _refuse_oversized(args, subset)
     engines = [args.engine] if args.engine != "both" else \
         [leakage.ENGINE_ORACLE, leakage.ENGINE_ANALYTIC]
     rows = []
@@ -299,8 +331,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             ps = leakage.analytic_state(subset, bloch)
             dense[engine] = pauli_sum_to_dense(ps)
         else:
-            dense[engine] = leakage.reduced_state(subset, bloch, engine,
-                                                  args.oracle_cap)
+            dense[engine] = leakage.reduced_state(subset, bloch, engine)
             ps = dense_to_pauli_sum(dense[engine])
         rows.extend(_pauli_rows(ps, engine))
     if len(engines) == 2:
@@ -318,16 +349,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     subset = parse_subset(args.subset, args.n)
     _note_single_pair(args)
+    _refuse_oversized(args, subset)
     grid = leakage.bloch_grid(args.grid, args.seed)
-    rhos = leakage.probe_states(subset, grid, args.engine, args.oracle_cap)
+    rhos = [leakage.reduced_state(subset, b, args.engine) for b in grid]
     max_d, per_point = leakage.pairwise_max_trace_distance(rhos)
     estimates = [leakage.y_leak_estimate(r, subset.size) for r in rhos]
-    rows = []
-    for idx, (b, est, d) in enumerate(zip(grid, estimates, per_point)):
-        rows.append({"index": idx,
-                     "x": float(b[0]), "y": float(b[1]), "z": float(b[2]),
-                     "y_leak_estimate": float(est),
-                     "max_distance": float(d)})
+    rows = [{"index": idx, "x": float(b[0]), "y": float(b[1]),
+             "z": float(b[2]), "y_leak_estimate": float(est),
+             "max_distance": float(d)}
+            for idx, (b, est, d) in enumerate(zip(grid, estimates, per_point))]
     ys = grid[:, 1]
     slope, intercept = np.polyfit(ys, np.array(estimates), 1)
     summary = {"max_pairwise_distance": max_d,
@@ -339,21 +369,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # The parity check probes the all-BOTH pattern of the largest n, which
-    # keeps all 2n register qubits.
-    top = min(args.n, args.oracle_cap)
-    if 2 * top > DENSE_QUBIT_CAP:
-        raise UsageError(f"--n {args.n} with --oracle-cap {args.oracle_cap} "
-                         f"probes subsets of {2 * top} qubits, above the "
-                         f"dense cap {DENSE_QUBIT_CAP}; lower --n or "
-                         f"--oracle-cap to {DENSE_QUBIT_CAP // 2}")
-    vconfig = verify.VerifyConfig(
-        n_max=args.n,
-        oracle_cap=args.oracle_cap,
-        grid_size=args.grid,
-        seed=args.seed,
-    )
-    results = verify.run_checks(vconfig)
+    _refuse_oversized(args)
+    results = verify.run_checks(verify.VerifyConfig(
+        n_max=args.n, oracle_cap=args.oracle_cap, grid_size=args.grid,
+        seed=args.seed))
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.detail}", file=sys.stderr)
@@ -396,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=_int_in(6, GRID_MAX), default=26,
                            metavar="N",
                            help=f"number of probe states (6 to {GRID_MAX})")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_in(-SEED_MAX - 1, SEED_MAX), default=0)
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        dest="fmt")
         if oracle_cap:
-            p.add_argument("--oracle-cap", type=_int_in(1, ORACLE_CAP_MAX),
+            p.add_argument("--oracle-cap", type=_int_in(1, oracle.ORACLE_CAP_MAX),
                            default=oracle.ORACLE_CAP_DEFAULT,
                            help="largest n the brute-force engine accepts")
         p.add_argument("--out", metavar="PATH",

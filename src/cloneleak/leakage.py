@@ -102,7 +102,7 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 
 
 # Pairs per stacked eigenvalue call: bounds the memory of one batch.
-_CHUNK = 64
+PAIR_CHUNK = 64
 
 
 def pairwise_max_trace_distance(rhos) -> tuple[float, np.ndarray]:
@@ -114,9 +114,9 @@ def pairwise_max_trace_distance(rhos) -> tuple[float, np.ndarray]:
     arr = np.stack([np.asarray(r) for r in rhos])
     per_point = np.zeros(arr.shape[0])
     ii, jj = np.triu_indices(arr.shape[0], 1)
-    for start in range(0, ii.size, _CHUNK):
-        i = ii[start:start + _CHUNK]
-        j = jj[start:start + _CHUNK]
+    for start in range(0, ii.size, PAIR_CHUNK):
+        i = ii[start:start + PAIR_CHUNK]
+        j = jj[start:start + PAIR_CHUNK]
         dists = 0.5 * np.abs(np.linalg.eigvalsh(arr[i] - arr[j])).sum(axis=-1)
         np.maximum.at(per_point, i, dists)
         np.maximum.at(per_point, j, dists)
@@ -162,37 +162,19 @@ def analytic_state(subset: RegisterSubset, bloch) -> PauliSum:
     return branch.analytic_reduced_state(subset.n, subset.signal_count, bloch)
 
 
-def reduced_state(subset: RegisterSubset, bloch, engine: str,
-                  oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> np.ndarray:
+def reduced_state(subset: RegisterSubset, bloch, engine: str) -> np.ndarray:
     """Dense reduced state of a subset via the requested engine."""
     if engine == ENGINE_ORACLE:
-        state = oracle.build_encoded_state(subset.n, state_from_bloch(bloch),
-                                           cap=oracle_cap)
+        state = oracle.build_encoded_state(subset.n, state_from_bloch(bloch))
         return oracle.reduced_density(state, keep_positions(subset))
     if engine == ENGINE_ANALYTIC:
         return pauli_sum_to_dense(analytic_state(subset, bloch))
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def encode_points(n: int, points,
-                  oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> list[np.ndarray]:
+def encode_points(n: int, points) -> list[np.ndarray]:
     """Brute-force encoded state for each Bloch point, for sharing across subsets."""
-    return [oracle.build_encoded_state(n, state_from_bloch(b), cap=oracle_cap)
-            for b in points]
-
-
-def probe_states(subset: RegisterSubset, points, engine: str,
-                 oracle_cap: int = oracle.ORACLE_CAP_DEFAULT,
-                 encoded_states=None) -> list[np.ndarray]:
-    """Dense reduced states of one subset at each Bloch point.
-
-    `encoded_states` (brute-force encodings of the same points, from
-    `encode_points`) are reduced in place of encoding each point again.
-    """
-    if encoded_states is None:
-        return [reduced_state(subset, b, engine, oracle_cap) for b in points]
-    keep = keep_positions(subset)
-    return [oracle.reduced_density(s, keep) for s in encoded_states]
+    return [oracle.build_encoded_state(n, state_from_bloch(b)) for b in points]
 
 
 def y_leak_estimate(rho: np.ndarray, k: int) -> float:
@@ -237,7 +219,7 @@ def pair_orbit(subset: RegisterSubset) -> tuple[int, int, int, int]:
     return tuple(map(subset.membership.count, PairTag))
 
 
-def certify_pair_symmetry(n: int, encoded_states) -> None:
+def certify_pair_symmetry(n: int, encoded_poles) -> None:
     """Raise `PairSymmetryError` unless every state is exactly invariant
     under every transposition of adjacent clone/noise pairs.
 
@@ -251,7 +233,7 @@ def certify_pair_symmetry(n: int, encoded_states) -> None:
         for pos in (oracle.signal_position, oracle.noise_position):
             a, b = pos(i), pos(i + 1)
             axes[a], axes[b] = b, a
-        for pole, state in zip(_POLES, encoded_states):
+        for pole, state in zip(_POLES, encoded_poles):
             swapped = state.reshape([2] * nq).transpose(axes).reshape(-1)
             if not np.array_equal(swapped, state):
                 raise PairSymmetryError(
@@ -260,8 +242,7 @@ def certify_pair_symmetry(n: int, encoded_states) -> None:
                     f"{i + 1}")
 
 
-def probe_patterns(n: int, subsets,
-                   oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> list[LeakageReport]:
+def probe_patterns(n: int, subsets) -> list[LeakageReport]:
     """Brute-force informativeness probes of many subsets from the six poles.
 
     A reduced state is linear in the input |psi><psi| (Nielsen & Chuang,
@@ -285,25 +266,25 @@ def probe_patterns(n: int, subsets,
     first subset of each orbit is probed, and every subset gets its orbit's
     numbers in a report of its own.
     """
-    encoded_states = encode_points(n, _POLES, oracle_cap)
-    certify_pair_symmetry(n, encoded_states)
+    encoded_poles = encode_points(n, _POLES)
+    certify_pair_symmetry(n, encoded_poles)
     by_orbit: dict[tuple, LeakageReport] = {}
     reports = []
     for subset in subsets:
         orbit = pair_orbit(subset)
         report = by_orbit.get(orbit)
         if report is None:
-            report = by_orbit[orbit] = _probe_pattern(subset, encoded_states)
+            report = by_orbit[orbit] = _probe_pattern(subset, encoded_poles)
         reports.append(replace(report, subset=subset))
     return reports
 
 
-def _probe_pattern(subset: RegisterSubset, encoded_states) -> LeakageReport:
+def _probe_pattern(subset: RegisterSubset, encoded_poles) -> LeakageReport:
     """Pole report of one subset from the six encoded poles (`probe_patterns`)."""
     context = subset.labels() or "(empty)"
     keep = keep_positions(subset)
     factors = np.stack([oracle.reduced_factor(s, keep)
-                        for s in encoded_states])
+                        for s in encoded_poles])
     plus, minus = factors[0::2], factors[1::2]
     axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
     # Trace distance of the y and z estimates of R0 to the x estimate:
@@ -326,14 +307,12 @@ def _probe_pattern(subset: RegisterSubset, encoded_states) -> LeakageReport:
     )
 
 
-def informativeness_probe(subset: RegisterSubset,
-                          oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> LeakageReport:
+def informativeness_probe(subset: RegisterSubset) -> LeakageReport:
     """Brute-force probe of one subset for dependence on the stored state."""
-    return probe_patterns(subset.n, [subset], oracle_cap)[0]
+    return probe_patterns(subset.n, [subset])[0]
 
 
-def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int,
-                        oracle_cap: int = oracle.ORACLE_CAP_DEFAULT) -> float:
+def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int) -> float:
     """Max pairwise distance among k states sharing y but differing in x, z.
 
     Unauthorized subsets depend on the input only through y, so this should
@@ -349,7 +328,7 @@ def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int,
                               np.full(k, y),
                               r * np.sin(angles)])
     max_d, _ = pairwise_max_trace_distance(
-        probe_states(subset, blochs, ENGINE_ORACLE, oracle_cap))
+        [reduced_state(subset, b, ENGINE_ORACLE) for b in blochs])
     return max_d
 
 

@@ -15,8 +15,10 @@ import numpy as np
 
 from .pauli import DENSE_QUBIT_CAP, SIGMA, bloch_from_state
 
-# Largest clone count the dense simulator accepts by default (11 qubits).
+# Largest clone count the dense simulator accepts by default (11 qubits) and
+# at all: a state of 2**(2n+1) amplitudes is 32 MiB at n = 10, 32 TiB at 20.
 ORACLE_CAP_DEFAULT = 5
+ORACLE_CAP_MAX = 10
 
 _BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
 
@@ -46,6 +48,9 @@ def bell_branch(mu: int) -> np.ndarray:
     return np.kron(SIGMA[mu], SIGMA[0]) @ _BELL
 
 
+_BELL_BRANCHES = tuple(bell_branch(mu) for mu in range(4))
+
+
 def signal_position(i: int) -> int:
     """Qubit position of S_i (pair index i is 1-based)."""
     return 2 * i - 1
@@ -56,8 +61,7 @@ def noise_position(i: int) -> int:
     return 2 * i
 
 
-def build_encoded_state(n: int, psi: np.ndarray,
-                        cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
+def build_encoded_state(n: int, psi: np.ndarray) -> np.ndarray:
     """Encode one qubit into n clone/noise pairs; returns 2**(2n+1) amplitudes.
 
     The output is the equal-weight coherent sum of four branches: branch mu
@@ -66,18 +70,17 @@ def build_encoded_state(n: int, psi: np.ndarray,
     """
     if n < 1:
         raise ValueError(f"clone count must be >= 1, got {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the oracle cap {cap} "
-                         f"({2 * n + 1} qubits); raise the cap explicitly to proceed")
+    if n > ORACLE_CAP_MAX:
+        raise ValueError(f"n={n} exceeds the oracle cap {ORACLE_CAP_MAX} "
+                         f"({2 * n + 1} qubits)")
     psi = np.asarray(psi, dtype=complex)
     bloch_from_state(psi)  # validates shape and normalization
     phases = branch_phases(n)
     total = np.zeros(2 ** (2 * n + 1), dtype=complex)
-    for mu in range(4):
+    for mu, pair in enumerate(_BELL_BRANCHES):
         vec = SIGMA[mu] @ psi
-        pair = bell_branch(mu)
         for _ in range(n):
-            vec = np.kron(vec, pair)
+            vec = np.multiply.outer(vec, pair).ravel()
         total += vec / phases[mu]
     return total / 2.0
 

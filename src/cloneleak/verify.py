@@ -37,10 +37,6 @@ class VerifyConfig:
 EXACT_N_MAX = 12
 
 
-def _grid(config: VerifyConfig) -> np.ndarray:
-    return leakage.bloch_grid(config.grid_size, config.seed)
-
-
 def _top_n(config: VerifyConfig) -> int:
     """Largest n the brute-force checks cover."""
     return min(config.n_max, config.oracle_cap)
@@ -146,18 +142,17 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     if _top_n(config) < 1:
         return _nothing_to_check("engine_agreement", config)
     tol = leakage.TOLERANCES.engine_agreement
-    grid = _grid(config)
+    grid = leakage.bloch_grid(config.grid_size, config.seed)
     worst = 0.0
     worst_case = ""
     for n in range(1, _top_n(config) + 1):
-        states = leakage.encode_points(n, grid, config.oracle_cap)
+        states = leakage.encode_points(n, grid)
         for p in range(0, n + 1):
-            rhos = leakage.probe_states(leakage.aligned_subset(n, p), grid,
-                                        leakage.ENGINE_ORACLE,
-                                        encoded_states=states)
-            for b, dense_oracle in zip(grid, rhos):
+            keep = leakage.keep_positions(leakage.aligned_subset(n, p))
+            for b, state in zip(grid, states):
                 ps = branch.analytic_reduced_state(n, p, b)
-                err = float(np.abs(dense_oracle - pauli_sum_to_dense(ps)).max())
+                err = float(np.abs(oracle.reduced_density(state, keep)
+                                   - pauli_sum_to_dense(ps)).max())
                 if err > worst:
                     worst, worst_case = err, f"n={n}, p={p}, bloch={b.round(6)}"
     passed = worst <= tol
@@ -186,7 +181,7 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
         subsets = [s for s, _ in enumerate_classifications(n)
                    if s.missing_pairs]
         try:
-            reports = leakage.probe_patterns(n, subsets, config.oracle_cap)
+            reports = leakage.probe_patterns(n, subsets)
         except _PROBE_FAILURES as exc:
             return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
         count += len(reports)
@@ -219,7 +214,7 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
         entries = list(enumerate_classifications(n))
         subsets = [s for s, _ in entries]
         try:
-            reports = leakage.probe_patterns(n, subsets, config.oracle_cap)
+            reports = leakage.probe_patterns(n, subsets)
         except _PROBE_FAILURES as exc:
             return _probe_failure("parity_classification", exc, (1, n - 1))
         orbits += len(set(map(leakage.pair_orbit, subsets)))
@@ -239,7 +234,7 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                 orbit = leakage.pair_orbit(subset)
                 if orbit not in slice_distances:
                     slice_distances[orbit] = leakage.fixed_y_slice_probe(
-                        subset, 0.5, 8, config.oracle_cap)
+                        subset, 0.5, 8)
                 slice_d = slice_distances[orbit]
                 if slice_d >= tol.uninformative:
                     disagreements.append(f"{label}: leak depends on more than y "
@@ -265,7 +260,7 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
     if _top_n(config) < 2:
         return _nothing_to_check("singleton_mixedness", config, first=2)
     tol = leakage.TOLERANCES.golden
-    grid = _grid(config)
+    grid = leakage.bloch_grid(config.grid_size, config.seed)
     half_identity = np.eye(2) / 2
     worst = 0.0
     worst_case = ""
@@ -273,7 +268,7 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
         positions = [("A", 0)]
         positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
         positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
-        for state in leakage.encode_points(n, grid, config.oracle_cap):
+        for state in leakage.encode_points(n, grid):
             for label, pos in positions:
                 err = float(np.abs(oracle.reduced_density(state, [pos])
                                    - half_identity).max())

@@ -50,9 +50,9 @@ def off_pole_encoding(monkeypatch):
     for, and the pole probe must refuse them."""
     encode = leakage.encode_points
 
-    def perturbed(n, points, *args, **kwargs):
-        states = encode(n, points, *args, **kwargs)
-        states[0] = encode(n, [[0.6, 0.8, 0.0]], *args, **kwargs)[0]
+    def perturbed(n, points):
+        states = encode(n, points)
+        states[0] = encode(n, [[0.6, 0.8, 0.0]])[0]
         return states
 
     monkeypatch.setattr(leakage, "encode_points", perturbed)
@@ -67,8 +67,8 @@ def asymmetric_pair_encoding(monkeypatch):
     of the Y branch whichever pair it is applied to.)"""
     encode = leakage.encode_points
 
-    def flipped(n, points, *args, **kwargs):
+    def flipped(n, points):
         return [np.flip(s.reshape([2] * (2 * n + 1)), axis=2).reshape(-1)
-                for s in encode(n, points, *args, **kwargs)]
+                for s in encode(n, points)]
 
     monkeypatch.setattr(leakage, "encode_points", flipped)

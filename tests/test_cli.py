@@ -399,13 +399,13 @@ def test_oracle_cap_above_the_bound_is_a_usage_error(capsys, monkeypatch,
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"--oracle-cap: must be <= {cli.ORACLE_CAP_MAX}, got 20"
+    assert (f"--oracle-cap: must be <= {oracle.ORACLE_CAP_MAX}, got 20"
             in captured.err)
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "7", "--oracle-cap", "7"],
-    ["verify", "--n", "10", "--oracle-cap", str(cli.ORACLE_CAP_MAX)],
+    ["verify", "--n", "10", "--oracle-cap", str(oracle.ORACLE_CAP_MAX)],
 ])
 def test_verify_refuses_keep_sets_above_the_dense_cap(capsys, monkeypatch,
                                                       argv):
@@ -433,6 +433,132 @@ def test_verify_accepts_keep_sets_within_the_dense_cap(capsys, monkeypatch,
                         lambda config: configs.append(config) or [])
     assert main(argv) == 0
     assert [min(c.n_max, c.oracle_cap) for c in configs] == [top]
+
+
+def _refuse_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran work despite a size refusal")
+
+    monkeypatch.setattr(oracle, "build_encoded_state", refuse)
+    monkeypatch.setattr(leakage, "bloch_grid", refuse)
+    monkeypatch.setattr(verify, "run_checks", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--n", "6", "--subset", "S1", "--psi", "0,0,1"],
+    ["reduce", "--n", "6", "--subset", "S1", "--psi", "0,0,1",
+     "--engine", "both"],
+    ["sweep", "--n", "6", "--subset", "S1,N2"],
+], ids=["reduce-oracle", "reduce-both", "sweep"])
+def test_oracle_cap_is_refused_before_encoding(capsys, monkeypatch, argv):
+    _refuse_work(monkeypatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: n=6 exceeds the oracle cap 5 (13 qubits); "
+                            "raise the cap explicitly to proceed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--n", "6", "--subset", "S1,N2,S3,N4,S5,N6", "--psi", "0,0,1"],
+    ["sweep", "--n", "6", "--subset", "S1,N2,S3,N4,S5,N6", "--grid", "6"],
+], ids=["reduce", "sweep"])
+def test_analytic_engine_runs_above_the_oracle_cap(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analytic engine encoded a state")
+
+    monkeypatch.setattr(oracle, "build_encoded_state", refuse)
+    code, record = run_json(capsys, argv + ["--engine", "analytic"])
+    assert code == 0
+    assert record["n"] == 6 and record["rows"]
+
+
+SUBSET_8 = "S1,N1,S2,N2,S3,N3,S4,N4"
+
+
+@pytest.mark.parametrize("argv, qubits, grid, gib", [
+    (["--n", "5", "--subset", "S1,S2,S3,S4,S5,N1,N2,N3,N4,N5"], 10, 1000,
+     18.6),
+    (["--n", "4", "--subset", SUBSET_8], 8, 833, 1.0),
+    (["--n", "10", "--subset", "S1,N2,S3,N4,S5,N6,S7,N8,S9,N10",
+      "--engine", "analytic"], 10, 26, 3.4),
+])
+def test_sweep_over_the_memory_budget_is_refused(capsys, monkeypatch, argv,
+                                                 qubits, grid, gib):
+    # 16 * 4**qubits bytes per state, for the grid and one pair batch.
+    _refuse_work(monkeypatch)
+    assert main(["sweep", "--grid", str(grid)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: sweep would hold {gib:.1f} GiB of "
+                            f"{qubits}-qubit states, above the budget of "
+                            f"1 GiB; lower --grid\n")
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "4", "--subset", SUBSET_8, "--grid", "832"],
+    ["--n", "5", "--subset", "S1,S2,S3,N1,N2,N3", "--grid", "1000"],
+    ["--n", "9", "--subset", "S1,N2,S3,N4,S5,N6,S7,N8,S9",
+     "--engine", "analytic"],
+])
+def test_sweep_within_the_memory_budget_builds_its_grid(monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(leakage, "bloch_grid", reached)
+    with pytest.raises(_Reached):
+        main(["sweep"] + argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "5", "--subset", "S1,S2,S3,S4,S5,N1,N2,N3,N4,N5",
+      "--engine", "analytic", "--grid", "1000"],
+     "analytic engine needs an aligned subset"),
+    (["--n", "7", "--oracle-cap", "7",
+      "--subset", "S1,S2,S3,S4,S5,S6,S7,N1,N2,N3,N4,N5,N6,N7"],
+     "keeping 14 qubits exceeds the dense cap 12"),
+], ids=["analytic-unaligned", "oracle-above-dense-cap"])
+def test_sweep_budget_leaves_library_refusals_alone(capsys, argv, message):
+    # Neither run forms a state of its subset's size, so the budget, which
+    # counts dense states, does not apply and the library refuses it.
+    assert main(["sweep"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("verb", [
+    ["classify", "--n", "1", "--subset", "S1"],
+    ["reduce", "--n", "1", "--subset", "S1", "--psi", "0,1,0"],
+    ["table", "--n", "1"],
+    ["sweep", "--n", "1", "--subset", "S1"],
+    ["verify", "--n", "1"],
+], ids=lambda v: v[0])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["above", "below"])
+def test_seed_beyond_64_bits_is_a_usage_error(capsys, monkeypatch, verb, sign):
+    _refuse_work(monkeypatch)
+    seed = sign + "1" + "0" * 400
+    with pytest.raises(SystemExit) as exc:
+        main(verb + ["--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bound = (f">= {-cli.SEED_MAX - 1}" if sign
+             else f"<= {cli.SEED_MAX}")
+    assert f"--seed: must be {bound}, got {seed}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("seed", [str(-cli.SEED_MAX - 1), str(cli.SEED_MAX)])
+def test_seed_at_the_64_bit_bounds_sweeps(capsys, seed):
+    code, record = run_json(capsys, ["sweep", "--n", "1", "--subset", "S1",
+                                     "--grid", "8", "--seed", seed])
+    assert code == 0
+    assert record["seed"] == int(seed) and len(record["rows"]) == 8
 
 
 def test_verify_reports_an_unresolved_sign_as_null(capsys, monkeypatch):

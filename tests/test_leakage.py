@@ -9,10 +9,10 @@ from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, ProbeVerdict,
                                fixed_y_slice_probe,
                                informativeness_probe, keep_positions,
                                pairwise_max_trace_distance,
-                               probe_patterns, probe_states, reduced_state,
+                               probe_patterns, reduced_state,
                                resolve_sign_rule, trace_distance,
                                y_leak_estimate)
-from cloneleak.oracle import reduced_factor
+from cloneleak.oracle import reduced_density, reduced_factor
 from cloneleak.subsets import PairTag, RegisterSubset, enumerate_classifications
 
 from conftest import I2, Y
@@ -52,7 +52,7 @@ def test_trace_distance_metric_axioms(rng):
 
 
 def test_pairwise_max_matches_direct_loop(rng):
-    # 13 states make 78 pairs, more than one batch of _CHUNK = 64.
+    # 13 states make 78 pairs, more than one batch of PAIR_CHUNK = 64.
     count = 13
     rhos = [random_density(rng, 4) for _ in range(count)]
     max_d, per_point = pairwise_max_trace_distance(rhos)
@@ -168,8 +168,8 @@ def test_pole_verdicts_match_dense_grid_reference():
         subs = [sub for sub, _ in enumerate_classifications(n)]
         for sub, report in zip(subs, probe_patterns(n, subs)):
             size = 26 if sub.size <= 4 else 8
-            rhos = probe_states(sub, grids[size], ENGINE_ORACLE,
-                                encoded_states=encoded[size])
+            keep = keep_positions(sub)
+            rhos = [reduced_density(s, keep) for s in encoded[size]]
             max_d, _ = pairwise_max_trace_distance(rhos)
             assert report.verdict is _verdict([max_d], sub.labels()), \
                 (n, sub.labels(), report.axis_distances, max_d)

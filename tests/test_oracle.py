@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cloneleak.oracle import (ORACLE_CAP_DEFAULT, bell_branch, branch_phases,
-                              build_encoded_state, noise_position,
+from cloneleak.oracle import (ORACLE_CAP_DEFAULT, ORACLE_CAP_MAX, bell_branch,
+                              branch_phases, build_encoded_state, noise_position,
                               reduced_density, reduced_factor,
                               signal_position)
 from cloneleak.pauli import state_from_bloch
@@ -53,7 +53,7 @@ def test_build_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_encoded_state(0, psi)
     with pytest.raises(ValueError, match="cap"):
-        build_encoded_state(6, psi)
+        build_encoded_state(ORACLE_CAP_MAX + 1, psi)
     with pytest.raises(ValueError, match="not normalized"):
         build_encoded_state(2, np.array([1.0, 1.0]))
 
