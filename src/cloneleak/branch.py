@@ -15,11 +15,12 @@ mod 4, so sums like 1 + (-1) cancel exactly rather than to rounding error.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .oracle import branch_phases
-from .pauli import PAULI_LABELS, PauliSum, pauli_mul
+from .pauli import PAULI_LABELS, PauliSum, pauli_mul, read_only_cache
 
 
 def _component_of(mu: int, nu: int) -> int:
@@ -36,6 +37,7 @@ def phase_ratio_table(n: int) -> np.ndarray:
                     dtype=complex)
 
 
+@read_only_cache
 def phase_ratio_parts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split phase_ratio_table(n) - I4 into the three per-component supports.
 
@@ -63,6 +65,7 @@ def _component_table(j: int, entry) -> np.ndarray:
     return out
 
 
+@read_only_cache
 def bloch_overlap_table(j: int) -> np.ndarray:
     """Coefficient of Bloch component j in the source-qubit overlap.
 
@@ -72,6 +75,7 @@ def bloch_overlap_table(j: int) -> np.ndarray:
     return _component_table(j, lambda mu, nu: pauli_mul(nu, mu)[0])
 
 
+@read_only_cache
 def signal_factor_table(j: int) -> np.ndarray:
     """Phase left on a kept signal qubit when its noise partner is traced out.
 
@@ -81,6 +85,7 @@ def signal_factor_table(j: int) -> np.ndarray:
     return _component_table(j, lambda mu, nu: pauli_mul(mu, nu)[0])
 
 
+@read_only_cache
 def noise_factor_table(j: int) -> np.ndarray:
     """Phase left on a kept noise qubit when its signal partner is traced out.
 
@@ -109,10 +114,12 @@ def pointwise_power(base: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@read_only_cache
 def signal_factor_power(j: int, p: int) -> np.ndarray:
     return pointwise_power(signal_factor_table(j), p)
 
 
+@read_only_cache
 def noise_factor_power(j: int, q: int) -> np.ndarray:
     return pointwise_power(noise_factor_table(j), q)
 
@@ -173,7 +180,7 @@ def analytic_reduced_state(n: int, p: int, bloch) -> PauliSum:
         raise ValueError(f"non-finite Bloch component in {b}")
     if float(np.linalg.norm(b)) > 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(b)!r} exceeds 1")
-    scale = 1.0 / 2 ** n
+    scale = math.ldexp(1.0, -n)  # 1.0 / 2 ** n overflows from n = 1024
     terms = {"I" * n: scale}
     for j, c in enumerate(_component_coefficients(n, p), start=1):
         coeff = c * float(b[j - 1]) * scale

@@ -255,11 +255,15 @@ def _refuse_oversized(args: argparse.Namespace, subset=None) -> None:
         raise UsageError(f"n={args.n} exceeds the oracle cap {args.oracle_cap} "
                          f"({2 * args.n + 1} qubits); raise the cap explicitly "
                          f"to proceed")
+    elif (args.engine != leakage.ENGINE_ANALYTIC
+          and subset.size > DENSE_QUBIT_CAP):
+        raise UsageError(f"keeping {subset.size} qubits exceeds the dense cap "
+                         f"{DENSE_QUBIT_CAP}")
     elif args.command == "sweep" and subset.size <= DENSE_QUBIT_CAP and (
             args.engine == leakage.ENGINE_ORACLE
             or not (subset.missing_pairs or subset.both_count)):
-        # Larger subsets, and those the analytic engine refuses, are refused
-        # by the library before a state of their size is formed.
+        # The analytic engine refuses larger and unaligned subsets in the
+        # library, before a state of their size is formed.
         held = 16 * 4 ** subset.size * (args.grid + 3 * leakage.PAIR_CHUNK)
         if held > SWEEP_BYTES_MAX:
             raise UsageError(f"sweep would hold {held / 2 ** 30:.1f} GiB of "

@@ -131,13 +131,15 @@ def factored_trace_distance(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     J = diag(I, -I). Writing A = Q R with Q an isometry, its nonzero
     eigenvalues are those of R J R^dagger = Rp Rp^dagger - Rm Rm^dagger, and
     trace distance is unchanged by an isometry (Nielsen & Chuang, ch. 9).
-    R has min(d_keep, 2 k) rows, so the spectrum is never larger than that
-    of the dense difference.
+    The QR runs only for tall factors (d_keep > 2 k); a wide factor's
+    d_keep-square difference is formed directly, cheaper and no larger.
     """
     k = plus.shape[-1]
-    r = np.linalg.qr(np.concatenate([plus, minus], axis=-1), mode="r")
-    rp, rm = r[..., :k], r[..., k:]
-    diff = rp @ rp.conj().swapaxes(-1, -2) - rm @ rm.conj().swapaxes(-1, -2)
+    if plus.shape[-2] > 2 * k:
+        r = np.linalg.qr(np.concatenate([plus, minus], axis=-1), mode="r")
+        plus, minus = r[..., :k], r[..., k:]
+    diff = (plus @ plus.conj().swapaxes(-1, -2)
+            - minus @ minus.conj().swapaxes(-1, -2))
     return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
 
 
@@ -172,9 +174,10 @@ def reduced_state(subset: RegisterSubset, bloch, engine: str) -> np.ndarray:
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def encode_points(n: int, points) -> list[np.ndarray]:
-    """Brute-force encoded state for each Bloch point, for sharing across subsets."""
-    return [oracle.build_encoded_state(n, state_from_bloch(b)) for b in points]
+def encode_points(n: int, points) -> np.ndarray:
+    """Encoded states of the Bloch points as rows, from one encoder call."""
+    return oracle.build_encoded_state(
+        n, np.stack([state_from_bloch(b) for b in points]))
 
 
 def y_leak_estimate(rho: np.ndarray, k: int) -> float:
@@ -283,8 +286,7 @@ def _probe_pattern(subset: RegisterSubset, encoded_poles) -> LeakageReport:
     """Pole report of one subset from the six encoded poles (`probe_patterns`)."""
     context = subset.labels() or "(empty)"
     keep = keep_positions(subset)
-    factors = np.stack([oracle.reduced_factor(s, keep)
-                        for s in encoded_poles])
+    factors = oracle.reduced_factor(encoded_poles, keep)
     plus, minus = factors[0::2], factors[1::2]
     axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
     # Trace distance of the y and z estimates of R0 to the x estimate:

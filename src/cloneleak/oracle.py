@@ -66,7 +66,8 @@ def build_encoded_state(n: int, psi: np.ndarray) -> np.ndarray:
 
     The output is the equal-weight coherent sum of four branches: branch mu
     applies sigma_mu to the input qubit and to the signal half of every Bell
-    pair, weighted by the inverse branch phase.
+    pair, weighted by the inverse branch phase. A stack of inputs, shape
+    (..., 2), gives a stack of outputs (..., 2**(2n+1)) in one call.
     """
     if n < 1:
         raise ValueError(f"clone count must be >= 1, got {n}")
@@ -74,13 +75,14 @@ def build_encoded_state(n: int, psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"n={n} exceeds the oracle cap {ORACLE_CAP_MAX} "
                          f"({2 * n + 1} qubits)")
     psi = np.asarray(psi, dtype=complex)
-    bloch_from_state(psi)  # validates shape and normalization
+    for row in psi.reshape((-1,) + psi.shape[-1:]):
+        bloch_from_state(row)  # validates shape and normalization
     phases = branch_phases(n)
-    total = np.zeros(2 ** (2 * n + 1), dtype=complex)
+    total = np.zeros(psi.shape[:-1] + (2 ** (2 * n + 1),), dtype=complex)
     for mu, pair in enumerate(_BELL_BRANCHES):
-        vec = SIGMA[mu] @ psi
+        vec = psi @ SIGMA[mu].T
         for _ in range(n):
-            vec = np.multiply.outer(vec, pair).ravel()
+            vec = (vec[..., None] * pair).reshape(psi.shape[:-1] + (-1,))
         total += vec / phases[mu]
     return total / 2.0
 
@@ -91,12 +93,14 @@ def reduced_factor(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
     Permutes the kept axes to the front and flattens, so no density matrix
     is formed. The kept factors appear in the order listed; DENSE_QUBIT_CAP
-    bounds the kept qubit count, since callers may form M M^dagger.
+    bounds the kept qubit count, since callers may form M M^dagger. A stack
+    of states (..., 2**nq) gives a stack of factors in one call.
     """
-    state = np.asarray(state, dtype=complex)
-    nq = int(state.size).bit_length() - 1
-    if 2 ** nq != state.size:
-        raise ValueError(f"amplitude count {state.size} is not a power of two")
+    state = np.atleast_1d(np.asarray(state, dtype=complex))
+    nq = int(state.shape[-1]).bit_length() - 1
+    if 2 ** nq != state.shape[-1]:
+        raise ValueError(f"amplitude count {state.shape[-1]} is not a power "
+                         f"of two")
     keep = list(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
@@ -108,15 +112,17 @@ def reduced_factor(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
         raise ValueError(f"keeping {len(keep)} qubits exceeds the dense cap "
                          f"{DENSE_QUBIT_CAP}")
     rest = [q for q in range(nq) if q not in keep]
-    tensor = state.reshape([2] * nq).transpose(keep + rest)
-    return tensor.reshape(2 ** len(keep), 2 ** len(rest))
+    lead = state.shape[:-1]
+    axes = list(range(len(lead))) + [len(lead) + q for q in keep + rest]
+    tensor = state.reshape(lead + (2,) * nq).transpose(axes)
+    return tensor.reshape(lead + (2 ** len(keep), 2 ** len(rest)))
 
 
 def reduced_density(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Partial trace of |state><state| keeping the given qubit positions.
 
-    Contracts the complement of `reduced_factor`'s matrix, so the full
-    density matrix is never materialized.
+    Contracts the complement of `reduced_factor`'s matrix, for one state or
+    a stack, so the full density matrix is never materialized.
     """
     mat = reduced_factor(state, keep)
-    return mat @ mat.conj().T
+    return mat @ mat.conj().swapaxes(-1, -2)

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,6 +39,17 @@ _BLOCH_NORM_ATOL = 1e-9
 
 # Cyclic products: sigma_a sigma_b = +i sigma_c for these (a, b).
 _CYCLIC = {(1, 2), (2, 3), (3, 1)}
+
+
+def read_only_cache(func):
+    """`functools.lru_cache` whose arrays (or tuples of them) are read-only."""
+    @functools.wraps(func)
+    def frozen(*args):
+        out = func(*args)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        return out
+    return functools.lru_cache(maxsize=1024)(frozen)
 
 
 def pauli_mul(a: int, b: int) -> tuple[complex, int]:
@@ -146,6 +158,7 @@ class PauliSum:
         return f"PauliSum({self.qubit_count}, {body or '0'})"
 
 
+@read_only_cache
 def pauli_string_matrix(letters: str) -> np.ndarray:
     """Dense matrix of a Pauli string (tensor product of 2x2 factors)."""
     k = len(letters)
@@ -168,7 +181,9 @@ def pauli_sum_to_dense(ps: PauliSum) -> np.ndarray:
     dim = 2 ** ps.qubit_count
     out = np.zeros((dim, dim), dtype=complex)
     for letters, coeff in ps.terms.items():
-        out += coeff * pauli_string_matrix(letters)
+        mat = pauli_string_matrix(letters)
+        for top in range(0, dim, 256):  # bounds the coeff * mat temporary
+            out[top:top + 256] += coeff * mat[top:top + 256]
     return out
 
 
@@ -204,19 +219,22 @@ def dense_to_pauli_sum(rho: np.ndarray) -> PauliSum:
 def expectation(rho: np.ndarray, letters: str) -> float:
     """Tr(rho * P) for a Pauli string P, asserted real.
 
-    The contraction runs qubit by qubit; no dense matrix for P is built.
+    Column b of sigma is nonzero in row b ^ f only (f = 1 for X and Y), so
+    P meets just t[r] = rho[r, r ^ flip]: 2**k entries, contracted qubit by
+    qubit. No dense matrix for P is built.
     """
     rho = np.asarray(rho, dtype=complex)
     k = _qubit_count_of(rho)
     if len(letters) != k:
         raise ValueError(f"operator acts on {len(letters)} qubits but the state "
                          f"has {k}")
-    t = rho.reshape([2] * (2 * k))
+    rows = np.arange(2 ** k)
+    flip = sum(1 << (k - 1 - j) for j, ch in enumerate(letters) if ch in "XY")
+    t = rho[rows, rows ^ flip].reshape([2] * k)
     for ch in letters:
-        sig = SIGMA[PAULI_LABELS.index(ch)]
-        # Tr over the first remaining qubit: sum_ab rho[a..,b..] sig[b, a]
-        t = np.tensordot(sig, t, axes=([0, 1], [k, 0]))
-        k -= 1
+        sig, f = SIGMA[PAULI_LABELS.index(ch)], int(ch in "XY")
+        # Tr over the first remaining qubit: sum_b sig[b ^ f, b] t[b, ..]
+        t = sig[f, 0] * t[0] + sig[1 - f, 1] * t[1]
     val = complex(t)
     if abs(val.imag) > 1e-10:
         raise AssertionError(f"expectation has imaginary residue {val.imag!r}")

@@ -524,11 +524,50 @@ def test_sweep_within_the_memory_budget_builds_its_grid(monkeypatch, argv):
 ], ids=["analytic-unaligned", "oracle-above-dense-cap"])
 def test_sweep_budget_leaves_library_refusals_alone(capsys, argv, message):
     # Neither run forms a state of its subset's size, so the budget, which
-    # counts dense states, does not apply and the library refuses it.
+    # counts dense states, does not apply: the library refuses the unaligned
+    # subset, and the keep set above the dense cap is refused before the
+    # budget is reached.
     assert main(["sweep"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+SUBSET_14 = ",".join([f"S{i}" for i in range(1, 8)]
+                     + [f"N{i}" for i in range(1, 8)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--psi", "0,1,0"],
+    ["reduce", "--psi", "0,1,0", "--engine", "both"],
+    ["sweep"],
+], ids=["reduce-oracle", "reduce-both", "sweep"])
+def test_keep_sets_above_the_dense_cap_are_refused_before_encoding(
+        capsys, monkeypatch, argv):
+    # The refusal depends only on the subset's size: nothing is encoded.
+    _refuse_work(monkeypatch)
+    assert main(argv + ["--n", "7", "--oracle-cap", "7",
+                        "--subset", SUBSET_14]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: keeping 14 qubits exceeds the dense cap 12\n"
+
+
+@pytest.mark.parametrize("verb", [
+    ["reduce", "--psi", "0,0,1"],
+    ["sweep"],
+], ids=lambda v: v[0])
+def test_analytic_engine_refuses_huge_aligned_subsets_as_at_n13(capsys, verb):
+    # 2**-n as a float: 1.0 / 2**n overflowed from n = 1024 and ended in a
+    # traceback; every n above the dense cap gets the same usage error.
+    for n in (13, 1100):
+        subset = ",".join(f"S{i}" for i in range(1, n + 1))
+        assert main(verb + ["--n", str(n), "--subset", subset,
+                            "--engine", "analytic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: PauliSum on {n} qubits exceeds "
+                                f"dense cap 12\n")
 
 
 @pytest.mark.parametrize("verb", [
@@ -747,9 +786,13 @@ def test_table_matches_the_stdlib_writers(capsys, n):
 # again when the pattern checks began probing one pattern per pair orbit and
 # their details began counting the orbits ("6 patterns (3 orbits probed)",
 # "18 patterns (12 orbits probed)"; the distance is unchanged at n <= 2).
+# It was re-recorded once more when wide factors (d_keep <= 2 k) began taking
+# their trace distance from the Gram difference P P^dagger - M M^dagger
+# instead of a QR: the missing-pair round-off went from 2.073e-16 to
+# 2.465e-32, and no other byte changed.
 CSV_DIGESTS = {
     ("verify", "--n", "2"):
-        "648f460dbaaeee409f81aaec25e056ecead251e39e94b1a322bff7d69b09b874",
+        "8279ba940687d3b3d120e92023c231cd2a0a788e0043f912ef38004343b93ec3",
     ("sweep", "--n", "3", "--subset", "S1,N2,N3"):
         "a7937bc06659e04131d48a1b4eaa1924334978184f3400ad8a08cc89b5101cca",
     ("reduce", "--n", "3", "--subset", "S1,N2,S3", "--psi", "0,0.6,0.8",

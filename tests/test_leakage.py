@@ -81,12 +81,18 @@ def assert_factored_matches_dense(factors):
 
 
 @pytest.mark.parametrize("d_keep, d_rest", [
-    (16, 2), (32, 4), (64, 1), (32, 15),  # 2 d_rest < d_keep: R is tall
-    (8, 4), (8, 8), (4, 16),              # 2 d_rest >= d_keep: R is wide
+    (16, 2), (32, 4), (64, 1), (32, 15),  # 2 d_rest < d_keep: tall, QR
+    (8, 4), (8, 8), (4, 16),              # 2 d_rest >= d_keep: wide, Gram
 ])
-def test_factored_distance_matches_dense_random(rng, d_keep, d_rest):
+def test_factored_distance_matches_dense_random(rng, monkeypatch, d_keep,
+                                                d_rest):
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
     factors = [random_factor(rng, d_keep, d_rest) for _ in range(7)]
     assert_factored_matches_dense(factors)
+    assert bool(qr_calls) == (d_keep > 2 * d_rest)
     # Rank-deficient pairs (states sharing a support) as well.
     shared = factors[0] @ np.diag(rng.uniform(0.5, 1.5, size=d_rest))
     assert_factored_matches_dense(factors[:3] + [shared / np.linalg.norm(shared)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cloneleak.leakage import bloch_grid
 from cloneleak.oracle import (ORACLE_CAP_DEFAULT, ORACLE_CAP_MAX, bell_branch,
                               branch_phases, build_encoded_state, noise_position,
                               reduced_density, reduced_factor,
@@ -184,3 +185,45 @@ def test_layout_positions():
     assert signal_position(1) == 1 and noise_position(1) == 2
     assert signal_position(3) == 5 and noise_position(3) == 6
     assert ORACLE_CAP_DEFAULT == 5
+
+
+def _inputs(n_points):
+    """Grid inputs, plus inputs whose Bloch components are quarter-integers
+    (exact zeros and ties among the amplitudes)."""
+    quarter = np.round(bloch_grid(24, 3) * 4) / 4
+    quarter = quarter[np.abs(np.linalg.norm(quarter, axis=1) - 1) < 1e-12]
+    points = np.vstack([bloch_grid(n_points, 0), quarter])
+    return np.stack([state_from_bloch(b) for b in points])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_encoding_and_reduction_equal_the_per_state_loop(n):
+    psis = _inputs(12)
+    stacked = build_encoded_state(n, psis)
+    loop = [build_encoded_state(n, psi) for psi in psis]
+    assert stacked.shape == (len(psis), 2 ** (2 * n + 1))
+    assert np.array_equal(stacked, np.stack(loop))
+    # Single qubits, a reversed pair, every other qubit from the last one
+    # down, and the first six register qubits (at most 64 x 64 states).
+    nq = 2 * n + 1
+    keeps = [[0], [nq - 1], [2, 1], list(range(nq - 1, -1, -2))[:6],
+             list(range(1, min(nq, 7)))]
+    for keep in keeps:
+        want = [reduced_density(s, keep) for s in loop]
+        assert np.array_equal(reduced_density(stacked, keep), np.stack(want))
+        want = [reduced_factor(s, keep) for s in loop]
+        assert np.array_equal(reduced_factor(stacked, keep), np.stack(want))
+
+
+def test_stacked_encoding_keeps_leading_axes_and_validates_every_row():
+    psis = _inputs(6)[:6].reshape(2, 3, 2)
+    states = build_encoded_state(2, psis)
+    assert states.shape == (2, 3, 32)
+    assert np.array_equal(states[1, 2], build_encoded_state(2, psis[1, 2]))
+    assert reduced_density(states, [1, 3]).shape == (2, 3, 4, 4)
+    bad = psis.copy()
+    bad[1, 0] = [1.0, 1.0]
+    with pytest.raises(ValueError, match="not normalized"):
+        build_encoded_state(2, bad)
+    with pytest.raises(ValueError, match="2-amplitude"):
+        build_encoded_state(2, np.ones((4, 3)) / np.sqrt(3))

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloneleak.pauli import (COEFF_PRUNE, SIGMA, PauliSum, bloch_from_state,
+from cloneleak import branch
+from cloneleak.pauli import (COEFF_PRUNE, PAULI_LABELS, SIGMA, PauliSum,
+                             bloch_from_state,
                              dense_to_pauli_sum, expectation, pauli_mul,
                              pauli_string_matrix, pauli_sum_to_dense,
                              state_from_bloch)
@@ -199,3 +201,43 @@ def test_expectation_equals_trace_for_identity(rng):
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError, match="qubits"):
         expectation(I2 / 2, "YY")
+
+
+def _tensordot_expectation(rho, letters):
+    """The contraction `expectation` used before it gathered: tensordot over
+    the row and column axes of one qubit at a time."""
+    k = len(letters)
+    t = np.asarray(rho, dtype=complex).reshape([2] * (2 * k))
+    for ch in letters:
+        sig = SIGMA[PAULI_LABELS.index(ch)]
+        t = np.tensordot(sig, t, axes=([0, 1], [k, 0]))
+        k -= 1
+    return complex(t).real
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_expectation_is_bit_identical_to_the_tensordot_contraction(rng, k):
+    for trial in range(12):
+        vecs = rng.normal(size=(2 ** k, 2)) + 1j * rng.normal(size=(2 ** k, 2))
+        rho = vecs @ vecs.conj().T
+        rho /= np.trace(rho).real
+        if trial % 2:  # quarter-integer entries: exact zeros and ties
+            rho = np.round(rho * 4) / 4
+        letters = ("Y" * k if trial % 3 == 0
+                   else "".join(rng.choice(list("IXYZ"), size=k)))
+        got = expectation(rho, letters)
+        assert got.hex() == _tensordot_expectation(rho, letters).hex(), letters
+
+
+def test_cached_tables_are_read_only():
+    cached = [pauli_string_matrix("XYZ"), branch.bloch_overlap_table(2),
+              branch.signal_factor_table(1), branch.noise_factor_table(3),
+              branch.signal_factor_power(2, 3), branch.noise_factor_power(2, 0),
+              *branch.phase_ratio_parts(5)]
+    for table in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 7
+    # Products of cached tables are fresh, writable arrays.
+    table = branch.interference_table(3, 1, 2)
+    table[0, 0] = 7
+    assert branch.interference_table(3, 1, 2)[0, 0] != 7

@@ -114,7 +114,9 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
     build = oracle.build_encoded_state
 
     def counting(n, psi, *args, **kwargs):
-        encoded.append((n, bloch_from_state(psi)))
+        # One row per input of a stacked call.
+        encoded.extend((n, bloch_from_state(row))
+                       for row in np.reshape(psi, (-1, 2)))
         return build(n, psi, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "build_encoded_state", counting)
@@ -124,15 +126,35 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
                                np.tile(leakage._POLES, (2, 1)), atol=1e-12)
 
 
+@pytest.mark.parametrize("check", [check_engine_agreement,
+                                   check_singleton_mixedness])
+def test_grid_checks_encode_each_grid_in_one_call(monkeypatch, check):
+    # One stacked encoder call per n covers the whole grid.
+    calls = []
+    build = oracle.build_encoded_state
+
+    def counting(n, psi):
+        calls.append((n, np.shape(psi)))
+        return build(n, psi)
+
+    monkeypatch.setattr(oracle, "build_encoded_state", counting)
+    result = check(VerifyConfig(n_max=4, grid_size=10))
+    assert result.passed, result.detail
+    first = result.n_range[0]
+    assert calls == [(n, (10, 2)) for n in range(first, 5)]
+
+
 def test_pattern_checks_probe_one_subset_per_pair_orbit(monkeypatch):
     # Each pattern keeps a distinct qubit set, so the distinct keep sets
     # reduced at each n are the subsets probed. The parity check's fixed-y
-    # slices reduce the keep sets of subsets it probed.
+    # slices reduce the keep sets of subsets it probed. A stacked call (six
+    # poles) counts once, with n read from the length of one state.
     reduced = []
     factor = oracle.reduced_factor
 
     def recording(state, keep):
-        reduced.append(((state.size.bit_length() - 2) // 2, tuple(keep)))
+        size = np.shape(state)[-1]
+        reduced.append(((size.bit_length() - 2) // 2, tuple(keep)))
         return factor(state, keep)
 
     monkeypatch.setattr(oracle, "reduced_factor", recording)
