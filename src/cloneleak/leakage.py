@@ -6,7 +6,7 @@ leakage sign for odd clone counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -182,9 +182,6 @@ def encode_points(n: int, points) -> np.ndarray:
 
 def y_leak_estimate(rho: np.ndarray, k: int) -> float:
     """Expectation of the all-Y observable on a k-qubit state."""
-    rho = np.asarray(rho)
-    if rho.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"state of shape {rho.shape} does not cover {k} qubits")
     return expectation(rho, "Y" * k)
 
 
@@ -216,12 +213,6 @@ def _verdict(axis_distances, context: str) -> ProbeVerdict:
         f"other")
 
 
-def pair_orbit(subset: RegisterSubset) -> tuple[int, int, int, int]:
-    """The multiset of a subset's pair tags, as (#BOTH, #SIGNAL, #NOISE,
-    #NONE): the subsets a permutation of the pairs maps into each other."""
-    return tuple(map(subset.membership.count, PairTag))
-
-
 def certify_pair_symmetry(n: int, encoded_poles) -> None:
     """Raise `PairSymmetryError` unless every state is exactly invariant
     under every transposition of adjacent clone/noise pairs.
@@ -245,7 +236,7 @@ def certify_pair_symmetry(n: int, encoded_poles) -> None:
                     f"{i + 1}")
 
 
-def probe_patterns(n: int, subsets) -> list[LeakageReport]:
+def probe_patterns(n: int, subsets) -> dict[tuple, LeakageReport]:
     """Brute-force informativeness probes of many subsets from the six poles.
 
     A reduced state is linear in the input |psi><psi| (Nielsen & Chuang,
@@ -263,22 +254,19 @@ def probe_patterns(n: int, subsets) -> list[LeakageReport]:
     gap.
 
     The encoded poles are first certified invariant under every pair
-    permutation (`certify_pair_symmetry`). Subsets in one `pair_orbit` then
-    have reduced states equal up to a permutation of their qubits, a
-    unitary, which changes neither a trace distance nor <Y...Y>: only the
-    first subset of each orbit is probed, and every subset gets its orbit's
-    numbers in a report of its own.
+    permutation (`certify_pair_symmetry`). Subsets with the same
+    `RegisterSubset.counts` then have reduced states equal up to a
+    permutation of their qubits, a unitary, which changes neither a trace
+    distance nor <Y...Y>. So only the first subset of each count class is
+    probed: the reports are keyed by `counts`, in order of first
+    appearance, and each report's `subset` is its class's first subset.
     """
     encoded_poles = encode_points(n, _POLES)
     certify_pair_symmetry(n, encoded_poles)
-    by_orbit: dict[tuple, LeakageReport] = {}
-    reports = []
+    reports: dict[tuple, LeakageReport] = {}
     for subset in subsets:
-        orbit = pair_orbit(subset)
-        report = by_orbit.get(orbit)
-        if report is None:
-            report = by_orbit[orbit] = _probe_pattern(subset, encoded_poles)
-        reports.append(replace(report, subset=subset))
+        if subset.counts not in reports:
+            reports[subset.counts] = _probe_pattern(subset, encoded_poles)
     return reports
 
 
@@ -311,7 +299,7 @@ def _probe_pattern(subset: RegisterSubset, encoded_poles) -> LeakageReport:
 
 def informativeness_probe(subset: RegisterSubset) -> LeakageReport:
     """Brute-force probe of one subset for dependence on the stored state."""
-    return probe_patterns(subset.n, [subset])[0]
+    return probe_patterns(subset.n, [subset])[subset.counts]
 
 
 def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int) -> float:

@@ -158,32 +158,36 @@ class PauliSum:
         return f"PauliSum({self.qubit_count}, {body or '0'})"
 
 
-@read_only_cache
-def pauli_string_matrix(letters: str) -> np.ndarray:
-    """Dense matrix of a Pauli string (tensor product of 2x2 factors)."""
+def flip_mask(letters: str) -> int:
+    """Bits of a Pauli string's X and Y qubits, first letter highest: column
+    c of the string's matrix is nonzero in row c ^ flip_mask only."""
     k = len(letters)
-    if k == 0:
-        raise ValueError("empty Pauli string")
-    if k > DENSE_QUBIT_CAP:
-        raise ValueError(f"Pauli string on {k} qubits exceeds dense cap "
-                         f"{DENSE_QUBIT_CAP}")
-    out = SIGMA[PAULI_LABELS.index(letters[0])]
-    for ch in letters[1:]:
-        out = np.kron(out, SIGMA[PAULI_LABELS.index(ch)])
-    return out
+    return sum(1 << (k - 1 - j) for j, ch in enumerate(letters) if ch in "XY")
+
+
+@read_only_cache
+def string_phases(letters: str) -> np.ndarray:
+    """The one nonzero entry of each column of a Pauli string's matrix: at
+    column c, the left-to-right product of each qubit's sigma[b ^ f, b] over
+    c's bits b (f = 1 for X and Y), as a Kronecker chain would form it."""
+    factors = []
+    for ch in letters:
+        sig, f = SIGMA[PAULI_LABELS.index(ch)], int(ch in "XY")
+        factors.append(np.array([sig[f, 0], sig[1 - f, 1]]))
+    return functools.reduce(np.multiply.outer, factors).ravel()
 
 
 def pauli_sum_to_dense(ps: PauliSum) -> np.ndarray:
-    """Dense matrix of a sparse Pauli sum."""
+    """Dense matrix of a sparse Pauli sum, scattered column by column: each
+    term adds coeff * string_phases to the entries (c ^ flip_mask, c)."""
     if ps.qubit_count > DENSE_QUBIT_CAP:
         raise ValueError(f"PauliSum on {ps.qubit_count} qubits exceeds dense "
                          f"cap {DENSE_QUBIT_CAP}")
     dim = 2 ** ps.qubit_count
     out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for letters, coeff in ps.terms.items():
-        mat = pauli_string_matrix(letters)
-        for top in range(0, dim, 256):  # bounds the coeff * mat temporary
-            out[top:top + 256] += coeff * mat[top:top + 256]
+        out[cols ^ flip_mask(letters), cols] += coeff * string_phases(letters)
     return out
 
 
@@ -229,8 +233,7 @@ def expectation(rho: np.ndarray, letters: str) -> float:
         raise ValueError(f"operator acts on {len(letters)} qubits but the state "
                          f"has {k}")
     rows = np.arange(2 ** k)
-    flip = sum(1 << (k - 1 - j) for j, ch in enumerate(letters) if ch in "XY")
-    t = rho[rows, rows ^ flip].reshape([2] * k)
+    t = rho[rows, rows ^ flip_mask(letters)].reshape([2] * k)
     for ch in letters:
         sig, f = SIGMA[PAULI_LABELS.index(ch)], int(ch in "XY")
         # Tr over the first remaining qubit: sum_b sig[b ^ f, b] t[b, ..]

@@ -24,7 +24,7 @@ class PairTag(str, Enum):
     NONE = "NONE"
 
 
-_BOTH, _SIGNAL, _NOISE, _NONE = PairTag  # Enum class attributes are slow
+_TAGS = tuple(PairTag)  # iterating the Enum class is slow
 
 
 class Verdict(str, Enum):
@@ -74,6 +74,8 @@ class RegisterSubset:
     # Signal (p) and noise (q) qubits present, counting those in full pairs.
     signal_count: int = field(init=False, repr=False, compare=False)
     noise_count: int = field(init=False, repr=False, compare=False)
+    # (#BOTH, #SIGNAL, #NOISE, #NONE), shared by a pair-permutation orbit.
+    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,11 +86,13 @@ class RegisterSubset:
         tags = self.membership
         if type(tags) is not tuple or any(type(t) is not PairTag for t in tags):
             tags = tuple(PairTag(t) for t in tags)
-        both = tags.count(_BOTH)
+        counts = tuple(map(tags.count, _TAGS))
+        both, signal, noise, missing = counts
         for name, value in (("membership", tags), ("both_count", both),
-                            ("missing_pairs", tags.count(_NONE)),
-                            ("signal_count", both + tags.count(_SIGNAL)),
-                            ("noise_count", both + tags.count(_NOISE))):
+                            ("missing_pairs", missing),
+                            ("signal_count", both + signal),
+                            ("noise_count", both + noise),
+                            ("counts", counts)):
             object.__setattr__(self, name, value)
 
     @property

@@ -169,8 +169,9 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
 
     The distance reported is the pole probe's bound sum_j D_j, which holds
     for every pair of inputs on the Bloch sphere; pair-permutation orbits
-    share one report, so the maximum is over one probe per orbit. Its range
-    starts at n = 2: the one pair of n = 1 is never missing.
+    (`RegisterSubset.counts`) share one report, so the maximum is over one
+    probe per orbit. Its range starts at n = 2: the one pair of n = 1 is
+    never missing.
     """
     if _top_n(config) < 2:
         return _nothing_to_check("missing_pair_uninformative", config, first=2)
@@ -185,9 +186,9 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
             reports = leakage.probe_patterns(n, subsets)
         except _PROBE_FAILURES as exc:
             return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
-        count += len(reports)
-        orbits += len(set(map(leakage.pair_orbit, subsets)))
-        for report in reports:
+        count += len(subsets)
+        orbits += len(reports)
+        for report in reports.values():
             if report.distance_bound > worst:
                 worst = report.distance_bound
                 worst_case = f"n={n}, {report.subset.labels()}"
@@ -204,8 +205,9 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
     """Structural verdicts and leak signs match brute-force probes on every
     pattern.
 
-    Each pattern is compared with its pair orbit's report, and the fixed-y
-    slice runs once per partially informative orbit (`probe_patterns`)."""
+    Each pattern is compared with its pair orbit's report, looked up by
+    `RegisterSubset.counts`, and the fixed-y slice runs once per partially
+    informative orbit (`probe_patterns`)."""
     if _top_n(config) < 1:
         return _nothing_to_check("parity_classification", config)
     tol = leakage.TOLERANCES
@@ -218,9 +220,10 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
             reports = leakage.probe_patterns(n, subsets)
         except _PROBE_FAILURES as exc:
             return _probe_failure("parity_classification", exc, (1, n - 1))
-        orbits += len(set(map(leakage.pair_orbit, subsets)))
+        orbits += len(reports)
         slice_distances = {}  # pair orbit -> fixed-y distance
-        for (subset, cls), report in zip(entries, reports):
+        for subset, cls in entries:
+            report = reports[subset.counts]
             total += 1
             label = f"n={n} {subset.labels()}"
             if cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
@@ -232,11 +235,10 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                     disagreements.append(f"{label}: classified {cls.verdict.value} "
                                          f"but no probe response")
             if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
-                orbit = leakage.pair_orbit(subset)
-                if orbit not in slice_distances:
-                    slice_distances[orbit] = leakage.fixed_y_slice_probe(
-                        subset, 0.5, 8)
-                slice_d = slice_distances[orbit]
+                if subset.counts not in slice_distances:
+                    slice_distances[subset.counts] = (
+                        leakage.fixed_y_slice_probe(subset, 0.5, 8))
+                slice_d = slice_distances[subset.counts]
                 if slice_d >= tol.uninformative:
                     disagreements.append(f"{label}: leak depends on more than y "
                                          f"(fixed-y distance {slice_d:.3e})")

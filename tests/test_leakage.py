@@ -172,7 +172,9 @@ def test_pole_verdicts_match_dense_grid_reference():
     for n in range(1, 5):
         encoded = {size: encode_points(n, g) for size, g in grids.items()}
         subs = [sub for sub, _ in enumerate_classifications(n)]
-        for sub, report in zip(subs, probe_patterns(n, subs)):
+        reports = probe_patterns(n, subs)
+        for sub in subs:
+            report = reports[sub.counts]
             size = 26 if sub.size <= 4 else 8
             keep = keep_positions(sub)
             rhos = [reduced_density(s, keep) for s in encoded[size]]
@@ -209,9 +211,9 @@ def test_probe_rejects_unknown_engine():
 def test_probe_patterns_shares_states():
     subs = [subset(S, N), subset(N, N), subset(B, B)]
     reports = probe_patterns(2, subs)
-    assert [r.verdict for r in reports] == [ProbeVerdict.UNINFORMATIVE,
-                                            ProbeVerdict.UNINFORMATIVE,
-                                            ProbeVerdict.INFORMATIVE]
+    assert [reports[sub.counts].verdict for sub in subs] == [
+        ProbeVerdict.UNINFORMATIVE, ProbeVerdict.UNINFORMATIVE,
+        ProbeVerdict.INFORMATIVE]
 
 
 def test_y_leak_estimate_examples():

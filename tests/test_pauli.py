@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from cloneleak import branch
 from cloneleak.pauli import (COEFF_PRUNE, PAULI_LABELS, SIGMA, PauliSum,
                              bloch_from_state,
                              dense_to_pauli_sum, expectation, pauli_mul,
-                             pauli_string_matrix, pauli_sum_to_dense,
-                             state_from_bloch)
+                             pauli_sum_to_dense, state_from_bloch,
+                             string_phases)
 
 from conftest import I2, X, Y, Z, kron_chain
 
@@ -155,6 +157,28 @@ def test_pauli_sum_to_dense_cap():
         pauli_sum_to_dense(PauliSum(13, {"I" * 13: 1.0}))
 
 
+def _kron_sum(ps):
+    """Reference dense sum: one np.kron chain of 2x2 factors per term."""
+    out = np.zeros((2 ** ps.qubit_count,) * 2, dtype=complex)
+    for letters, coeff in ps.terms.items():
+        out += coeff * kron_chain(*(SIGMA[PAULI_LABELS.index(ch)]
+                                    for ch in letters))
+    return out
+
+
+def test_pauli_sum_to_dense_equals_the_kron_sum(rng):
+    for k in (1, 2, 3):
+        for letters in map("".join, itertools.product(PAULI_LABELS, repeat=k)):
+            ps = PauliSum(k, {letters: -0.375})
+            assert np.array_equal(pauli_sum_to_dense(ps), _kron_sum(ps)), ps
+    for k in range(1, 7):
+        for _ in range(6):
+            letters = ["".join(rng.choice(list("IXYZ"), size=k))
+                       for _ in range(8)] + ["X" * k, "Z" * k]
+            ps = PauliSum(k, {s: rng.normal() for s in letters})
+            assert np.array_equal(pauli_sum_to_dense(ps), _kron_sum(ps)), ps
+
+
 def test_pauli_sum_dense_is_hermitian(rng):
     for _ in range(10):
         letters = ["".join(rng.choice(list("IXYZ"), size=3)) for _ in range(4)]
@@ -185,7 +209,7 @@ def test_expectation_examples():
     # Tr(YYY . YYY) = 8, so the all-Y coefficient is read off exactly.
     rho = (kron_chain(I2, I2, I2) - 0.7 * kron_chain(Y, Y, Y)) / 8
     np.testing.assert_allclose(expectation(rho, "YYY"), -0.7, atol=1e-15)
-    yyy = pauli_string_matrix("YYY")
+    yyy = kron_chain(Y, Y, Y)
     assert np.trace(yyy @ yyy).real == pytest.approx(8.0)
 
 
@@ -230,7 +254,7 @@ def test_expectation_is_bit_identical_to_the_tensordot_contraction(rng, k):
 
 
 def test_cached_tables_are_read_only():
-    cached = [pauli_string_matrix("XYZ"), branch.bloch_overlap_table(2),
+    cached = [string_phases("XYZ"), branch.bloch_overlap_table(2),
               branch.signal_factor_table(1), branch.noise_factor_table(3),
               branch.signal_factor_power(2, 3), branch.noise_factor_power(2, 0),
               *branch.phase_ratio_parts(5)]

@@ -296,6 +296,7 @@ def test_stored_counts_and_labels_match_a_recount():
             assert s.missing_pairs == recount[E]
             assert s.signal_count == recount[B] + recount[S]
             assert s.noise_count == recount[B] + recount[N]
+            assert s.counts == tuple(recount[tag] for tag in PairTag)
             assert s.size == s.signal_count + s.noise_count
             assert s.labels() == _reference_labels(s)
 
