@@ -115,6 +115,11 @@ GRID_MAX = 1_000
 # into a float, which a much larger int overflows.
 SEED_MAX = 2 ** 63 - 1
 
+# Largest min(--n, --oracle-cap) of verify. Its pole probes form no dense
+# state, but the number of count classes and their spectra grow with n:
+# n = 8 (16-qubit keep sets) takes 47-57 s and 262 MB on 2 cores.
+VERIFY_N_MAX = 8
+
 # Largest dense footprint of one sweep: --grid states of 16 * 4**size bytes,
 # plus a batch of PAIR_CHUNK differences and the two stacks they come from.
 SWEEP_BYTES_MAX = 1 << 30
@@ -246,24 +251,29 @@ def _refuse_oversized(args: argparse.Namespace, subset=None) -> None:
     if args.command == "verify":
         # The parity check keeps all 2n register qubits of the largest n.
         top = min(args.n, args.oracle_cap)
-        if 2 * top > DENSE_QUBIT_CAP:
+        if top > VERIFY_N_MAX:
             raise UsageError(f"--n {args.n} with --oracle-cap {args.oracle_cap} "
                              f"probes subsets of {2 * top} qubits, above the "
-                             f"dense cap {DENSE_QUBIT_CAP}; lower --n or "
-                             f"--oracle-cap to {DENSE_QUBIT_CAP // 2}")
-    elif args.engine != leakage.ENGINE_ANALYTIC and args.n > args.oracle_cap:
+                             f"verify bound of {2 * VERIFY_N_MAX}; lower --n "
+                             f"or --oracle-cap to {VERIFY_N_MAX}")
+        return
+    aligned = not (subset.missing_pairs or subset.both_count)
+    if args.engine != leakage.ENGINE_ANALYTIC and args.n > args.oracle_cap:
         raise UsageError(f"n={args.n} exceeds the oracle cap {args.oracle_cap} "
                          f"({2 * args.n + 1} qubits); raise the cap explicitly "
                          f"to proceed")
-    elif (args.engine != leakage.ENGINE_ANALYTIC
-          and subset.size > DENSE_QUBIT_CAP):
+    if (args.engine != leakage.ENGINE_ANALYTIC
+            and subset.size > DENSE_QUBIT_CAP):
         raise UsageError(f"keeping {subset.size} qubits exceeds the dense cap "
                          f"{DENSE_QUBIT_CAP}")
-    elif args.command == "sweep" and subset.size <= DENSE_QUBIT_CAP and (
-            args.engine == leakage.ENGINE_ORACLE
-            or not (subset.missing_pairs or subset.both_count)):
-        # The analytic engine refuses larger and unaligned subsets in the
-        # library, before a state of their size is formed.
+    if aligned and subset.size > DENSE_QUBIT_CAP:
+        # The analytic engine would answer in Pauli form, but reduce and
+        # sweep keep within the dense cap. It refuses unaligned subsets
+        # itself, before a state of their size is formed.
+        raise UsageError(f"PauliSum on {subset.size} qubits exceeds dense "
+                         f"cap {DENSE_QUBIT_CAP}")
+    if args.command == "sweep" and (args.engine == leakage.ENGINE_ORACLE
+                                    or aligned):
         held = 16 * 4 ** subset.size * (args.grid + 3 * leakage.PAIR_CHUNK)
         if held > SWEEP_BYTES_MAX:
             raise UsageError(f"sweep would hold {held / 2 ** 30:.1f} GiB of "
@@ -330,10 +340,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     summary: dict = {"subset": subset.labels(),
                      "psi": [float(v) for v in bloch]}
     for engine in engines:
-        # The analytic engine's Pauli form is exact; print it as computed.
+        # The analytic engine's Pauli form is exact; print it as computed,
+        # and form its dense matrix only when it is compared or printed.
         if engine == leakage.ENGINE_ANALYTIC:
             ps = leakage.analytic_state(subset, bloch)
-            dense[engine] = pauli_sum_to_dense(ps)
+            if len(engines) == 2 or args.dense:
+                dense[engine] = pauli_sum_to_dense(ps)
         else:
             dense[engine] = leakage.reduced_state(subset, bloch, engine)
             ps = dense_to_pauli_sum(dense[engine])

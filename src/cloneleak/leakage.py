@@ -288,11 +288,11 @@ def _probe_pattern(subset: RegisterSubset, encoded_poles) -> LeakageReport:
             f"part differ by {r0_gap!r}, not below the uninformative "
             f"threshold {TOLERANCES.uninformative}; the pole states are "
             f"not affine in the Bloch vector")
-    y_pole = plus[1]
     return LeakageReport(
         subset=subset,
         axis_distances=axes,
-        y_signal=y_leak_estimate(y_pole @ y_pole.conj().T, subset.size),
+        # <Y...Y> at the +y pole, read from its factor: no dense state.
+        y_signal=expectation(plus[1], "Y" * subset.size, factored=True),
         verdict=_verdict(axes, context),
     )
 

@@ -92,9 +92,8 @@ def reduced_factor(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     reduced density of the kept qubit positions.
 
     Permutes the kept axes to the front and flattens, so no density matrix
-    is formed. The kept factors appear in the order listed; DENSE_QUBIT_CAP
-    bounds the kept qubit count, since callers may form M M^dagger. A stack
-    of states (..., 2**nq) gives a stack of factors in one call.
+    is formed. The kept factors appear in the order listed. A stack of
+    states (..., 2**nq) gives a stack of factors in one call.
     """
     state = np.atleast_1d(np.asarray(state, dtype=complex))
     nq = int(state.shape[-1]).bit_length() - 1
@@ -108,9 +107,6 @@ def reduced_factor(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
         raise ValueError(f"duplicate qubit positions in keep set {keep}")
     if any(q < 0 or q >= nq for q in keep):
         raise ValueError(f"keep positions {keep} out of range for {nq} qubits")
-    if len(keep) > DENSE_QUBIT_CAP:
-        raise ValueError(f"keeping {len(keep)} qubits exceeds the dense cap "
-                         f"{DENSE_QUBIT_CAP}")
     rest = [q for q in range(nq) if q not in keep]
     lead = state.shape[:-1]
     axes = list(range(len(lead))) + [len(lead) + q for q in keep + rest]
@@ -123,6 +119,10 @@ def reduced_density(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
     Contracts the complement of `reduced_factor`'s matrix, for one state or
     a stack, so the full density matrix is never materialized.
+    DENSE_QUBIT_CAP bounds the kept qubit count, checked before any work.
     """
+    if len(keep) > DENSE_QUBIT_CAP:
+        raise ValueError(f"keeping {len(keep)} qubits exceeds the dense cap "
+                         f"{DENSE_QUBIT_CAP}")
     mat = reduced_factor(state, keep)
     return mat @ mat.conj().swapaxes(-1, -2)

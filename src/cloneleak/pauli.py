@@ -220,20 +220,31 @@ def dense_to_pauli_sum(rho: np.ndarray) -> PauliSum:
     return PauliSum(n, terms)
 
 
-def expectation(rho: np.ndarray, letters: str) -> float:
+def expectation(rho: np.ndarray, letters: str, *,
+                factored: bool = False) -> float:
     """Tr(rho * P) for a Pauli string P, asserted real.
 
     Column b of sigma is nonzero in row b ^ f only (f = 1 for X and Y), so
     P meets just t[r] = rho[r, r ^ flip]: 2**k entries, contracted qubit by
     qubit. No dense matrix for P is built.
+
+    With factored=True, `rho` is a factor M of shape (2**k, m) with
+    rho = M M^dagger (any m, square included), and t[r] is gathered as
+    sum_j M[r, j] conj(M[r ^ flip, j]) in O(2**k m), so
+    Tr(M^dagger P M) is read without forming rho (Nielsen & Chuang, ch. 2).
     """
     rho = np.asarray(rho, dtype=complex)
-    k = _qubit_count_of(rho)
+    k = _qubit_count_of(rho, square=not factored)
     if len(letters) != k:
         raise ValueError(f"operator acts on {len(letters)} qubits but the state "
                          f"has {k}")
     rows = np.arange(2 ** k)
-    t = rho[rows, rows ^ flip_mask(letters)].reshape([2] * k)
+    cols = rows ^ flip_mask(letters)
+    if factored:
+        t = (rho * rho[cols].conj()).sum(axis=1)
+    else:
+        t = rho[rows, cols]
+    t = t.reshape([2] * k)
     for ch in letters:
         sig, f = SIGMA[PAULI_LABELS.index(ch)], int(ch in "XY")
         # Tr over the first remaining qubit: sum_b sig[b ^ f, b] t[b, ..]
@@ -244,9 +255,11 @@ def expectation(rho: np.ndarray, letters: str) -> float:
     return val.real
 
 
-def _qubit_count_of(mat: np.ndarray) -> int:
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+def _qubit_count_of(mat: np.ndarray, square: bool = True) -> int:
+    """Qubits of a square matrix, or of a factor's rows if not `square`."""
+    if mat.ndim != 2 or (square and mat.shape[0] != mat.shape[1]):
+        kind = "a square matrix" if square else "a 2-D factor"
+        raise ValueError(f"expected {kind}, got shape {mat.shape}")
     k = int(mat.shape[0]).bit_length() - 1
     if 2 ** k != mat.shape[0]:
         raise ValueError(f"dimension {mat.shape[0]} is not a power of two")

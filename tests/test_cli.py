@@ -404,27 +404,37 @@ def test_oracle_cap_above_the_bound_is_a_usage_error(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--n", "7", "--oracle-cap", "7"],
+    ["verify", "--n", str(cli.VERIFY_N_MAX + 1),
+     "--oracle-cap", str(cli.VERIFY_N_MAX + 1)],
     ["verify", "--n", "10", "--oracle-cap", str(oracle.ORACLE_CAP_MAX)],
 ])
 def test_verify_refuses_keep_sets_above_the_dense_cap(capsys, monkeypatch,
                                                       argv):
     # The all-BOTH pattern of n = min(--n, --oracle-cap) keeps 2n qubits.
+    # The pole probes form no dense state, so the bound is verify's own,
+    # cli.VERIFY_N_MAX, rather than the dense cap; it is still checked first.
     def refuse(*args, **kwargs):
-        raise AssertionError("ran work above the dense cap")
+        raise AssertionError("ran work above the verify bound")
 
     monkeypatch.setattr(verify, "run_checks", refuse)
     monkeypatch.setattr(oracle, "build_encoded_state", refuse)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "above the dense cap 12" in captured.err
+    top = int(argv[2])
+    assert captured.err == (
+        f"error: --n {top} with --oracle-cap {top} probes subsets of "
+        f"{2 * top} qubits, above the verify bound of {2 * cli.VERIFY_N_MAX}; "
+        f"lower --n or --oracle-cap to {cli.VERIFY_N_MAX}\n")
 
 
 @pytest.mark.parametrize("argv, top", [
     (["verify", "--n", "7"], 5),
     (["verify", "--n", "6", "--oracle-cap", "6"], 6),
     (["verify", "--n", "3", "--oracle-cap", "9"], 3),
+    (["verify", "--n", "7", "--oracle-cap", "7"], 7),
+    (["verify", "--n", str(oracle.ORACLE_CAP_MAX), "--oracle-cap",
+      str(cli.VERIFY_N_MAX)], cli.VERIFY_N_MAX),
 ])
 def test_verify_accepts_keep_sets_within_the_dense_cap(capsys, monkeypatch,
                                                        argv, top):

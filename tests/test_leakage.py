@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,34 @@ def test_probe_patterns_shares_states():
     assert [reports[sub.counts].verdict for sub in subs] == [
         ProbeVerdict.UNINFORMATIVE, ProbeVerdict.UNINFORMATIVE,
         ProbeVerdict.INFORMATIVE]
+
+
+def test_probe_y_signal_matches_the_dense_pole_state():
+    # The probe reads <Y...Y> from the +y pole's factor; the dense reference
+    # forms the pole's reduced state, on every count class with n <= 4.
+    for n in range(1, 5):
+        y_pole = encode_points(n, [[0.0, 1.0, 0.0]])[0]
+        subsets = [s for s, _ in enumerate_classifications(n)]
+        for report in probe_patterns(n, subsets).values():
+            sub = report.subset
+            rho = reduced_density(y_pole, keep_positions(sub))
+            assert abs(report.y_signal
+                       - y_leak_estimate(rho, sub.size)) < 1e-12, sub
+
+
+def test_probe_keeps_fourteen_qubits_without_a_dense_state():
+    # The all-BOTH pattern of n = 7 keeps 14 qubits: its dense state would
+    # be 2**28 complex entries (4 GiB), above the dense cap.
+    whole = subset(*[B] * 7)
+    tracemalloc.start()
+    try:
+        report = probe_patterns(7, [whole])[whole.counts]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.subset.size == 14
+    assert report.verdict is ProbeVerdict.INFORMATIVE
+    assert peak < 64 * 2 ** 20
 
 
 def test_y_leak_estimate_examples():

@@ -177,8 +177,13 @@ def test_reduced_density_errors():
             reduce(state, [1, 1])
         with pytest.raises(ValueError, match="out of range"):
             reduce(state, [3])
-        with pytest.raises(ValueError, match="dense cap"):
-            reduce(thirteen_qubits, list(range(13)))
+    # Only the dense matrix is capped: the factor is the state's own
+    # amplitudes, so reduced_factor keeps any number of qubits.
+    with pytest.raises(ValueError, match="dense cap"):
+        reduced_density(thirteen_qubits, list(range(13)))
+    factor = reduced_factor(thirteen_qubits, list(range(13)))
+    assert factor.shape == (2 ** 13, 1)
+    assert np.array_equal(factor[:, 0], thirteen_qubits)
 
 
 def test_layout_positions():

@@ -209,8 +209,10 @@ def test_expectation_examples():
     # Tr(YYY . YYY) = 8, so the all-Y coefficient is read off exactly.
     rho = (kron_chain(I2, I2, I2) - 0.7 * kron_chain(Y, Y, Y)) / 8
     np.testing.assert_allclose(expectation(rho, "YYY"), -0.7, atol=1e-15)
-    yyy = kron_chain(Y, Y, Y)
-    assert np.trace(yyy @ yyy).real == pytest.approx(8.0)
+    # The same state through a square factor M, rho = M M^dagger.
+    w, v = np.linalg.eigh(rho)
+    np.testing.assert_allclose(expectation(v * np.sqrt(w), "YYY",
+                                           factored=True), -0.7, atol=1e-15)
 
 
 def test_expectation_equals_trace_for_identity(rng):
@@ -225,6 +227,35 @@ def test_expectation_equals_trace_for_identity(rng):
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError, match="qubits"):
         expectation(I2 / 2, "YY")
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_factored_expectation_matches_dense(rng, k):
+    # One column, a square factor (its shape must not make it a density
+    # matrix) and a wide one, over mixed strings and the all-Y string.
+    for m in (1, 2 ** k, 2 ** k + 3):
+        for trial in range(4):
+            factor = (rng.normal(size=(2 ** k, m))
+                      + 1j * rng.normal(size=(2 ** k, m)))
+            factor /= np.linalg.norm(factor)
+            rho = factor @ factor.conj().T
+            letters = ("Y" * k if trial == 0
+                       else "".join(rng.choice(list("IXYZ"), size=k)))
+            want = expectation(rho, letters)
+            got = expectation(factor, letters, factored=True)
+            assert abs(got - want) < 1e-12, (m, letters)
+
+
+def test_factored_expectation_errors():
+    with pytest.raises(ValueError, match="2-D factor"):
+        expectation(np.ones(4), "YY", factored=True)
+    with pytest.raises(ValueError, match="power of two"):
+        expectation(np.ones((3, 2)), "YY", factored=True)
+    with pytest.raises(ValueError, match="qubits"):
+        expectation(np.ones((4, 1)), "Y", factored=True)
+    # Without the keyword a factor is never taken for a density matrix.
+    with pytest.raises(ValueError, match="square matrix"):
+        expectation(np.ones((4, 1)), "YY")
 
 
 def _tensordot_expectation(rho, letters):

@@ -46,6 +46,17 @@ def test_parity_classification_detects_flipped_classifier_sign(monkeypatch):
     assert "n=1 S1: pole signal +1.000e+00 != predicted -1" in result.detail
 
 
+def test_parity_classification_fails_on_a_negated_pole_signal(monkeypatch):
+    # Negative control: pauli.expectation, under the name the probe calls,
+    # reports every value negated, so each pole signal contradicts its sign.
+    exact = leakage.expectation
+    monkeypatch.setattr(leakage, "expectation",
+                        lambda *args, **kwargs: -exact(*args, **kwargs))
+    result = check_parity_classification(VerifyConfig(n_max=3))
+    assert not result.passed
+    assert "n=1 S1: pole signal -1.000e+00 != predicted +1" in result.detail
+
+
 def test_fixed_y_independence_all_aligned_shapes():
     # Unauthorized aligned subsets depend on the input only through y.
     for n in range(1, 5):
