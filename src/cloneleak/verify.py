@@ -6,13 +6,15 @@ and never stops early, so a report always covers every check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import branch, leakage, oracle
 from .pauli import SIGMA, pauli_sum_to_dense
-from .subsets import Verdict, enumerate_classifications
+from .subsets import (PairTag, RegisterSubset, Verdict, classify,
+                      enumerate_classifications)
 
 
 @dataclass
@@ -137,6 +139,21 @@ def check_sign_resolution(config: VerifyConfig) -> CheckResult:
     return CheckResult("sign_resolution", True, detail)
 
 
+# Bytes of encoded grid states a grid check holds at once: 512 points of
+# n = 5 (32 KiB each), 8 of n = 8. The partial trace copies a chunk once
+# more into the kept-first order.
+GRID_CHUNK_BYTES = 16 * 2 ** 20
+
+
+def _encoded_grid(n: int, grid: np.ndarray):
+    """(points, encoded states) for consecutive chunks of the grid, each
+    within GRID_CHUNK_BYTES, from one encoder call per chunk."""
+    step = max(1, GRID_CHUNK_BYTES // (16 * 2 ** (2 * n + 1)))
+    for start in range(0, len(grid), step):
+        points = grid[start:start + step]
+        yield points, leakage.encode_points(n, points)
+
+
 def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     """Brute-force and analytic reduced states agree on aligned subsets."""
     if _top_n(config) < 1:
@@ -146,15 +163,19 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     worst = 0.0
     worst_case = ""
     for n in range(1, _top_n(config) + 1):
-        states = leakage.encode_points(n, grid)
-        for p in range(0, n + 1):
-            keep = leakage.keep_positions(leakage.aligned_subset(n, p))
-            errs = np.abs(oracle.reduced_density(states, keep) - [
+        keeps = [leakage.keep_positions(leakage.aligned_subset(n, p))
+                 for p in range(0, n + 1)]
+        chunks = []  # [p, point] per chunk of the grid
+        for points, states in _encoded_grid(n, grid):
+            chunks.append([np.abs(oracle.reduced_density(states, keep) - [
                 pauli_sum_to_dense(branch.analytic_reduced_state(n, p, b))
-                for b in grid]).max(axis=(1, 2))
-            i = int(errs.argmax())  # the first point at the largest error
-            if errs[i] > worst:
-                worst = float(errs[i])
+                for b in points]).max(axis=(1, 2))
+                for p, keep in enumerate(keeps)])
+        errs = np.concatenate(chunks, axis=1)
+        for p in range(0, n + 1):
+            i = int(errs[p].argmax())  # the first point at the largest error
+            if errs[p, i] > worst:
+                worst = float(errs[p, i])
                 worst_case = f"n={n}, p={p}, bloch={grid[i].round(6)}"
     passed = worst <= tol
     return CheckResult("engine_agreement", passed,
@@ -164,37 +185,118 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
                        (1, _top_n(config)))
 
 
+def class_contains(outer: tuple, inner: tuple) -> bool:
+    """Whether count class `outer` holds a superset of a member of `inner`.
+
+    Classes are (#BOTH, #SIGNAL, #NOISE, #NONE) over the same n pairs
+    (`RegisterSubset.counts`). A pair permutation maps inner's full pairs
+    onto outer's, and its signal (noise) pairs onto outer's signal (noise)
+    pairs; those that do not fit need outer's spare full pairs. Inner's
+    empty pairs take whatever pairs are left.
+    """
+    both, signal, noise, _ = outer
+    in_both, in_signal, in_noise, _ = inner
+    return (both >= in_both
+            and max(0, in_signal - signal) + max(0, in_noise - noise)
+            <= both - in_both)
+
+
+def _count_classes(n: int) -> list[tuple[int, int, int, int]]:
+    """Every count class of the nonempty patterns of n pairs."""
+    return [(b, s, q, n - b - s - q)
+            for b in range(n + 1) for s in range(n + 1 - b)
+            for q in range(n + 1 - b - s) if b + s + q]
+
+
+def _class_size(counts: tuple[int, int, int, int]) -> int:
+    """Patterns in a count class: n! / (b! s! q! m!)."""
+    size, placed = 1, 0
+    for k in counts:
+        placed += k
+        size *= math.comb(placed, k)
+    return size
+
+
+def _representative(n: int, counts: tuple) -> RegisterSubset:
+    """The class's first pattern in enumeration order (tags sorted)."""
+    return RegisterSubset(n, sum(((tag,) * k
+                                  for tag, k in zip(PairTag, counts)), ()))
+
+
+def _deciders(counts: tuple, reports: dict) -> tuple:
+    """(an informative report of a class `counts` holds, an uninformative
+    report of a class that holds `counts`), each None if no probe gives
+    one; the class's own report comes first.
+
+    Trace distance only shrinks under partial trace (Nielsen & Chuang,
+    Thm 9.2), so D_j(S) <= D_j(T) on every axis whenever S lies inside T.
+    """
+    own = reports.get(counts)
+    ordered = [(counts, own)] * (own is not None) + list(reports.items())
+    leak = next((report for key, report in ordered
+                 if report.verdict is leakage.ProbeVerdict.INFORMATIVE
+                 and class_contains(counts, key)), None)
+    bound = next((report for key, report in ordered
+                  if report.verdict is leakage.ProbeVerdict.UNINFORMATIVE
+                  and class_contains(key, counts)), None)
+    return leak, bound
+
+
+def _probe_by_containment(n: int, classes: list, stages) -> dict:
+    """Pole reports of enough count classes to decide every class.
+
+    Each stage probes, in one `leakage.probe_patterns` call, those of its
+    classes that no earlier report decides (`_deciders`); a last stage
+    probes every class still undecided. The order of the stages only
+    saves probes: what is left undecided is probed. Reports are keyed by
+    count class.
+    """
+    reports: dict[tuple, leakage.LeakageReport] = {}
+    for stage in [*stages, classes]:
+        todo = [c for c in stage if c in classes and c not in reports
+                and not any(_deciders(c, reports))]
+        if todo:
+            reports.update(leakage.probe_patterns(
+                n, [_representative(n, c) for c in todo]))
+    return reports
+
+
+def _class_detail(classes: int, probed: int) -> str:
+    return f"{classes} classes: {probed} probed, {classes - probed} by containment"
+
+
 def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """Every subset missing a full pair is independent of the input state.
 
-    The distance reported is the pole probe's bound sum_j D_j, which holds
-    for every pair of inputs on the Bloch sphere; pair-permutation orbits
-    (`RegisterSubset.counts`) share one report, so the maximum is over one
-    probe per orbit. Its range starts at n = 2: the one pair of n = 1 is
-    never missing.
+    Every missing-pair class lies inside the largest one, (n-1, 0, 0, 1),
+    so that one probe decides them all when it is uninformative; if it is
+    not, every other class is probed. The distance reported is the
+    largest pole bound sum_j D_j of a probe, which holds for every pair of
+    inputs on the Bloch sphere and for every class inside the probed one.
+    Its range starts at n = 2: the one pair of n = 1 is never missing.
     """
     if _top_n(config) < 2:
         return _nothing_to_check("missing_pair_uninformative", config, first=2)
     tol = leakage.TOLERANCES.uninformative
     worst = 0.0
     worst_case = ""
-    count = orbits = 0
+    count = classes = probed = 0
     for n in range(2, _top_n(config) + 1):
-        subsets = [s for s, _ in enumerate_classifications(n)
-                   if s.missing_pairs]
+        missing = [c for c in _count_classes(n) if c[3]]
         try:
-            reports = leakage.probe_patterns(n, subsets)
+            reports = _probe_by_containment(n, missing, [[(n - 1, 0, 0, 1)]])
         except _PROBE_FAILURES as exc:
             return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
-        count += len(subsets)
-        orbits += len(reports)
+        count += sum(map(_class_size, missing))
+        classes += len(missing)
+        probed += len(reports)
         for report in reports.values():
             if report.distance_bound > worst:
                 worst = report.distance_bound
                 worst_case = f"n={n}, {report.subset.labels()}"
     passed = worst < tol
     return CheckResult("missing_pair_uninformative", passed,
-                       f"{count} patterns ({orbits} orbits probed), "
+                       f"{count} patterns ({_class_detail(classes, probed)}), "
                        f"max distance {worst:.3e} "
                        f"(threshold {tol:g}) across n<={_top_n(config)}"
                        + ("" if passed else f" at {worst_case}"),
@@ -205,39 +307,62 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
     """Structural verdicts and leak signs match brute-force probes on every
     pattern.
 
-    Each pattern is compared with its pair orbit's report, looked up by
-    `RegisterSubset.counts`, and the fixed-y slice runs once per partially
-    informative orbit (`probe_patterns`)."""
+    Per n, the pole probes go to the full register, which also certifies
+    for every class that the states are affine in the Bloch vector (the
+    partial trace of the R0 gap is no larger), then to the aligned
+    classes, the largest missing-pair class and the smallest authorized
+    classes (1, s, n-1-s, 0); containment decides the rest
+    (`_probe_by_containment`). Each pattern is compared with its class's
+    decision: a class that is both inside an uninformative probe and around
+    an informative one, or neither, disagrees with any verdict. The leak
+    sign of a partially informative class is read from its own probe, and
+    the fixed-y slice runs once per such class."""
     if _top_n(config) < 1:
         return _nothing_to_check("parity_classification", config)
     tol = leakage.TOLERANCES
     disagreements = []
-    total = orbits = 0
+    total = classes = probed = 0
     for n in range(1, _top_n(config) + 1):
-        entries = list(enumerate_classifications(n))
-        subsets = [s for s, _ in entries]
+        count_classes = _count_classes(n)
+        stages = [[(n, 0, 0, 0)] + [(0, p, n - p, 0) for p in range(n + 1)]
+                  + [(n - 1, 0, 0, 1)],
+                  [(1, s, n - 1 - s, 0) for s in range(n)]]
         try:
-            reports = leakage.probe_patterns(n, subsets)
+            reports = _probe_by_containment(n, count_classes, stages)
+            # A leak sign is read from the class's own probe.
+            unprobed = [c for c in count_classes if c not in reports
+                        and classify(_representative(n, c)).verdict
+                        is Verdict.PARTIALLY_INFORMATIVE]
+            if unprobed:
+                reports.update(leakage.probe_patterns(
+                    n, [_representative(n, c) for c in unprobed]))
         except _PROBE_FAILURES as exc:
             return _probe_failure("parity_classification", exc, (1, n - 1))
-        orbits += len(reports)
-        slice_distances = {}  # pair orbit -> fixed-y distance
-        for subset, cls in entries:
-            report = reports[subset.counts]
+        classes += len(count_classes)
+        probed += len(reports)
+        decided = {c: _deciders(c, reports) for c in count_classes}
+        slice_distances = {}  # count class -> fixed-y distance
+        for subset, cls in enumerate_classifications(n):
+            leak, bound = decided[subset.counts]
             total += 1
             label = f"n={n} {subset.labels()}"
-            if cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
-                if report.verdict is not leakage.ProbeVerdict.UNINFORMATIVE:
-                    disagreements.append(f"{label}: classified uninformative but "
-                                         f"distance bound {report.distance_bound:.3e}")
-            else:
-                if report.verdict is not leakage.ProbeVerdict.INFORMATIVE:
-                    disagreements.append(f"{label}: classified {cls.verdict.value} "
-                                         f"but no probe response")
+            if leak is None and bound is None:
+                disagreements.append(f"{label}: no probe decides it")
+            elif cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
+                if leak is not None:
+                    disagreements.append(
+                        f"{label}: classified uninformative but distance "
+                        f"bound {leak.distance_bound:.3e}"
+                        + _via(leak, subset, "which it holds"))
+            elif bound is not None:
+                disagreements.append(
+                    f"{label}: classified {cls.verdict.value} but no probe "
+                    f"response" + _via(bound, subset, "which holds it"))
             if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
+                report = reports[subset.counts]
                 if subset.counts not in slice_distances:
                     slice_distances[subset.counts] = (
-                        leakage.fixed_y_slice_probe(subset, 0.5, 8))
+                        leakage.fixed_y_slice_probe(report.subset, 0.5, 8))
                 slice_d = slice_distances[subset.counts]
                 if slice_d >= tol.uninformative:
                     disagreements.append(f"{label}: leak depends on more than y "
@@ -248,13 +373,20 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                                          f"{report.y_signal:+.3e} != predicted "
                                          f"{expected:+d}")
     passed = not disagreements
-    detail = (f"{total} patterns ({orbits} orbits probed) agree across "
-              f"n<={_top_n(config)}")
+    detail = (f"{total} patterns ({_class_detail(classes, probed)}) agree "
+              f"across n<={_top_n(config)}")
     if disagreements:
         detail = f"{len(disagreements)} disagreement(s): " + "; ".join(
             disagreements[:5])
     return CheckResult("parity_classification", passed, detail,
                        (1, _top_n(config)))
+
+
+def _via(report, subset, relation: str) -> str:
+    """Where a decision came from, when not from the pattern's own class."""
+    if report.subset.counts == subset.counts:
+        return ""
+    return f" (probed on {report.subset.labels()}, {relation})"
 
 
 def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
@@ -271,10 +403,11 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
         positions = [("A", 0)]
         positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
         positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
-        states = leakage.encode_points(n, grid)
-        errs = np.stack([np.abs(oracle.reduced_density(states, [pos])
-                                - half_identity).max(axis=(1, 2))
-                         for _, pos in positions], axis=1)  # [point, position]
+        errs = np.concatenate([  # [point, position]
+            np.stack([np.abs(oracle.reduced_density(states, [pos])
+                             - half_identity).max(axis=(1, 2))
+                      for _, pos in positions], axis=1)
+            for _, states in _encoded_grid(n, grid)])
         i = int(errs.argmax())  # the first worst, point by point
         if errs.flat[i] > worst:
             worst = float(errs.flat[i])

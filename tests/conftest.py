@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloneleak import PauliSum, bloch_grid, branch, leakage
+from cloneleak import PauliSum, bloch_grid, branch, leakage, oracle
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -72,3 +72,21 @@ def asymmetric_pair_encoding(monkeypatch):
                 for s in encode(n, points)]
 
     monkeypatch.setattr(leakage, "encode_points", flipped)
+
+
+@pytest.fixture
+def symmetric_leaking_encoding(monkeypatch):
+    """Negative control: psi0|0...0> + psi1|1...1> over all 2n+1 qubits. It
+    is linear in psi and unchanged by every pair swap, so the pair-symmetry
+    certificate passes and the pole states are affine; yet every qubit on
+    its own reveals z, so S1 leaks, and so does every subset that misses a
+    pair."""
+
+    def ghz(n, psi):
+        psi = np.asarray(psi, dtype=complex)
+        state = np.zeros(psi.shape[:-1] + (2 ** (2 * n + 1),), dtype=complex)
+        state[..., 0] = psi[..., 0]
+        state[..., -1] = psi[..., 1]
+        return state
+
+    monkeypatch.setattr(oracle, "build_encoded_state", ghz)

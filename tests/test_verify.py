@@ -1,12 +1,13 @@
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cloneleak import branch, leakage, oracle, subsets
+from cloneleak import branch, leakage, oracle, subsets, verify
 from cloneleak.leakage import aligned_subset, fixed_y_slice_probe
 from cloneleak.pauli import bloch_from_state
-from cloneleak.subsets import enumerate_classifications
+from cloneleak.subsets import PairTag, RegisterSubset, enumerate_classifications
 from cloneleak.verify import (VerifyConfig, check_bell_trace_identities,
                               check_engine_agreement,
                               check_interference_sums,
@@ -14,7 +15,8 @@ from cloneleak.verify import (VerifyConfig, check_bell_trace_identities,
                               check_parity_classification,
                               check_phase_table_decomposition,
                               check_sign_resolution,
-                              check_singleton_mixedness, run_checks)
+                              check_singleton_mixedness, class_contains,
+                              run_checks)
 
 BRUTE_FORCE_CHECKS = ("engine_agreement", "missing_pair_uninformative",
                       "parity_classification", "singleton_mixedness")
@@ -98,10 +100,12 @@ def test_details_state_the_n_range_covered():
     config = VerifyConfig(n_max=7, oracle_cap=2)
     assert check_engine_agreement(config).detail.endswith(" across n<=2")
     missing = check_missing_pair_uninformative(config).detail
-    assert missing.startswith("6 patterns (3 orbits probed), ")
+    assert missing.startswith(
+        "6 patterns (3 classes: 1 probed, 2 by containment), ")
     assert missing.endswith(" across n<=2")
     assert (check_parity_classification(config).detail
-            == "18 patterns (12 orbits probed) agree across n<=2")
+            == "18 patterns (12 classes: 10 probed, 2 by containment) "
+               "agree across n<=2")
     assert check_singleton_mixedness(config).detail.endswith(" across n=2..2")
 
 
@@ -121,20 +125,27 @@ def test_singleton_check_at_n1_fails_with_empty_range():
 
 
 def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
+    # The missing-pair check encodes the six poles once per n. The parity
+    # check encodes them once per probe stage: twice at even n, where no
+    # aligned class leaks and the smallest authorized classes take a
+    # stage of their own. Its fixed-y slices encode one state per call.
     encoded = []
     build = oracle.build_encoded_state
 
     def counting(n, psi, *args, **kwargs):
-        # One row per input of a stacked call.
-        encoded.extend((n, bloch_from_state(row))
-                       for row in np.reshape(psi, (-1, 2)))
+        if np.ndim(psi) == 2:  # one row per input of a stacked call
+            encoded.extend((n, bloch_from_state(row)) for row in psi)
         return build(n, psi, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "build_encoded_state", counting)
-    assert check_missing_pair_uninformative(VerifyConfig(n_max=3)).passed
-    assert [n for n, _ in encoded] == [2] * 6 + [3] * 6
-    np.testing.assert_allclose([b for _, b in encoded],
-                               np.tile(leakage._POLES, (2, 1)), atol=1e-12)
+    for check, stages in ((check_missing_pair_uninformative, [2, 3]),
+                          (check_parity_classification, [1, 2, 2, 3, 4, 4])):
+        encoded.clear()
+        assert check(VerifyConfig(n_max=max(stages))).passed
+        assert [n for n, _ in encoded] == [n for n in stages for _ in range(6)]
+        np.testing.assert_allclose([b for _, b in encoded],
+                                   np.tile(leakage._POLES, (len(stages), 1)),
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize("check", [check_engine_agreement,
@@ -157,7 +168,8 @@ def test_grid_checks_encode_each_grid_in_one_call(monkeypatch, check):
 
 def test_pattern_checks_probe_one_subset_per_pair_orbit(monkeypatch):
     # Each pattern keeps a distinct qubit set, so the distinct keep sets
-    # reduced at each n are the subsets probed. The parity check's fixed-y
+    # reduced at each n are the subsets probed: one per probed count class,
+    # the others being decided by containment. The parity check's fixed-y
     # slices reduce the keep sets of subsets it probed. A stacked call (six
     # poles) counts once, with n read from the length of one state.
     reduced = []
@@ -169,15 +181,18 @@ def test_pattern_checks_probe_one_subset_per_pair_orbit(monkeypatch):
         return factor(state, keep)
 
     monkeypatch.setattr(oracle, "reduced_factor", recording)
-    for check, orbits in ((check_parity_classification,
-                           {1: 3, 2: 9, 3: 19, 4: 34}),
+    for check, probed in ((check_parity_classification,
+                           {1: 3, 2: 7, 3: 6, 4: 11}),
                           (check_missing_pair_uninformative,
-                           {2: 3, 3: 9, 4: 19})):
+                           {2: 1, 3: 1, 4: 1})):
         reduced.clear()
         result = check(VerifyConfig(n_max=4))
         assert result.passed, result.detail
-        assert Counter(n for n, _ in set(reduced)) == orbits
-        assert f"({sum(orbits.values())} orbits probed)" in result.detail
+        assert Counter(n for n, _ in set(reduced)) == probed
+        assert f": {sum(probed.values())} probed, " in result.detail
+    # The missing-pair check probes only the largest missing-pair class.
+    assert set(reduced) == {
+        (n, tuple(range(1, 2 * n - 1))) for n in (2, 3, 4)}
 
 
 @pytest.mark.parametrize("check", [check_missing_pair_uninformative,
@@ -270,3 +285,95 @@ def test_gap_error_range_stops_before_the_failing_n(monkeypatch):
         assert not result.passed
         assert result.detail.startswith("threshold gap not empty")
         assert result.n_range == (first, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_class_containment_matches_qubit_set_inclusion(n):
+    # Outer holds a member of inner exactly when some pattern of inner keeps
+    # a subset of the qubits of one pattern of outer: the outer class is
+    # closed under pair permutations, so its first pattern stands for all.
+    members = {}  # count class -> the qubit sets of its patterns
+    for tags in itertools.product(PairTag, repeat=n):
+        if set(tags) != {PairTag.NONE}:
+            subset = RegisterSubset(n, tags)
+            members.setdefault(subset.counts, []).append(
+                frozenset(leakage.keep_positions(subset)))
+    assert len(members) == (n + 1) * (n + 2) * (n + 3) // 6 - 1
+    for outer, (outer_qubits, *_) in members.items():
+        for inner, inner_sets in members.items():
+            explicit = any(qubits <= outer_qubits for qubits in inner_sets)
+            assert class_contains(outer, inner) == explicit, (outer, inner)
+
+
+@pytest.mark.parametrize("check", [check_engine_agreement,
+                                   check_singleton_mixedness])
+@pytest.mark.parametrize("tampered", [False, True])
+def test_grid_checks_are_identical_in_chunks(request, monkeypatch, check,
+                                             tampered):
+    # One point per chunk gives the same result, byte for byte, including
+    # the worst case named when a check fails.
+    if tampered:
+        request.getfixturevalue("tampered_analytic_sign")
+    config = VerifyConfig(n_max=3, grid_size=10)
+    whole = check(config)
+    calls = []
+    build = oracle.build_encoded_state
+    monkeypatch.setattr(oracle, "build_encoded_state",
+                        lambda n, psi: calls.append(n) or build(n, psi))
+    monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", 1)
+    assert check(config) == whole
+    assert calls == [n for n in range(whole.n_range[0], 4) for _ in range(10)]
+    assert whole.passed is not (tampered and check is check_engine_agreement)
+
+
+@pytest.mark.parametrize("check", [check_missing_pair_uninformative,
+                                   check_parity_classification])
+def test_pattern_checks_catch_a_pair_symmetric_leak(symmetric_leaking_encoding,
+                                                    check):
+    # The encoder passes the pair-symmetry certificate, so only the probes
+    # can catch it: the one probe of (n-1, 0, 0, 1) leaks at n = 2.
+    result = check(VerifyConfig(n_max=2))
+    assert not result.passed
+    assert not result.detail.startswith(("pair symmetry", "threshold gap"))
+    if check is check_missing_pair_uninformative:
+        # A leaking probe decides nothing below it: the others are probed.
+        assert result.detail.startswith(
+            "6 patterns (3 classes: 3 probed, 0 by containment), ")
+        assert "max distance 1.000e+00 " in result.detail
+        assert result.detail.endswith(" at n=2, S1,N1")
+    else:
+        assert ("n=2 S1,N1: classified uninformative but distance bound "
+                "1.000e+00" in result.detail)
+
+
+def test_parity_classification_fails_on_a_class_reached_both_ways(
+        monkeypatch):
+    # The full register reported as uninformative lies around every class,
+    # including the lone clone S1, whose own probe leaks at n = 1.
+    probe = leakage.probe_patterns
+
+    def hiding_full_register(n, subsets):
+        reports = probe(n, subsets)
+        full = reports.get((n, 0, 0, 0))
+        if full is not None:
+            full.verdict = leakage.ProbeVerdict.UNINFORMATIVE
+        return reports
+
+    monkeypatch.setattr(leakage, "probe_patterns", hiding_full_register)
+    result = check_parity_classification(VerifyConfig(n_max=1))
+    assert not result.passed
+    assert ("n=1 S1,N1: classified AUTHORIZED but no probe response"
+            in result.detail)
+    assert ("n=1 S1: classified PARTIALLY_INFORMATIVE but no probe response "
+            "(probed on S1,N1, which holds it)" in result.detail)
+
+
+def test_parity_classification_fails_on_an_undecided_class(monkeypatch):
+    # Probing the full register alone decides no class below it.
+    monkeypatch.setattr(
+        verify, "_probe_by_containment",
+        lambda n, classes, stages: leakage.probe_patterns(
+            n, [verify._representative(n, (n, 0, 0, 0))]))
+    result = check_parity_classification(VerifyConfig(n_max=2))
+    assert not result.passed
+    assert "n=1 N1: no probe decides it" in result.detail
