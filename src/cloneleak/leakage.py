@@ -236,7 +236,7 @@ def certify_pair_symmetry(n: int, encoded_poles) -> None:
                     f"{i + 1}")
 
 
-def probe_patterns(n: int, subsets) -> dict[tuple, LeakageReport]:
+def probe_patterns(n: int, subsets) -> PoleReports:
     """Brute-force informativeness probes of many subsets from the six poles.
 
     A reduced state is linear in the input |psi><psi| (Nielsen & Chuang,
@@ -260,14 +260,28 @@ def probe_patterns(n: int, subsets) -> dict[tuple, LeakageReport]:
     distance nor <Y...Y>. So only the first subset of each count class is
     probed: the reports are keyed by `counts`, in order of first
     appearance, and each report's `subset` is its class's first subset.
+    `PoleReports.probe` adds the reports of more subsets of the same n from
+    the same encoded poles.
     """
-    encoded_poles = encode_points(n, _POLES)
-    certify_pair_symmetry(n, encoded_poles)
-    reports: dict[tuple, LeakageReport] = {}
-    for subset in subsets:
-        if subset.counts not in reports:
-            reports[subset.counts] = _probe_pattern(subset, encoded_poles)
-    return reports
+    return PoleReports(n).probe(subsets)
+
+
+class PoleReports(dict):
+    """Pole reports of subsets of n pairs keyed by count class, from the six
+    poles encoded and certified once (`probe_patterns`)."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self._encoded_poles = encode_points(n, _POLES)
+        certify_pair_symmetry(n, self._encoded_poles)
+
+    def probe(self, subsets) -> PoleReports:
+        """Add a report for each subset whose count class has none yet."""
+        for subset in subsets:
+            if subset.counts not in self:
+                self[subset.counts] = _probe_pattern(subset,
+                                                     self._encoded_poles)
+        return self
 
 
 def _probe_pattern(subset: RegisterSubset, encoded_poles) -> LeakageReport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import branch, leakage, oracle
-from .pauli import SIGMA, pauli_sum_to_dense
+from .pauli import SIGMA, pauli_sum_to_dense, state_from_bloch
 from .subsets import (PairTag, RegisterSubset, Verdict, classify,
                       enumerate_classifications)
 
@@ -145,13 +145,49 @@ def check_sign_resolution(config: VerifyConfig) -> CheckResult:
 GRID_CHUNK_BYTES = 16 * 2 ** 20
 
 
-def _encoded_grid(n: int, grid: np.ndarray):
-    """(points, encoded states) for consecutive chunks of the grid, each
-    within GRID_CHUNK_BYTES, from one encoder call per chunk."""
+def _grid(config: VerifyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The configured Bloch grid and its input amplitudes as rows, each
+    point converted once for every n."""
+    grid = leakage.bloch_grid(config.grid_size, config.seed)
+    return grid, np.stack([state_from_bloch(b) for b in grid])
+
+
+def _encoded_grid(n: int, inputs: np.ndarray):
+    """(slice of the grid, encoded states) for consecutive chunks of the
+    inputs, each within GRID_CHUNK_BYTES, from one encoder call per chunk."""
     step = max(1, GRID_CHUNK_BYTES // (16 * 2 ** (2 * n + 1)))
-    for start in range(0, len(grid), step):
-        points = grid[start:start + step]
-        yield points, leakage.encode_points(n, points)
+    for start in range(0, len(inputs), step):
+        chunk = slice(start, start + step)
+        yield chunk, oracle.build_encoded_state(n, inputs[chunk])
+
+
+# The calculus is evaluated at b = 0, e_x, e_y, e_z (`_aligned_states`).
+_AFFINE_BASIS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _aligned_states(n: int, p: int, points: np.ndarray) -> np.ndarray:
+    """Dense analytic states of the aligned subset (n, p) at each point.
+
+    The calculus's state 2^-n (I + sum_j c_j b_j sigma_j^(x)n) is affine in
+    the Bloch vector b, so it is formed at `_AFFINE_BASIS` only and every
+    point is rho(0) + sum_j b_j (rho(e_j) - rho(0)). That is exactly the
+    state formed at the point: c_x = c_z = 0 (`check_interference_sums`),
+    and the Y slope's entries are 0 or 2^-n times +-1 or +-i, so every
+    product and sum is exact. The one difference would be `PauliSum`
+    dropping a Y coefficient below `COEFF_PRUNE`, which no `bloch_grid`
+    point comes near (tested). The sum is taken only where some slope is
+    nonzero, one entry per column of a Pauli string: a product over every
+    entry is a thin complex GEMM, which costs more than forming the states
+    point by point from n = 6 on.
+    """
+    rho0, *at_axes = [pauli_sum_to_dense(branch.analytic_reduced_state(n, p, b))
+                      for b in _AFFINE_BASIS]
+    slopes = (np.stack(at_axes) - rho0).reshape(3, -1)
+    support = slopes.any(axis=0)
+    states = np.repeat(rho0[None], len(points), axis=0)
+    states.reshape(len(points), -1)[:, support] += points @ slopes[:, support]
+    return states
 
 
 def check_engine_agreement(config: VerifyConfig) -> CheckResult:
@@ -159,18 +195,18 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     if _top_n(config) < 1:
         return _nothing_to_check("engine_agreement", config)
     tol = leakage.TOLERANCES.engine_agreement
-    grid = leakage.bloch_grid(config.grid_size, config.seed)
+    grid, inputs = _grid(config)
     worst = 0.0
     worst_case = ""
     for n in range(1, _top_n(config) + 1):
         keeps = [leakage.keep_positions(leakage.aligned_subset(n, p))
                  for p in range(0, n + 1)]
         chunks = []  # [p, point] per chunk of the grid
-        for points, states in _encoded_grid(n, grid):
-            chunks.append([np.abs(oracle.reduced_density(states, keep) - [
-                pauli_sum_to_dense(branch.analytic_reduced_state(n, p, b))
-                for b in points]).max(axis=(1, 2))
-                for p, keep in enumerate(keeps)])
+        for chunk, states in _encoded_grid(n, inputs):
+            chunks.append([np.abs(oracle.reduced_density(states, keep)
+                                  - _aligned_states(n, p, grid[chunk])
+                                  ).max(axis=(1, 2))
+                           for p, keep in enumerate(keeps)])
         errs = np.concatenate(chunks, axis=1)
         for p in range(0, n + 1):
             i = int(errs[p].argmax())  # the first point at the largest error
@@ -245,19 +281,21 @@ def _deciders(counts: tuple, reports: dict) -> tuple:
 def _probe_by_containment(n: int, classes: list, stages) -> dict:
     """Pole reports of enough count classes to decide every class.
 
-    Each stage probes, in one `leakage.probe_patterns` call, those of its
-    classes that no earlier report decides (`_deciders`); a last stage
-    probes every class still undecided. The order of the stages only
-    saves probes: what is left undecided is probed. Reports are keyed by
-    count class.
+    Each stage probes those of its classes that no earlier report decides
+    (`_deciders`); a last stage probes every class still undecided. The
+    order of the stages only saves probes: what is left undecided is
+    probed. The first stage that probes anything encodes the six poles
+    (`leakage.probe_patterns`), and later stages probe from the same
+    encoded poles. Reports are keyed by count class, in a
+    `leakage.PoleReports` that can probe more classes of n.
     """
     reports: dict[tuple, leakage.LeakageReport] = {}
     for stage in [*stages, classes]:
-        todo = [c for c in stage if c in classes and c not in reports
-                and not any(_deciders(c, reports))]
+        todo = [_representative(n, c) for c in stage if c in classes
+                and c not in reports and not any(_deciders(c, reports))]
         if todo:
-            reports.update(leakage.probe_patterns(
-                n, [_representative(n, c) for c in todo]))
+            reports = (reports.probe(todo) if reports
+                       else leakage.probe_patterns(n, todo))
     return reports
 
 
@@ -330,12 +368,10 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
         try:
             reports = _probe_by_containment(n, count_classes, stages)
             # A leak sign is read from the class's own probe.
-            unprobed = [c for c in count_classes if c not in reports
-                        and classify(_representative(n, c)).verdict
-                        is Verdict.PARTIALLY_INFORMATIVE]
-            if unprobed:
-                reports.update(leakage.probe_patterns(
-                    n, [_representative(n, c) for c in unprobed]))
+            reports.probe(_representative(n, c) for c in count_classes
+                          if c not in reports
+                          and classify(_representative(n, c)).verdict
+                          is Verdict.PARTIALLY_INFORMATIVE)
         except _PROBE_FAILURES as exc:
             return _probe_failure("parity_classification", exc, (1, n - 1))
         classes += len(count_classes)
@@ -345,19 +381,18 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
         for subset, cls in enumerate_classifications(n):
             leak, bound = decided[subset.counts]
             total += 1
-            label = f"n={n} {subset.labels()}"
             if leak is None and bound is None:
-                disagreements.append(f"{label}: no probe decides it")
+                disagreements.append((n, subset, "no probe decides it"))
             elif cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
                 if leak is not None:
-                    disagreements.append(
-                        f"{label}: classified uninformative but distance "
+                    disagreements.append((
+                        n, subset, f"classified uninformative but distance "
                         f"bound {leak.distance_bound:.3e}"
-                        + _via(leak, subset, "which it holds"))
+                        + _via(leak, subset, "which it holds")))
             elif bound is not None:
-                disagreements.append(
-                    f"{label}: classified {cls.verdict.value} but no probe "
-                    f"response" + _via(bound, subset, "which holds it"))
+                disagreements.append((
+                    n, subset, f"classified {cls.verdict.value} but no probe "
+                    f"response" + _via(bound, subset, "which holds it")))
             if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
                 report = reports[subset.counts]
                 if subset.counts not in slice_distances:
@@ -365,19 +400,22 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                         leakage.fixed_y_slice_probe(report.subset, 0.5, 8))
                 slice_d = slice_distances[subset.counts]
                 if slice_d >= tol.uninformative:
-                    disagreements.append(f"{label}: leak depends on more than y "
-                                         f"(fixed-y distance {slice_d:.3e})")
+                    disagreements.append((n, subset,
+                                          f"leak depends on more than y "
+                                          f"(fixed-y distance {slice_d:.3e})"))
                 expected = cls.leak.sign
                 if abs(report.y_signal - expected) > tol.engine_agreement:
-                    disagreements.append(f"{label}: pole signal "
-                                         f"{report.y_signal:+.3e} != predicted "
-                                         f"{expected:+d}")
+                    disagreements.append((n, subset,
+                                          f"pole signal {report.y_signal:+.3e}"
+                                          f" != predicted {expected:+d}"))
     passed = not disagreements
     detail = (f"{total} patterns ({_class_detail(classes, probed)}) agree "
               f"across n<={_top_n(config)}")
     if disagreements:
+        # A pattern's label is formed only for the disagreements shown.
         detail = f"{len(disagreements)} disagreement(s): " + "; ".join(
-            disagreements[:5])
+            f"n={n} {subset.labels()}: {text}"
+            for n, subset, text in disagreements[:5])
     return CheckResult("parity_classification", passed, detail,
                        (1, _top_n(config)))
 
@@ -395,7 +433,7 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
     if _top_n(config) < 2:
         return _nothing_to_check("singleton_mixedness", config, first=2)
     tol = leakage.TOLERANCES.golden
-    grid = leakage.bloch_grid(config.grid_size, config.seed)
+    _, inputs = _grid(config)
     half_identity = np.eye(2) / 2
     worst = 0.0
     worst_case = ""
@@ -407,7 +445,7 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
             np.stack([np.abs(oracle.reduced_density(states, [pos])
                              - half_identity).max(axis=(1, 2))
                       for _, pos in positions], axis=1)
-            for _, states in _encoded_grid(n, grid)])
+            for _, states in _encoded_grid(n, inputs)])
         i = int(errs.argmax())  # the first worst, point by point
         if errs.flat[i] > worst:
             worst = float(errs.flat[i])

@@ -218,6 +218,26 @@ def test_probe_patterns_shares_states():
         ProbeVerdict.INFORMATIVE]
 
 
+def test_pole_reports_probe_more_subsets_from_the_same_poles(monkeypatch):
+    # Probing in two steps encodes the poles once and reports what one call
+    # on all the subsets reports, in the same order.
+    subs = [s for s, _ in enumerate_classifications(3)]
+    whole = probe_patterns(3, subs)
+    encoded = []
+    monkeypatch.setattr(leakage, "encode_points",
+                        lambda n, points: encoded.append(n)
+                        or encode_points(n, points))
+    reports = probe_patterns(3, subs[:10])
+    assert reports.probe(subs[10:]) is reports
+    assert encoded == [3]
+    assert list(reports) == list(whole)
+    for counts, report in whole.items():
+        assert reports[counts].subset == report.subset
+        assert reports[counts].axis_distances == report.axis_distances
+        assert reports[counts].y_signal == report.y_signal
+        assert reports[counts].verdict is report.verdict
+
+
 def test_probe_y_signal_matches_the_dense_pole_state():
     # The probe reads <Y...Y> from the +y pole's factor; the dense reference
     # forms the pole's reduced state, on every count class with n <= 4.

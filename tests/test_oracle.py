@@ -6,7 +6,7 @@ from cloneleak.oracle import (ORACLE_CAP_DEFAULT, ORACLE_CAP_MAX, bell_branch,
                               branch_phases, build_encoded_state, noise_position,
                               reduced_density, reduced_factor,
                               signal_position)
-from cloneleak.pauli import state_from_bloch
+from cloneleak.pauli import _NORM_ATOL, SIGMA, bloch_from_state, state_from_bloch
 
 from conftest import I2, Y, kron_chain
 
@@ -32,6 +32,16 @@ def test_bell_branch_values():
     np.testing.assert_allclose(bell_branch(0), np.array([1, 0, 0, 1]) / rt2)
     np.testing.assert_allclose(bell_branch(1), np.array([0, 1, 1, 0]) / rt2)
     np.testing.assert_allclose(bell_branch(3), np.array([1, 0, 0, -1]) / rt2)
+
+
+def test_bell_branch_is_built_once_and_read_only():
+    for mu in range(4):
+        branch = bell_branch(mu)
+        assert branch is bell_branch(mu)
+        assert not branch.flags.writeable
+        assert np.array_equal(
+            branch, np.kron(SIGMA[mu], SIGMA[0]) @ np.array([1, 0, 0, 1])
+            / np.sqrt(2.0))
 
 
 def test_bell_branches_orthonormal():
@@ -232,3 +242,37 @@ def test_stacked_encoding_keeps_leading_axes_and_validates_every_row():
         build_encoded_state(2, bad)
     with pytest.raises(ValueError, match="2-amplitude"):
         build_encoded_state(2, np.ones((4, 3)) / np.sqrt(3))
+
+
+def _refusal(call, *args) -> str:
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+def test_stacked_encoding_refuses_each_bad_input_as_the_row_check_does():
+    # The stack is tested in one pass; what it flags goes to
+    # bloch_from_state, so the message is that of the first bad row.
+    psis = _inputs(6)[:6]
+    nan_row, long_row = psis.copy(), psis.copy()
+    nan_row[2] = [np.nan, 0.0]
+    long_row[1] *= 1 + 1e-12  # |amp|^2 about 1 + 2e-12
+    long_row[4] = [np.nan, 0.0]
+    cases = [(np.array(1.0), np.array(1.0)),
+             (np.ones((4, 3)) / np.sqrt(3), np.ones(3) / np.sqrt(3)),
+             (nan_row, nan_row[2]),
+             (long_row, long_row[1])]
+    for psi, first_bad in cases:
+        message = _refusal(bloch_from_state, first_bad)
+        assert _refusal(build_encoded_state, 2, psi) == message
+    assert message.startswith("state is not normalized: |amp|^2 = ")
+
+
+def test_stacked_encoding_accepts_rows_within_the_row_tolerance():
+    # A norm off by less than _NORM_ATOL, though more than the stack test
+    # allows, is still accepted, as bloch_from_state accepts it.
+    psis = _inputs(6)[:6]
+    psis[3] *= np.sqrt(1 + 0.9 * _NORM_ATOL)
+    bloch_from_state(psis[3])
+    states = build_encoded_state(2, psis)
+    assert np.array_equal(states[3], build_encoded_state(2, psis[3]))

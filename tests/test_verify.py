@@ -4,9 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cloneleak import branch, leakage, oracle, subsets, verify
-from cloneleak.leakage import aligned_subset, fixed_y_slice_probe
-from cloneleak.pauli import bloch_from_state
+from cloneleak import branch, cli, leakage, oracle, subsets, verify
+from cloneleak.leakage import aligned_subset, bloch_grid, fixed_y_slice_probe
+from cloneleak.pauli import COEFF_PRUNE, bloch_from_state, pauli_sum_to_dense
 from cloneleak.subsets import PairTag, RegisterSubset, enumerate_classifications
 from cloneleak.verify import (VerifyConfig, check_bell_trace_identities,
                               check_engine_agreement,
@@ -125,10 +125,10 @@ def test_singleton_check_at_n1_fails_with_empty_range():
 
 
 def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
-    # The missing-pair check encodes the six poles once per n. The parity
-    # check encodes them once per probe stage: twice at even n, where no
-    # aligned class leaks and the smallest authorized classes take a
-    # stage of their own. Its fixed-y slices encode one state per call.
+    # Each pattern check encodes the six poles once per n, although the
+    # parity check probes in two stages at even n, where no aligned class
+    # leaks and the smallest authorized classes take a stage of their own.
+    # Its fixed-y slices encode one state per call.
     encoded = []
     build = oracle.build_encoded_state
 
@@ -139,7 +139,7 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
 
     monkeypatch.setattr(oracle, "build_encoded_state", counting)
     for check, stages in ((check_missing_pair_uninformative, [2, 3]),
-                          (check_parity_classification, [1, 2, 2, 3, 4, 4])):
+                          (check_parity_classification, [1, 2, 3, 4])):
         encoded.clear()
         assert check(VerifyConfig(n_max=max(stages))).passed
         assert [n for n, _ in encoded] == [n for n in stages for _ in range(6)]
@@ -236,6 +236,67 @@ def test_engine_agreement_sums_each_table_once_per_aligned_shape(
         branch._component_coefficients.cache_clear()
     assert sorted(tables) == [(n, p, j) for n in range(1, 5)
                               for p in range(n + 1) for j in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("size", [6, 7, 26, 27, 1000])
+def test_affine_engine_states_equal_the_per_point_calculus(size):
+    # The calculus formed at b = 0, e_x, e_y, e_z and extended affinely is
+    # the calculus formed at each point, entry for entry.
+    for seed in (0, 3):
+        grid = bloch_grid(size, seed)
+        for n in range(1, 7):
+            for p in range(n + 1):
+                for start in range(0, size, 100):
+                    points = grid[start:start + 100]
+                    per_point = [pauli_sum_to_dense(
+                        branch.analytic_reduced_state(n, p, b)) for b in points]
+                    assert np.array_equal(verify._aligned_states(n, p, points),
+                                          per_point), (size, seed, n, p)
+
+
+def test_bloch_grid_y_never_reaches_the_pauli_prune_threshold():
+    # A Y coefficient y * 2^-n of the calculus is never dropped as below
+    # COEFF_PRUNE, which the affine engine states rely on: every y of every
+    # grid verify accepts is 0 or far above COEFF_PRUNE * 2^n.
+    floor = COEFF_PRUNE * 2 ** cli.VERIFY_N_MAX
+    for size in range(6, cli.GRID_MAX + 1):
+        for seed in (0, 3):
+            y = np.abs(bloch_grid(size, seed)[:, 1])
+            assert ((y == 0) | (y > floor)).all(), (size, seed)
+
+
+def test_engine_agreement_forms_the_calculus_at_four_points_per_shape(
+        monkeypatch):
+    # 14 aligned shapes (n, p) at n <= 4, each formed at b = 0, e_x, e_y,
+    # e_z and made dense once per point: 56 calls, not one per grid point.
+    calls, dense = [], []
+    exact = branch.analytic_reduced_state
+
+    def recording(n, p, bloch):
+        calls.append((n, p, tuple(bloch)))
+        return exact(n, p, bloch)
+
+    monkeypatch.setattr(branch, "analytic_reduced_state", recording)
+    monkeypatch.setattr(verify, "pauli_sum_to_dense",
+                        lambda ps: dense.append(ps) or pauli_sum_to_dense(ps))
+    assert check_engine_agreement(VerifyConfig(n_max=4)).passed
+    basis = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert calls == [(n, p, b) for n in range(1, 5) for p in range(n + 1)
+                     for b in basis]
+    assert len(dense) == len(calls) == 56
+
+
+def test_grid_checks_convert_each_grid_point_once(monkeypatch):
+    # One Bloch-to-amplitude conversion per grid point and check, however
+    # many n the check covers.
+    converted = []
+    convert = verify.state_from_bloch
+    monkeypatch.setattr(verify, "state_from_bloch",
+                        lambda b: converted.append(b) or convert(b))
+    for check in (check_engine_agreement, check_singleton_mixedness):
+        converted.clear()
+        assert check(VerifyConfig(n_max=4, grid_size=10)).passed
+        assert np.array_equal(converted, bloch_grid(10, 0))
 
 
 def test_parity_classification_fails_on_states_that_are_not_affine(
