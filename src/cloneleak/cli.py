@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import re
@@ -129,7 +130,7 @@ SWEEP_BYTES_MAX = 1 << 30
 # once per row: at n = 10 `table` has about a million rows.
 EMIT_BLOCK = 1 << 16
 
-_MARK = "@"  # a row's label while its text is rendered, or the record's rows
+_MARK = "@"  # a label while rows are rendered, or the record's rows
 
 
 class _Echo:
@@ -164,11 +165,15 @@ def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],
           make_row=None) -> None:
     """Stream the record (JSON) or the rows (CSV) to --out or stdout.
 
-    Rows are dicts, each rendered on its own, or with make_row (label,
-    fields) pairs: make_row(_MARK, fields) is rendered once per fields
-    tuple, and a row is that text with its label's cell, as the encoder or
-    csv.writer writes it, in place of the marker's. The record's head, row
-    separator and tail are what its encoding around two marker rows leaves.
+    Rows are dicts, each rendered on its own, or with make_row the groups
+    (head label, head counts, [(tail label, fields)]) of
+    `ClassificationTable.groups`: make_row(_MARK, fields) is rendered once
+    per fields tuple, the rows of a head count class once, as a template
+    with the marker for the head label, and a head's text is its template
+    with one `str.replace`. The heads of a class share their labels'
+    quoting, as a label holds a comma exactly when its size is 2 or more.
+    The record's head, row separator and tail are what its encoding around
+    two marker rows leaves.
 
     The first block is encoded before the output is opened, so an output
     shorter than EMIT_BLOCK that fails to encode (a NaN) writes nothing;
@@ -204,26 +209,33 @@ def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],
         def frame(items: list):
             return itertools.chain([writer.writerow(columns)], items)
 
-    if make_row is None:
-        lines = map(render, rows)
-    else:
-        templates = {}  # fields -> row text before and after the label
-
-        def splice(label: str, fields: tuple) -> str:
-            parts = templates.get(fields)
-            if parts is None:
-                parts = templates[fields] = render(
-                    make_row(_MARK, fields)).split(cell(_MARK))
-            return parts[0] + cell(label) + parts[1]
-
-        lines = itertools.starmap(splice, rows)
     mark, chunks, text = cell(_MARK), frame([_MARK, _MARK]), ""
     while text.count(mark) < 2:  # the tail streams on from the chunks
         text += next(chunks)
-    head, sep, text = text.split(mark, 2)
-    first = next(lines, None)
+    opening, sep, closing = text.split(mark, 2)
+    if make_row is None:
+        texts = (sep + render(row) for row in rows)
+    else:
+        stub = functools.cache(lambda fields: render(make_row(_MARK, fields)))
+        templates = {}  # head counts -> the head's rows, each after a sep
+
+        def template(head: str, counts: tuple, group: list) -> str:
+            text = templates.get(counts)
+            if text is None:  # the first head's rows, the marker for its label
+                lines = [sep + stub(fields).replace(mark, cell(
+                    head + tail).replace(head + tail, _MARK + tail))
+                    for tail, fields in group]
+                if any(line.count(_MARK) != 1 for line in lines):
+                    raise RuntimeError(f"a row does not hold the label marker "
+                                       f"{_MARK!r} exactly once")
+                text = templates[counts] = "".join(lines)
+            return text
+
+        texts = (template(head, counts, group).replace(_MARK, head)
+                 for head, counts, group in rows if group)
+    first = next(texts, None)
     pieces = frame([]) if first is None else itertools.chain(
-        [head, first], map(sep.__add__, lines), [text], chunks)
+        [opening, first[len(sep):]], texts, [closing], chunks)
     blocks = _blocks(pieces)
     blocks = itertools.chain([next(blocks, "")], blocks)
     if not args.out:
@@ -317,8 +329,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     _note_single_pair(args)
     table = enumerate_classifications(args.n)
-    _emit(args, table.rows(), {"patterns": len(table),
-                               "verdict_counts": table.verdict_counts()},
+    _emit(args, table.groups(), {"patterns": len(table),
+                                 "verdict_counts": table.verdict_counts()},
           TABLE_COLUMNS, _structural_row)
     return 0
 

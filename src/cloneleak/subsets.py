@@ -175,7 +175,8 @@ class ClassificationTable:
     A lazy view: nothing is enumerated until it is iterated, and each
     iteration starts afresh. Patterns come in a fixed order (tag order BOTH,
     SIGNAL, NOISE, NONE, varying the last pair fastest), so output is
-    deterministic.
+    deterministic. Iterating gives (RegisterSubset, Classification) pairs;
+    `groups` gives the same patterns' rows, one group per head.
     """
 
     def __init__(self, n: int):
@@ -209,34 +210,34 @@ class ClassificationTable:
             fields = self._fields[counts] = row_fields(subset, classify(subset))
         return fields
 
-    def rows(self):
-        """(label, row_fields) per pattern, without a RegisterSubset each.
+    def groups(self):
+        """(head label, head counts, [(tail label, row_fields)]) per head,
+        without a RegisterSubset per pattern.
 
-        Each pattern joins an entry of a head list (the first n - n//2 pairs)
-        to one of a tail list (the last n//2 pairs), so both lists hold at
-        most 4^ceil(n/2) entries, and a row costs one string join. Head
-        labels are kept without their leading comma; only the all-NONE head,
-        whose label is empty, takes the tail labels without theirs. The
-        fields are listed once per head count class. Only the all-NONE head
-        reaches the empty pattern, with the all-NONE tail, which comes last:
-        that head's list stops one entry short, and so does `zip`.
+        A pattern is a head over the first n - n//3 pairs followed by a tail
+        over the last n//3, and its label is the head label then the tail
+        label. Its row fields depend only on the head's counts plus the
+        tail's, so every head of one count class shares one list, in tail
+        order. The heads stream as the product of two stored halves, each of
+        at most 4^ceil(n/3) entries. Head labels are kept without their
+        leading comma; only the all-NONE head, whose label is empty, takes
+        the tail labels without theirs, and its list stops short of the
+        all-NONE tail, the empty pattern (at n = 1 it is empty).
         """
         n = self.n
-        split = n - n // 2
+        split = n - n // 3
         tail = _half(n, split + 1, n)
-        tail_labels = [label for label, _ in tail]
-        bare_tail_labels = [label[1:] for label in tail_labels]
-        by_head = {}  # head counts -> row_fields per tail entry
-        for head_label, head_counts in _half(n, 1, split):
-            fields = by_head.get(head_counts)
-            if fields is None:
-                fields = by_head[head_counts] = [
-                    self._class_fields(tuple(map(int.__add__, head_counts, c)))
-                    for _, c in tail if head_counts[3] + c[3] < n]
-            head_label = head_label[1:]
-            labels = tail_labels if head_label else bare_tail_labels
-            for tail_label, row in zip(labels, fields):
-                yield head_label + tail_label, row
+        by_head = {}  # head counts -> (tail label, row_fields) per tail entry
+        for (left, left_counts), (right, right_counts) in itertools.product(
+                _half(n, 1, split // 2), _half(n, split // 2 + 1, split)):
+            counts = tuple(map(int.__add__, left_counts, right_counts))
+            rows = by_head.get(counts)
+            if rows is None:
+                rows = by_head[counts] = [
+                    (label if counts[3] < split else label[1:],
+                     self._class_fields(tuple(map(int.__add__, counts, c))))
+                    for label, c in tail if counts[3] + c[3] < n]
+            yield (left + right)[1:], counts, rows
 
     def verdict_counts(self) -> dict[str, int]:
         """Patterns per verdict, in Verdict order, summed over count classes:

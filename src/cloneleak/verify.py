@@ -166,28 +166,34 @@ _AFFINE_BASIS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _aligned_states(n: int, p: int, points: np.ndarray) -> np.ndarray:
-    """Dense analytic states of the aligned subset (n, p) at each point.
+def _aligned_states(n: int, p: int):
+    """Dense analytic states of the aligned subset (n, p), as a function of
+    a stack of points.
 
     The calculus's state 2^-n (I + sum_j c_j b_j sigma_j^(x)n) is affine in
-    the Bloch vector b, so it is formed at `_AFFINE_BASIS` only and every
-    point is rho(0) + sum_j b_j (rho(e_j) - rho(0)). That is exactly the
-    state formed at the point: c_x = c_z = 0 (`check_interference_sums`),
-    and the Y slope's entries are 0 or 2^-n times +-1 or +-i, so every
-    product and sum is exact. The one difference would be `PauliSum`
-    dropping a Y coefficient below `COEFF_PRUNE`, which no `bloch_grid`
-    point comes near (tested). The sum is taken only where some slope is
-    nonzero, one entry per column of a Pauli string: a product over every
-    entry is a thin complex GEMM, which costs more than forming the states
-    point by point from n = 6 on.
+    the Bloch vector b, so it is formed at `_AFFINE_BASIS` only, once per
+    call here, and every point is rho(0) + sum_j b_j (rho(e_j) - rho(0)).
+    That is exactly the state formed at the point: c_x = c_z = 0
+    (`check_interference_sums`), and the Y slope's entries are 0 or 2^-n
+    times +-1 or +-i, so every product and sum is exact. The one difference
+    would be `PauliSum` dropping a Y coefficient below `COEFF_PRUNE`, which
+    no `bloch_grid` point comes near (tested). Only the entries where rho(0)
+    or some slope is nonzero are kept and summed, one per column of each
+    Pauli string: a product over every entry is a thin complex GEMM, which
+    costs more than forming the states point by point from n = 6 on, and a
+    dense rho(0) per shape would hold 9 MiB at n = 8.
     """
     rho0, *at_axes = [pauli_sum_to_dense(branch.analytic_reduced_state(n, p, b))
                       for b in _AFFINE_BASIS]
     slopes = (np.stack(at_axes) - rho0).reshape(3, -1)
-    support = slopes.any(axis=0)
-    states = np.repeat(rho0[None], len(points), axis=0)
-    states.reshape(len(points), -1)[:, support] += points @ slopes[:, support]
-    return states
+    support = slopes.any(axis=0) | (rho0 != 0).ravel()
+    base, slopes, shape = rho0.ravel()[support], slopes[:, support], rho0.shape
+
+    def at(points: np.ndarray) -> np.ndarray:
+        states = np.zeros((len(points),) + shape, base.dtype)
+        states.reshape(len(points), -1)[:, support] = base + points @ slopes
+        return states
+    return at
 
 
 def check_engine_agreement(config: VerifyConfig) -> CheckResult:
@@ -201,12 +207,12 @@ def check_engine_agreement(config: VerifyConfig) -> CheckResult:
     for n in range(1, _top_n(config) + 1):
         keeps = [leakage.keep_positions(leakage.aligned_subset(n, p))
                  for p in range(0, n + 1)]
+        analytic = [_aligned_states(n, p) for p in range(0, n + 1)]
         chunks = []  # [p, point] per chunk of the grid
         for chunk, states in _encoded_grid(n, inputs):
             chunks.append([np.abs(oracle.reduced_density(states, keep)
-                                  - _aligned_states(n, p, grid[chunk])
-                                  ).max(axis=(1, 2))
-                           for p, keep in enumerate(keeps)])
+                                  - at(grid[chunk])).max(axis=(1, 2))
+                           for keep, at in zip(keeps, analytic)])
         errs = np.concatenate(chunks, axis=1)
         for p in range(0, n + 1):
             i = int(errs[p].argmax())  # the first point at the largest error

@@ -1,6 +1,7 @@
 import ast
 import graphlib
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -146,14 +147,40 @@ def _eager_classifications(n):
     return out
 
 
+def _flat_rows(view):
+    """(label, row_fields) per pattern: each group's rows under its head."""
+    return [(head + tail, fields) for head, _, rows in view.groups()
+            for tail, fields in rows]
+
+
 def test_enumeration_view_matches_the_eager_loop():
-    for n in range(1, 6):
+    for n in range(1, 7):
         view = enumerate_classifications(n)
         reference = _eager_classifications(n)
         assert list(view) == reference
         assert list(view) == reference  # a second pass starts afresh
-        assert list(view.rows()) == [(s.labels(), row_fields(s, c))
-                                     for s, c in reference]
+        assert _flat_rows(view) == [(s.labels(), row_fields(s, c))
+                                    for s, c in reference]
+
+
+def test_groups_share_one_list_per_head_count_class():
+    for n in range(1, 8):
+        heads = n - n // 3
+        lists, groups = {}, 0
+        for (head, counts, rows), tags in zip(
+                enumerate_classifications(n).groups(),
+                itertools.product(PairTag, repeat=heads), strict=True):
+            groups += 1
+            assert head == RegisterSubset(heads, tags).labels()
+            assert counts == tuple(map(tags.count, PairTag))
+            assert lists.setdefault(counts, rows) is rows
+            # Every label is whole: never empty (the empty pattern never
+            # appears) and no empty token, so only the all-NONE head has
+            # bare tail labels. At n = 1 that head has no rows at all.
+            assert all("" not in (head + tail).split(",") for tail, _ in rows)
+            assert len(rows) == 4 ** (n // 3) - (not head)
+        assert groups == 4 ** heads
+        assert len(lists) == math.comb(heads + 3, 3)
 
 
 def test_enumeration_length_builds_no_subset(monkeypatch):
@@ -175,7 +202,7 @@ def test_verdict_counts_are_multinomial_sums():
     for n in range(1, 9):
         view = enumerate_classifications(n)
         tally = dict.fromkeys(Verdict, 0)
-        for _, (_, _, _, verdict, _) in view.rows():
+        for _, (_, _, _, verdict, _) in _flat_rows(view):
             tally[Verdict(verdict)] += 1
         counts = view.verdict_counts()
         assert list(counts) == list(Verdict)

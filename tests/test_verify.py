@@ -250,7 +250,7 @@ def test_affine_engine_states_equal_the_per_point_calculus(size):
                     points = grid[start:start + 100]
                     per_point = [pauli_sum_to_dense(
                         branch.analytic_reduced_state(n, p, b)) for b in points]
-                    assert np.array_equal(verify._aligned_states(n, p, points),
+                    assert np.array_equal(verify._aligned_states(n, p)(points),
                                           per_point), (size, seed, n, p)
 
 
@@ -385,6 +385,28 @@ def test_grid_checks_are_identical_in_chunks(request, monkeypatch, check,
     assert check(config) == whole
     assert calls == [n for n in range(whole.n_range[0], 4) for _ in range(10)]
     assert whole.passed is not (tampered and check is check_engine_agreement)
+
+
+def test_engine_agreement_forms_the_calculus_once_per_shape(monkeypatch):
+    # Four calculus states per aligned shape (n, p), 4 * (2 + 3 + 4 + 5) = 56
+    # at n <= 4, however many chunks the grid takes.
+    config = VerifyConfig(n_max=4)
+    whole = check_engine_agreement(config)
+    calls = []
+    exact = branch.analytic_reduced_state
+    monkeypatch.setattr(branch, "analytic_reduced_state",
+                        lambda n, p, b: calls.append((n, p)) or exact(n, p, b))
+    # Five points of n = 4 (2^9 amplitudes each) per chunk: six chunks.
+    monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", 5 * 16 * 2 ** 9)
+    encodes = []
+    build = oracle.build_encoded_state
+    monkeypatch.setattr(oracle, "build_encoded_state",
+                        lambda n, psi: encodes.append(n) or build(n, psi))
+    assert check_engine_agreement(config) == whole
+    assert encodes.count(4) == 6
+    assert len(calls) == 56
+    assert Counter(calls) == {(n, p): 4 for n in range(1, 5)
+                              for p in range(n + 1)}
 
 
 @pytest.mark.parametrize("check", [check_missing_pair_uninformative,
