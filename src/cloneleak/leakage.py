@@ -245,16 +245,15 @@ def probe_patterns(n: int, subsets) -> PoleReports:
     sum_j ||R_j||_1 apart, and the poles on axis j are exactly
     D_j = ||R_j||_1 apart: the sum bounds the distance on the whole sphere
     and the largest D_j is attained. The poles are encoded once and each
-    subset's distances come from its reduced factors
-    (`factored_trace_distance`).
+    subset's distances come from its reduced factors, one
+    `factored_trace_distance` call per probed subset.
 
-    Each axis also estimates R0 as (rho(+e_j) + rho(-e_j)) / 2. Estimates
-    that differ by the uninformative threshold or more mean the states are
-    not affine in b, and raise `SeparationGapError` like a distance in the
-    gap.
-
-    The encoded poles are first certified invariant under every pair
-    permutation (`certify_pair_symmetry`). Subsets with the same
+    The encoded poles of all 2n+1 qubits are first certified invariant
+    under every pair permutation (`certify_pair_symmetry`) and affine in
+    b: the axes' estimates (rho(+e_j) + rho(-e_j)) / 2 of R0 that differ
+    by the uninformative threshold or more raise `SeparationGapError`.
+    Partial trace contracts the trace norm (Nielsen & Chuang, Thm 9.2), so
+    no subset's estimates differ by more. Subsets with the same
     `RegisterSubset.counts` then have reduced states equal up to a
     permutation of their qubits, a unitary, which changes neither a trace
     distance nor <Y...Y>. So only the first subset of each count class is
@@ -274,6 +273,16 @@ class PoleReports(dict):
         super().__init__()
         self._encoded_poles = encode_points(n, _POLES)
         certify_pair_symmetry(n, self._encoded_poles)
+        # [|+e_j> | |-e_j>] factors rho(+e_j) + rho(-e_j), twice R0.
+        pole_sums = np.reshape(self._encoded_poles, (3, 2, -1)).swapaxes(1, 2)
+        gap = 0.5 * float(factored_trace_distance(
+            pole_sums[1:], pole_sums[[0, 0]]).max())
+        if not gap < TOLERANCES.uninformative:
+            raise SeparationGapError(
+                f"n={n}: the axes' estimates of the input-independent part "
+                f"of the {2 * n + 1}-qubit pole states differ by {gap!r}, "
+                f"not below the uninformative threshold {TOLERANCES.uninformative}"
+                f"; the pole states are not affine in the Bloch vector")
 
     def probe(self, subsets) -> PoleReports:
         """Add a report for each subset whose count class has none yet."""
@@ -286,28 +295,15 @@ class PoleReports(dict):
 
 def _probe_pattern(subset: RegisterSubset, encoded_poles) -> LeakageReport:
     """Pole report of one subset from the six encoded poles (`probe_patterns`)."""
-    context = subset.labels() or "(empty)"
-    keep = keep_positions(subset)
-    factors = oracle.reduced_factor(encoded_poles, keep)
+    factors = oracle.reduced_factor(encoded_poles, keep_positions(subset))
     plus, minus = factors[0::2], factors[1::2]
     axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
-    # Trace distance of the y and z estimates of R0 to the x estimate:
-    # [M_+j | M_-j] is a factor of rho(+e_j) + rho(-e_j), twice R0.
-    pole_sums = np.concatenate([plus, minus], axis=-1)
-    r0_gap = 0.5 * float(factored_trace_distance(
-        pole_sums[1:], pole_sums[[0, 0]]).max())
-    if not r0_gap < TOLERANCES.uninformative:
-        raise SeparationGapError(
-            f"{context}: the axes' estimates of the input-independent "
-            f"part differ by {r0_gap!r}, not below the uninformative "
-            f"threshold {TOLERANCES.uninformative}; the pole states are "
-            f"not affine in the Bloch vector")
     return LeakageReport(
         subset=subset,
         axis_distances=axes,
         # <Y...Y> at the +y pole, read from its factor: no dense state.
         y_signal=expectation(plus[1], "Y" * subset.size, factored=True),
-        verdict=_verdict(axes, context),
+        verdict=_verdict(axes, subset.labels() or "(empty)"),
     )
 
 

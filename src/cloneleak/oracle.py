@@ -9,6 +9,7 @@ plus the source spans 2n+1 qubits.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ ORACLE_CAP_MAX = 10
 # the same four squares cannot turn a refusal into an acceptance.
 _STACK_NORM_ATOL = _NORM_ATOL / 4
 
-_BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+_H = 1 / np.sqrt(2.0)
 
 _I_POWERS = (1, 1j, -1, -1j)
 
@@ -52,7 +53,7 @@ def bell_branch(mu: int) -> np.ndarray:
     (|00>+|11>)/sqrt(2), built once per mu and returned read-only."""
     if not 0 <= mu <= 3:
         raise ValueError(f"branch index must be in 0..3, got {mu}")
-    return np.kron(SIGMA[mu], SIGMA[0]) @ _BELL
+    return np.kron(SIGMA[mu], SIGMA[0]) @ [_H, 0, 0, _H]
 
 
 def signal_position(i: int) -> int:
@@ -65,6 +66,20 @@ def noise_position(i: int) -> int:
     return 2 * i
 
 
+@functools.lru_cache(maxsize=2)  # 64 MiB at n = 10
+def encoding_basis(n: int) -> np.ndarray:
+    """Read-only (2, 2**(2n+1)) basis G of Gaussian integers (0 or +-1 +-i)
+    with enc(psi) = (psi h^n) @ G / 2: row c is sum_mu sigma_mu[:, c] (x)
+    u_mu^(x)n / phase_mu, where u_mu = sqrt(2) bell_branch(mu)."""
+    basis = np.zeros((2, 2 ** (2 * n + 1)), dtype=complex)
+    for mu, phase in enumerate(branch_phases(n)):
+        unit = bell_branch(mu) / _H  # exactly 0, +-1 or +-i
+        basis += functools.reduce(np.multiply.outer, [unit] * n,
+                                  SIGMA[mu].T / phase).reshape(2, -1)
+    basis.flags.writeable = False
+    return basis
+
+
 def build_encoded_state(n: int, psi: np.ndarray) -> np.ndarray:
     """Encode one qubit into n clone/noise pairs; returns 2**(2n+1) amplitudes.
 
@@ -72,6 +87,10 @@ def build_encoded_state(n: int, psi: np.ndarray) -> np.ndarray:
     applies sigma_mu to the input qubit and to the signal half of every Bell
     pair, weighted by the inverse branch phase. A stack of inputs, shape
     (..., 2), gives a stack of outputs (..., 2**(2n+1)) in one call.
+
+    Each pair factor is h = 1/sqrt(2) times a unit and each amplitude sums
+    at most two branch terms of one input amplitude, so (psi h^n) @
+    `encoding_basis` / 2 rounds every bit as the branch sum does (tested).
     """
     if n < 1:
         raise ValueError(f"clone count must be >= 1, got {n}")
@@ -88,15 +107,12 @@ def build_encoded_state(n: int, psi: np.ndarray) -> np.ndarray:
         rows = rows[~(np.abs(norm2 - 1.0) <= _STACK_NORM_ATOL)]
     for row in rows:
         bloch_from_state(row)  # validates shape and normalization
-    phases = branch_phases(n)
-    total = np.zeros(psi.shape[:-1] + (2 ** (2 * n + 1),), dtype=complex)
-    for mu in range(4):
-        pair = bell_branch(mu)
-        vec = psi @ SIGMA[mu].T
-        for _ in range(n):
-            vec = (vec[..., None] * pair).reshape(psi.shape[:-1] + (-1,))
-        total += vec / phases[mu]
-    return total / 2.0
+    # psi h^n, one multiplication by h at a time, as the pair factors are.
+    scaled = functools.reduce(np.multiply, [_H] * n, psi.reshape(-1, 2))
+    total = scaled @ encoding_basis(n)
+    # Divided as the branch sum is: * 0.5 can turn an underflow's -0.0 to +0.0.
+    total /= 2.0
+    return total.reshape(psi.shape[:-1] + total.shape[-1:])
 
 
 def reduced_factor(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:

@@ -153,6 +153,12 @@ def row_fields(subset: RegisterSubset,
             cls.verdict.value, cls.reason.value)
 
 
+def first_pattern(n: int, counts: tuple) -> RegisterSubset:
+    """A count class's first pattern in enumeration order (tags sorted)."""
+    return RegisterSubset(n, sum(((tag,) * k
+                                  for tag, k in zip(PairTag, counts)), ()))
+
+
 def _half(n: int, first: int, last: int) -> list[tuple[str, tuple]]:
     """(label, counts) of every pattern of pairs first..last.
 
@@ -205,8 +211,7 @@ class ClassificationTable:
         decided once per view through `classify` on one representative."""
         fields = self._fields.get(counts)
         if fields is None:
-            subset = RegisterSubset(self.n, sum(
-                ((tag,) * k for tag, k in zip(PairTag, counts)), ()))
+            subset = first_pattern(self.n, counts)
             fields = self._fields[counts] = row_fields(subset, classify(subset))
         return fields
 
@@ -239,21 +244,23 @@ class ClassificationTable:
                     for label, c in tail if counts[3] + c[3] < n]
             yield (left + right)[1:], counts, rows
 
-    def verdict_counts(self) -> dict[str, int]:
-        """Patterns per verdict, in Verdict order, summed over count classes:
-        the class (b, s, q, m) holds n! / (b! s! q! m!) patterns."""
+    def classes(self) -> dict[tuple[int, int, int, int], int]:
+        """Patterns per count class (#BOTH, #SIGNAL, #NOISE, #NONE) of the
+        nonempty patterns, n! / (b! s! q! m!) for the class (b, s, q, m),
+        in order of b, then s, then q."""
         n = self.n
+        return {(both, signal, noise, n - both - signal - noise):
+                math.comb(n, both) * math.comb(n - both, signal)
+                * math.comb(n - both - signal, noise)
+                for both in range(n + 1) for signal in range(n + 1 - both)
+                for noise in range(n + 1 - both - signal)
+                if both + signal + noise}
+
+    def verdict_counts(self) -> dict[str, int]:
+        """Patterns per verdict, in Verdict order, summed over count classes."""
         tally = dict.fromkeys((verdict.value for verdict in Verdict), 0)
-        for both in range(n + 1):
-            for signal in range(n + 1 - both):
-                for noise in range(n + 1 - both - signal):
-                    if both + signal + noise == 0:
-                        continue  # the empty subset
-                    counts = (both, signal, noise, n - both - signal - noise)
-                    tally[self._class_fields(counts)[3]] += (
-                        math.comb(n, both)
-                        * math.comb(n - both, signal)
-                        * math.comb(n - both - signal, noise))
+        for counts, size in self.classes().items():
+            tally[self._class_fields(counts)[3]] += size
         return tally
 
 

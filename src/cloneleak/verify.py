@@ -6,15 +6,15 @@ and never stops early, so a report always covers every check.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import branch, leakage, oracle
 from .pauli import SIGMA, pauli_sum_to_dense, state_from_bloch
-from .subsets import (PairTag, RegisterSubset, Verdict, classify,
-                      enumerate_classifications)
+from .subsets import (Verdict, classify, enumerate_classifications,
+                      first_pattern)
 
 
 @dataclass
@@ -243,28 +243,6 @@ def class_contains(outer: tuple, inner: tuple) -> bool:
             <= both - in_both)
 
 
-def _count_classes(n: int) -> list[tuple[int, int, int, int]]:
-    """Every count class of the nonempty patterns of n pairs."""
-    return [(b, s, q, n - b - s - q)
-            for b in range(n + 1) for s in range(n + 1 - b)
-            for q in range(n + 1 - b - s) if b + s + q]
-
-
-def _class_size(counts: tuple[int, int, int, int]) -> int:
-    """Patterns in a count class: n! / (b! s! q! m!)."""
-    size, placed = 1, 0
-    for k in counts:
-        placed += k
-        size *= math.comb(placed, k)
-    return size
-
-
-def _representative(n: int, counts: tuple) -> RegisterSubset:
-    """The class's first pattern in enumeration order (tags sorted)."""
-    return RegisterSubset(n, sum(((tag,) * k
-                                  for tag, k in zip(PairTag, counts)), ()))
-
-
 def _deciders(counts: tuple, reports: dict) -> tuple:
     """(an informative report of a class `counts` holds, an uninformative
     report of a class that holds `counts`), each None if no probe gives
@@ -297,7 +275,7 @@ def _probe_by_containment(n: int, classes: list, stages) -> dict:
     """
     reports: dict[tuple, leakage.LeakageReport] = {}
     for stage in [*stages, classes]:
-        todo = [_representative(n, c) for c in stage if c in classes
+        todo = [first_pattern(n, c) for c in stage if c in classes
                 and c not in reports and not any(_deciders(c, reports))]
         if todo:
             reports = (reports.probe(todo) if reports
@@ -326,12 +304,13 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     worst_case = ""
     count = classes = probed = 0
     for n in range(2, _top_n(config) + 1):
-        missing = [c for c in _count_classes(n) if c[3]]
+        sizes = enumerate_classifications(n).classes()
+        missing = [c for c in sizes if c[3]]
         try:
             reports = _probe_by_containment(n, missing, [[(n - 1, 0, 0, 1)]])
         except _PROBE_FAILURES as exc:
             return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
-        count += sum(map(_class_size, missing))
+        count += sum(sizes[c] for c in missing)
         classes += len(missing)
         probed += len(reports)
         for report in reports.values():
@@ -351,84 +330,86 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
     """Structural verdicts and leak signs match brute-force probes on every
     pattern.
 
-    Per n, the pole probes go to the full register, which also certifies
-    for every class that the states are affine in the Bloch vector (the
-    partial trace of the R0 gap is no larger), then to the aligned
+    Per n, the pole probes go to the full register, then to the aligned
     classes, the largest missing-pair class and the smallest authorized
     classes (1, s, n-1-s, 0); containment decides the rest
-    (`_probe_by_containment`). Each pattern is compared with its class's
-    decision: a class that is both inside an uninformative probe and around
-    an informative one, or neither, disagrees with any verdict. The leak
-    sign of a partially informative class is read from its own probe, and
-    the fixed-y slice runs once per such class."""
+    (`_probe_by_containment`). The patterns of a count class share its
+    verdict, decision and pole report, so each class is compared once and
+    counts for its patterns (`ClassificationTable.classes`). A class both
+    inside an uninformative probe and around an informative one, or
+    neither, disagrees with any verdict. A partially informative class's
+    leak sign is read from its own probe, and the fixed-y slice runs once
+    per such class. Only the patterns of disagreeing classes are formed,
+    to name the first five disagreements in enumeration order."""
     if _top_n(config) < 1:
         return _nothing_to_check("parity_classification", config)
-    tol = leakage.TOLERANCES
-    disagreements = []
-    total = classes = probed = 0
+    found = []  # (n, its table, {count class: disagreement texts})
+    count = total = classes = probed = 0
     for n in range(1, _top_n(config) + 1):
-        count_classes = _count_classes(n)
+        table = enumerate_classifications(n)
+        sizes = table.classes()
         stages = [[(n, 0, 0, 0)] + [(0, p, n - p, 0) for p in range(n + 1)]
                   + [(n - 1, 0, 0, 1)],
                   [(1, s, n - 1 - s, 0) for s in range(n)]]
+        verdicts = {c: classify(first_pattern(n, c)) for c in sizes}
         try:
-            reports = _probe_by_containment(n, count_classes, stages)
+            reports = _probe_by_containment(n, list(sizes), stages)
             # A leak sign is read from the class's own probe.
-            reports.probe(_representative(n, c) for c in count_classes
-                          if c not in reports
-                          and classify(_representative(n, c)).verdict
+            reports.probe(first_pattern(n, c) for c, cls in verdicts.items()
+                          if c not in reports and cls.verdict
                           is Verdict.PARTIALLY_INFORMATIVE)
         except _PROBE_FAILURES as exc:
             return _probe_failure("parity_classification", exc, (1, n - 1))
-        classes += len(count_classes)
+        classes += len(sizes)
         probed += len(reports)
-        decided = {c: _deciders(c, reports) for c in count_classes}
-        slice_distances = {}  # count class -> fixed-y distance
-        for subset, cls in enumerate_classifications(n):
-            leak, bound = decided[subset.counts]
-            total += 1
-            if leak is None and bound is None:
-                disagreements.append((n, subset, "no probe decides it"))
-            elif cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
-                if leak is not None:
-                    disagreements.append((
-                        n, subset, f"classified uninformative but distance "
-                        f"bound {leak.distance_bound:.3e}"
-                        + _via(leak, subset, "which it holds")))
-            elif bound is not None:
-                disagreements.append((
-                    n, subset, f"classified {cls.verdict.value} but no probe "
-                    f"response" + _via(bound, subset, "which holds it")))
-            if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
-                report = reports[subset.counts]
-                if subset.counts not in slice_distances:
-                    slice_distances[subset.counts] = (
-                        leakage.fixed_y_slice_probe(report.subset, 0.5, 8))
-                slice_d = slice_distances[subset.counts]
-                if slice_d >= tol.uninformative:
-                    disagreements.append((n, subset,
-                                          f"leak depends on more than y "
-                                          f"(fixed-y distance {slice_d:.3e})"))
-                expected = cls.leak.sign
-                if abs(report.y_signal - expected) > tol.engine_agreement:
-                    disagreements.append((n, subset,
-                                          f"pole signal {report.y_signal:+.3e}"
-                                          f" != predicted {expected:+d}"))
-    passed = not disagreements
+        texts = {c: _disagreements(c, cls, reports)
+                 for c, cls in verdicts.items()}
+        count += sum(len(t) * sizes[c] for c, t in texts.items())
+        total += sum(sizes.values())
+        found.append((n, table, texts))
     detail = (f"{total} patterns ({_class_detail(classes, probed)}) agree "
               f"across n<={_top_n(config)}")
-    if disagreements:
-        # A pattern's label is formed only for the disagreements shown.
-        detail = f"{len(disagreements)} disagreement(s): " + "; ".join(
-            f"n={n} {subset.labels()}: {text}"
-            for n, subset, text in disagreements[:5])
-    return CheckResult("parity_classification", passed, detail,
+    if count:
+        shown = itertools.islice(
+            ((n, subset, text) for n, table, texts in found
+             if any(texts.values()) for subset, _ in table
+             for text in texts[subset.counts]), 5)
+        detail = f"{count} disagreement(s): " + "; ".join(
+            f"n={n} {subset.labels()}: {text}" for n, subset, text in shown)
+    return CheckResult("parity_classification", not count, detail,
                        (1, _top_n(config)))
 
 
-def _via(report, subset, relation: str) -> str:
+def _disagreements(counts: tuple, cls, reports: dict) -> list[str]:
+    """What each pattern of a count class disagrees on, in order."""
+    tol = leakage.TOLERANCES
+    leak, bound = _deciders(counts, reports)
+    texts = []
+    if leak is None and bound is None:
+        texts.append("no probe decides it")
+    elif cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
+        if leak is not None:
+            texts.append(f"classified uninformative but distance bound "
+                         f"{leak.distance_bound:.3e}"
+                         + _via(leak, counts, "which it holds"))
+    elif bound is not None:
+        texts.append(f"classified {cls.verdict.value} but no probe response"
+                     + _via(bound, counts, "which holds it"))
+    if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
+        report = reports[counts]
+        slice_d = leakage.fixed_y_slice_probe(report.subset, 0.5, 8)
+        if slice_d >= tol.uninformative:
+            texts.append(f"leak depends on more than y "
+                         f"(fixed-y distance {slice_d:.3e})")
+        if abs(report.y_signal - cls.leak.sign) > tol.engine_agreement:
+            texts.append(f"pole signal {report.y_signal:+.3e} != predicted "
+                         f"{cls.leak.sign:+d}")
+    return texts
+
+
+def _via(report, counts: tuple, relation: str) -> str:
     """Where a decision came from, when not from the pattern's own class."""
-    if report.subset.counts == subset.counts:
+    if report.subset.counts == counts:
         return ""
     return f" (probed on {report.subset.labels()}, {relation})"
 

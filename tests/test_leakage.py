@@ -193,6 +193,32 @@ def test_probe_rejects_states_that_are_not_affine(off_pole_encoding):
         probe_patterns(1, [sub for sub, _ in enumerate_classifications(1)])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pole_reports_refuse_states_that_are_not_affine_at_construction(
+        off_pole_encoding, n):
+    # The certificate is on the poles of all 2n+1 qubits, before any probe.
+    with pytest.raises(SeparationGapError,
+                       match=f"^n={n}: .* {2 * n + 1}-qubit pole states .* "
+                             f"not affine in the Bloch vector$"):
+        leakage.PoleReports(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pole_reports_certify_affinity_once(monkeypatch, n):
+    # One trace distance for the certificate, then one per probed class.
+    calls = []
+    exact = leakage.factored_trace_distance
+    monkeypatch.setattr(leakage, "factored_trace_distance",
+                        lambda *args: calls.append(args) or exact(*args))
+    reports = leakage.PoleReports(n)
+    assert len(calls) == 1
+    # The certificate's factors are the pure poles of all 2n+1 qubits.
+    assert [a.shape for a in calls[0]] == [(2, 2 ** (2 * n + 1), 2)] * 2
+    reports.probe(sub for sub, _ in enumerate_classifications(n))
+    assert len(reports) == (n + 1) * (n + 2) * (n + 3) // 6 - 1
+    assert len(calls) == 1 + len(reports)
+
+
 def test_probe_analytic_rejects_nonaligned():
     with pytest.raises(ValueError, match="aligned"):
         reduced_state(subset(B, E), [0, 1, 0], ENGINE_ANALYTIC)

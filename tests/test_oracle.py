@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cloneleak.leakage import bloch_grid
+from cloneleak.leakage import _POLES, bloch_grid
 from cloneleak.oracle import (ORACLE_CAP_DEFAULT, ORACLE_CAP_MAX, bell_branch,
-                              branch_phases, build_encoded_state, noise_position,
+                              branch_phases, build_encoded_state,
+                              encoding_basis, noise_position,
                               reduced_density, reduced_factor,
                               signal_position)
 from cloneleak.pauli import _NORM_ATOL, SIGMA, bloch_from_state, state_from_bloch
@@ -276,3 +279,78 @@ def test_stacked_encoding_accepts_rows_within_the_row_tolerance():
     bloch_from_state(psis[3])
     states = build_encoded_state(2, psis)
     assert np.array_equal(states[3], build_encoded_state(2, psis[3]))
+
+
+def _branch_sum(n, psi):
+    """The encoder by its definition: the four branches built pair by pair
+    with Kronecker (outer) products, each over its phase, summed and
+    halved."""
+    psi = np.asarray(psi, dtype=complex)
+    phases = branch_phases(n)
+    total = np.zeros(psi.shape[:-1] + (2 ** (2 * n + 1),), dtype=complex)
+    for mu in range(4):
+        vec = psi @ SIGMA[mu].T
+        for _ in range(n):
+            vec = (vec[..., None] * bell_branch(mu)).reshape(
+                psi.shape[:-1] + (-1,))
+        total += vec / phases[mu]
+    return total / 2.0
+
+
+def _assert_same_bits(got, want):
+    # array_equal takes -0.0 for +0.0, so the sign bits are compared too.
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)),
+                          np.signbit(want.view(float)))
+
+
+# Exact zeros of either sign, and subnormal amplitudes, which round
+# differently if the basis is halved before the product rather than after,
+# or halved by a product with 0.5 rather than by a division.
+_EDGE_INPUTS = np.array([
+    [1, 0], [0, 1], [-1, 0], [0, -1j], [-0.0, 1], [1, -0.0],
+    [complex(-0.0, -0.0), complex(0.0, 1.0)],
+    [complex(0.6, -0.0), complex(-0.0, -0.8)],
+    [1, 3e-310], [complex(5e-324, 1), 0], [complex(1e-309, -3e-310), 1],
+    [5e-324j, 1j]],
+    dtype=complex)
+
+_AMPLITUDES = st.floats(-1, 1, allow_nan=False)
+
+
+@st.composite
+def _stacks(draw):
+    rows = draw(st.lists(st.tuples(*[_AMPLITUDES] * 4).filter(
+        lambda row: sum(x * x for x in row) > 0.25), min_size=1, max_size=5))
+    psi = np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows])
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_basis_encoding_is_bit_identical_to_the_branch_sum(n):
+    poles = np.stack([state_from_bloch(b) for b in _POLES])
+    for psi in (poles, _EDGE_INPUTS, _EDGE_INPUTS[4], poles.reshape(3, 2, 2)):
+        _assert_same_bits(build_encoded_state(n, psi), _branch_sum(n, psi))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@settings(max_examples=15, deadline=None)
+@given(psi=_stacks())
+def test_basis_encoding_is_bit_identical_on_drawn_stacks(n, psi):
+    _assert_same_bits(build_encoded_state(n, psi), _branch_sum(n, psi))
+
+
+def test_encoding_basis_is_read_only_gaussian_and_cached_for_two_n():
+    assert encoding_basis.cache_info().maxsize == 2
+    for n in range(1, 6):
+        basis = encoding_basis(n)
+        assert basis is encoding_basis(n)
+        assert not basis.flags.writeable
+        assert basis.shape == (2, 2 ** (2 * n + 1))
+        assert set(np.unique(basis)) <= {0, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j}
+        # Each amplitude reads one input amplitude only.
+        assert ((basis != 0).sum(axis=0) <= 1).all()
+        assert encoding_basis.cache_info().currsize <= 2
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1

@@ -11,7 +11,8 @@ from cloneleak import leakage
 from cloneleak.branch import analytic_reduced_state
 from cloneleak.subsets import (Classification, LeakDescriptor, PairTag,
                                RegisterSubset, Rule, Verdict, classify,
-                               enumerate_classifications, row_fields)
+                               enumerate_classifications, first_pattern,
+                               row_fields)
 
 B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
 
@@ -211,6 +212,22 @@ def test_verdict_counts_are_multinomial_sums():
         assert counts[Verdict.AUTHORIZED] == 3 ** n - 2 ** n
         assert counts[Verdict.PARTIALLY_INFORMATIVE] == (
             2 ** (n - 1) if n % 2 else 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_classes_hold_the_patterns_of_each_count_class(n):
+    # Sizes recounted from the patterns; classes ordered by #BOTH, then
+    # #SIGNAL, then #NOISE; each class's first pattern is its tags sorted.
+    view = enumerate_classifications(n)
+    seen = {}
+    for subset, _ in view:
+        seen.setdefault(subset.counts, []).append(subset)
+    classes = view.classes()
+    assert classes == {counts: len(members) for counts, members in seen.items()}
+    assert list(classes) == sorted(classes, key=lambda c: c[:3])
+    assert sum(classes.values()) == len(view)
+    for counts, members in seen.items():
+        assert first_pattern(n, counts) == members[0]
 
 
 def _independent_decision(s: RegisterSubset) -> Verdict:

@@ -456,7 +456,33 @@ def test_parity_classification_fails_on_an_undecided_class(monkeypatch):
     monkeypatch.setattr(
         verify, "_probe_by_containment",
         lambda n, classes, stages: leakage.probe_patterns(
-            n, [verify._representative(n, (n, 0, 0, 0))]))
+            n, [subsets.first_pattern(n, (n, 0, 0, 0))]))
     result = check_parity_classification(VerifyConfig(n_max=2))
     assert not result.passed
     assert "n=1 N1: no probe decides it" in result.detail
+
+
+def test_passing_parity_check_forms_no_pattern(monkeypatch):
+    # Classes are compared with their sizes; patterns are formed only to
+    # name the disagreements of a failure.
+    def no_patterns(self):
+        raise AssertionError("patterns formed")
+
+    monkeypatch.setattr(subsets.ClassificationTable, "__iter__", no_patterns)
+    assert (check_parity_classification(VerifyConfig(n_max=4)).detail
+            == "336 patterns (65 classes: 27 probed, 38 by containment) "
+               "agree across n<=4")
+
+
+@pytest.mark.parametrize("n_max, count", [(1, 3), (2, 13), (3, 61)])
+def test_parity_disagreements_are_counted_per_pattern(
+        symmetric_leaking_encoding, n_max, count):
+    # The counts a walk over every pattern gives: each pattern counts each
+    # of its class's disagreements, and the first five are named in order.
+    detail = check_parity_classification(VerifyConfig(n_max=n_max)).detail
+    assert detail.startswith(
+        f"{count} disagreement(s): n=1 S1: leak depends on more than y "
+        f"(fixed-y distance 8.660e-01); n=1 S1: pole signal +0.000e+00 != "
+        f"predicted +1; n=1 N1: classified uninformative but distance bound "
+        f"1.000e+00")
+    assert detail.count("; ") == min(count, 5) - 1
