@@ -126,8 +126,7 @@ VERIFY_N_MAX = 8
 SWEEP_BYTES_MAX = 1 << 30
 
 
-# Output is written in blocks of EMIT_BLOCK to 2 * EMIT_BLOCK characters, not
-# once per row: at n = 10 `table` has about a million rows.
+# Output is written in blocks of EMIT_BLOCK characters or more, not per row.
 EMIT_BLOCK = 1 << 16
 
 _MARK = "@"  # a label while rows are rendered, or the record's rows
@@ -141,24 +140,20 @@ class _Echo:
 
 
 def _blocks(pieces):
-    """Join text pieces into blocks of EMIT_BLOCK to 2 * EMIT_BLOCK characters
-    (the last may be shorter), each batch of pieces sized from the last one's
-    mean piece size to fill about half the room left in the block."""
-    pieces, text, count = filter(None, pieces), "", 1
-    while batch := "".join(itertools.islice(pieces, count)):
-        size = len(batch)
-        text += batch
-        del batch  # so that the next += may extend the text in place
-        if len(text) >= EMIT_BLOCK:
-            last = (len(text) // EMIT_BLOCK - 1) * EMIT_BLOCK
-            yield from (text[i:i + EMIT_BLOCK]
-                        for i in range(0, last, EMIT_BLOCK))
-            yield text[last:]
-            text = ""
-        count = max(1, min(2 * count,
-                           (EMIT_BLOCK - len(text)) // 2 * count // size))
-    if text:
-        yield text
+    """Join text pieces into blocks: append each piece to a list and, once it
+    holds EMIT_BLOCK characters or more, yield its join. No block is empty;
+    all but the last are at least EMIT_BLOCK long. Blocks stay below twice
+    that: a piece is a frame chunk, one head's rows (at most 16 448 chars)
+    or one row (at most about 118 000: classify's only row at --n 10 000)."""
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= EMIT_BLOCK:  # the pieces are freed before the block is out
+            block, held, size = "".join(held), [], 0
+            yield block
+    if size:
+        yield "".join(held)
 
 
 def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],

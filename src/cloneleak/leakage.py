@@ -166,9 +166,9 @@ def analytic_state(subset: RegisterSubset, bloch) -> PauliSum:
 
 def reduced_state(subset: RegisterSubset, bloch, engine: str) -> np.ndarray:
     """Dense reduced state of a subset via the requested engine."""
-    if engine == ENGINE_ORACLE:
-        state = oracle.build_encoded_state(subset.n, state_from_bloch(bloch))
-        return oracle.reduced_density(state, keep_positions(subset))
+    if engine == ENGINE_ORACLE:  # the state lives only until it is factored
+        return oracle.reduced_density(oracle.build_encoded_state(
+            subset.n, state_from_bloch(bloch)), keep_positions(subset))
     if engine == ENGINE_ANALYTIC:
         return pauli_sum_to_dense(analytic_state(subset, bloch))
     raise ValueError(f"unknown engine {engine!r}")

@@ -71,13 +71,15 @@ def encoding_basis(n: int) -> np.ndarray:
     """Read-only (2, 2**(2n+1)) basis G of Gaussian integers (0 or +-1 +-i)
     with enc(psi) = (psi h^n) @ G / 2: row c is sum_mu sigma_mu[:, c] (x)
     u_mu^(x)n / phase_mu, where u_mu = sqrt(2) bell_branch(mu)."""
-    basis = np.zeros((2, 2 ** (2 * n + 1)), dtype=complex)
+    basis = np.zeros((2, 2) + (4,) * n, dtype=complex)
     for mu, phase in enumerate(branch_phases(n)):
         unit = bell_branch(mu) / _H  # exactly 0, +-1 or +-i
-        basis += functools.reduce(np.multiply.outer, [unit] * n,
-                                  SIGMA[mu].T / phase).reshape(2, -1)
+        head = functools.reduce(np.multiply.outer, [unit] * (n - 1),
+                                SIGMA[mu].T / phase)
+        for k in np.flatnonzero(unit):  # the last pair's factor, in place
+            basis[..., k] += head * unit[k]
     basis.flags.writeable = False
-    return basis
+    return basis.reshape(2, -1)
 
 
 def build_encoded_state(n: int, psi: np.ndarray) -> np.ndarray:
@@ -153,4 +155,5 @@ def reduced_density(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
         raise ValueError(f"keeping {len(keep)} qubits exceeds the dense cap "
                          f"{DENSE_QUBIT_CAP}")
     mat = reduced_factor(state, keep)
+    del state  # a caller's temporary is freed before the product
     return mat @ mat.conj().swapaxes(-1, -2)

@@ -81,6 +81,17 @@ def test_json_output_refuses_nan(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_json_output_refuses_nan_before_opening_out(tmp_path):
+    # The NaN is in the second row, so the first block fails, not the first
+    # row that _emit renders on its own.
+    out = tmp_path / "t.json"
+    args = cli.build_parser().parse_args(["table", "--n", "1",
+                                          "--out", str(out)])
+    with pytest.raises(ValueError):
+        cli._emit(args, [{"y": 0.5}, {"y": float("nan")}], {}, ["y"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--n", "2", "--subset", "S1", "--grid", "1"],
     ["classify", "--n", "2", "--subset", "S1", "--oracle-cap", "3"],
@@ -746,6 +757,46 @@ def test_table_writes_in_large_blocks(monkeypatch, n, fmt):
     assert len(fake.writes) <= len(output) // 65536 + 2
     assert all(cli.EMIT_BLOCK <= len(w) <= 2 * cli.EMIT_BLOCK
                for w in fake.writes[:-1])
+
+
+def _pieces(sizes):
+    return ["".join(chr(97 + (i + j) % 26) for j in range(size))
+            for i, size in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("sizes", [
+    [0, 21_000, 0, 22_000, 23_000, 0, 20_000, 25_000, 21_845, 21_845,
+     21_846, 30_000, 0, 0],
+    [cli.EMIT_BLOCK, 1, cli.EMIT_BLOCK - 1, 1, 0],
+    [5, 0, 7],
+    [0, 0],
+    [],
+])
+def test_blocks_flush_once_they_hold_emit_block(sizes):
+    pieces = _pieces(sizes)
+    blocks = list(cli._blocks(iter(pieces)))
+    assert "".join(blocks) == "".join(pieces)
+    assert all(blocks)
+    # Each block ends where a nonempty piece ends; that piece filled it.
+    last_piece, end = {}, 0
+    for piece in pieces:
+        end += len(piece)
+        if piece:
+            last_piece[end] = len(piece)
+    end = 0
+    for block in blocks[:-1]:
+        end += len(block)
+        assert cli.EMIT_BLOCK <= len(block) < cli.EMIT_BLOCK + last_piece[end]
+    if blocks:
+        assert end + len(blocks[-1]) in last_piece
+
+
+def test_blocks_read_no_piece_past_the_first_block():
+    def pieces():
+        yield from _pieces([cli.EMIT_BLOCK // 2] * 2)
+        raise AssertionError("a piece past the first block was read")
+
+    assert len(next(cli._blocks(pieces()))) == cli.EMIT_BLOCK
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
