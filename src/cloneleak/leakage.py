@@ -165,11 +165,21 @@ def analytic_state(subset: RegisterSubset, bloch) -> PauliSum:
 
 
 def reduced_state(subset: RegisterSubset, bloch, engine: str) -> np.ndarray:
-    """Dense reduced state of a subset via the requested engine."""
+    """Dense reduced state of a subset via the requested engine.
+
+    A stack of Bloch points, shape (k, 3), gives a stack of k states; the
+    oracle engine forms it from one encoder call and one partial trace.
+    """
+    stacked = np.ndim(bloch) == 2
     if engine == ENGINE_ORACLE:  # the state lives only until it is factored
+        psi = (np.stack([state_from_bloch(b) for b in bloch]) if stacked
+               else state_from_bloch(bloch))
         return oracle.reduced_density(oracle.build_encoded_state(
-            subset.n, state_from_bloch(bloch)), keep_positions(subset))
+            subset.n, psi), keep_positions(subset))
     if engine == ENGINE_ANALYTIC:
+        if stacked:
+            return np.stack([pauli_sum_to_dense(analytic_state(subset, b))
+                             for b in bloch])
         return pauli_sum_to_dense(analytic_state(subset, bloch))
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -316,7 +326,8 @@ def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int) -> float:
     """Max pairwise distance among k states sharing y but differing in x, z.
 
     Unauthorized subsets depend on the input only through y, so this should
-    be numerically zero for them at any y.
+    be numerically zero for them at any y. The k states come from one
+    stacked `reduced_state` call.
     """
     if not -1.0 <= y <= 1.0:
         raise ValueError(f"y must lie in [-1, 1], got {y}")
@@ -328,7 +339,7 @@ def fixed_y_slice_probe(subset: RegisterSubset, y: float, k: int) -> float:
                               np.full(k, y),
                               r * np.sin(angles)])
     max_d, _ = pairwise_max_trace_distance(
-        [reduced_state(subset, b, ENGINE_ORACLE) for b in blochs])
+        reduced_state(subset, blochs, ENGINE_ORACLE))
     return max_d
 
 

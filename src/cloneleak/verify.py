@@ -6,6 +6,7 @@ and never stops early, so a report always covers every check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -65,7 +66,8 @@ def _probe_failure(name: str, exc: Exception,
     return CheckResult(name, False, f"{prefix}: {exc}", n_range)
 
 
-def check_bell_trace_identities(config: VerifyConfig) -> CheckResult:
+def check_bell_trace_identities(config: VerifyConfig,
+                                shared=None) -> CheckResult:
     """Tracing one qubit of |phi_mu><phi_nu| leaves the predicted 2x2 factor."""
     tol = leakage.TOLERANCES.golden
     worst = 0.0
@@ -85,7 +87,8 @@ def check_bell_trace_identities(config: VerifyConfig) -> CheckResult:
                        f"(tolerance {tol:g})")
 
 
-def check_phase_table_decomposition(config: VerifyConfig) -> CheckResult:
+def check_phase_table_decomposition(config: VerifyConfig,
+                                    shared=None) -> CheckResult:
     """phase_ratio_table(n) == I4 + sum of its three parts, exactly."""
     for n in range(1, EXACT_N_MAX + 1):
         full = branch.phase_ratio_table(n)
@@ -97,7 +100,8 @@ def check_phase_table_decomposition(config: VerifyConfig) -> CheckResult:
                        f"exact for n=1..{EXACT_N_MAX}")
 
 
-def check_interference_sums(config: VerifyConfig) -> CheckResult:
+def check_interference_sums(config: VerifyConfig,
+                            shared=None) -> CheckResult:
     """X and Z sums vanish; the Y sum equals its closed form, exactly."""
     for n in range(1, EXACT_N_MAX + 1):
         for p in range(0, n + 1):
@@ -115,7 +119,8 @@ def check_interference_sums(config: VerifyConfig) -> CheckResult:
                        f"exact for all n=1..{EXACT_N_MAX}, 0 <= p <= n")
 
 
-def check_sign_resolution(config: VerifyConfig) -> CheckResult:
+def check_sign_resolution(config: VerifyConfig,
+                          shared=None) -> CheckResult:
     """Resolve the odd-n leak sign on the brute-force engine and report
     which closed-form convention it matches."""
     try:
@@ -139,9 +144,10 @@ def check_sign_resolution(config: VerifyConfig) -> CheckResult:
     return CheckResult("sign_resolution", True, detail)
 
 
-# Bytes of encoded grid states a grid check holds at once: 512 points of
-# n = 5 (32 KiB each), 8 of n = 8. The partial trace copies a chunk once
-# more into the kept-first order.
+# Bytes of grid states a grid check forms at once: encoded for the span's
+# certificate (512 points of n = 5, 32 KiB each; 8 of n = 8) or reduced to
+# a keep set (16 points of 8 qubits). The arithmetic on a chunk adds about
+# half as much again.
 GRID_CHUNK_BYTES = 16 * 2 ** 20
 
 
@@ -152,13 +158,91 @@ def _grid(config: VerifyConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.stack([state_from_bloch(b) for b in grid])
 
 
-def _encoded_grid(n: int, inputs: np.ndarray):
-    """(slice of the grid, encoded states) for consecutive chunks of the
-    inputs, each within GRID_CHUNK_BYTES, from one encoder call per chunk."""
-    step = max(1, GRID_CHUNK_BYTES // (16 * 2 ** (2 * n + 1)))
-    for start in range(0, len(inputs), step):
-        chunk = slice(start, start + step)
-        yield chunk, oracle.build_encoded_state(n, inputs[chunk])
+def _chunks(count: int, item_bytes: int):
+    """Consecutive slices of `count` items, each within GRID_CHUNK_BYTES."""
+    step = max(1, GRID_CHUNK_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+class _NotLinear(RuntimeError):
+    """The grid's encoded states are not in the encoder's two-state span."""
+
+
+class _Span:
+    """The encoder's two-state span at n, read on the grid's inputs.
+
+    The encoder is linear: enc(psi) = psi_0 E_0 + psi_1 E_1, with the rows
+    E = enc(I2). A keep set K's reduced factor is then sum_a psi_a M_a, so
+    its reduced state is sum_ac psi_a conj(psi_c) G_ac with G_ac =
+    M_a M_c^dagger, the (a, c) block of the Gram matrix of
+    sum_a |a> (x) E_a with its input label kept (`states`). That holds
+    only for a linear encoder, so the grid is encoded too, one call per
+    chunk, as a certificate: `residual` is max |enc(psi_i) - psi_i E|.
+    """
+
+    def __init__(self, n: int, inputs: np.ndarray):
+        self.inputs = inputs
+        # Looked up at call time, so that a replaced encoder is the one read.
+        self.rows = oracle.build_encoded_state(n, np.eye(2, dtype=complex))
+        self.residual = 0.0
+        for chunk in _chunks(len(inputs), 16 * 2 ** (2 * n + 1)):
+            states = oracle.build_encoded_state(n, inputs[chunk])
+            states -= inputs[chunk] @ self.rows
+            self.residual = max(self.residual, float(np.abs(states).max()))
+
+    def states(self, keep: list[int]):
+        """(slice of the grid, reduced states of the keep set) for
+        consecutive chunks of the inputs, each within GRID_CHUNK_BYTES:
+        one Gram matrix per call, one (points x 4) @ (4 x d^2) product
+        per chunk."""
+        gram = oracle.reduced_density(self.rows.reshape(-1),
+                                      [0] + [q + 1 for q in keep])
+        d = len(gram) // 2
+        blocks = gram.reshape(2, d, 2, d).swapaxes(1, 2).reshape(4, d * d)
+        for chunk in _chunks(len(self.inputs), 16 * d * d):
+            psi = self.inputs[chunk]
+            weights = (psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 4)
+            yield chunk, (weights @ blocks).reshape(-1, d, d)
+
+
+class _Shared:
+    """What the brute-force checks of one `run_checks` call share, per n:
+    the encoder's span on the grid (`_Span`), and the pole reports of the
+    first `leakage.probe_patterns` call, to which later probes add. A
+    check called on its own builds its own; each check keeps its own
+    reports, so its detail counts the classes it probed itself."""
+
+    def __init__(self, config: VerifyConfig):
+        self.config = config
+        self.spans: dict[int, _Span] = {}
+        self.poles: dict[int, leakage.PoleReports] = {}
+
+    @functools.cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        return _grid(self.config)
+
+    def span(self, n: int) -> _Span:
+        """The span at n; raises `_NotLinear` unless it holds the grid."""
+        if n not in self.spans:
+            self.spans[n] = _Span(n, self.grid[1])
+        residual = self.spans[n].residual
+        tol = leakage.TOLERANCES.engine_agreement
+        if not residual <= tol:
+            raise _NotLinear(f"encoder not linear at n={n}: the grid states "
+                             f"differ from the span of enc(|0>) and "
+                             f"enc(|1>) by {residual:.3e} (tolerance {tol:g})")
+        return self.spans[n]
+
+    def probe(self, n: int, subsets: list) -> dict:
+        """Pole reports of the subsets keyed by count class, each class
+        probed once per n. A probe that raises leaves nothing behind."""
+        if not subsets:
+            return {}
+        if n in self.poles:
+            self.poles[n].probe(subsets)
+        else:
+            self.poles[n] = leakage.probe_patterns(n, subsets)
+        return {s.counts: self.poles[n][s.counts] for s in subsets}
 
 
 # The calculus is evaluated at b = 0, e_x, e_y, e_z (`_aligned_states`).
@@ -196,28 +280,30 @@ def _aligned_states(n: int, p: int):
     return at
 
 
-def check_engine_agreement(config: VerifyConfig) -> CheckResult:
+def check_engine_agreement(config: VerifyConfig,
+                           shared: _Shared | None = None) -> CheckResult:
     """Brute-force and analytic reduced states agree on aligned subsets."""
     if _top_n(config) < 1:
         return _nothing_to_check("engine_agreement", config)
+    shared = shared or _Shared(config)
     tol = leakage.TOLERANCES.engine_agreement
-    grid, inputs = _grid(config)
+    grid, _ = shared.grid
     worst = 0.0
     worst_case = ""
     for n in range(1, _top_n(config) + 1):
-        keeps = [leakage.keep_positions(leakage.aligned_subset(n, p))
-                 for p in range(0, n + 1)]
-        analytic = [_aligned_states(n, p) for p in range(0, n + 1)]
-        chunks = []  # [p, point] per chunk of the grid
-        for chunk, states in _encoded_grid(n, inputs):
-            chunks.append([np.abs(oracle.reduced_density(states, keep)
-                                  - at(grid[chunk])).max(axis=(1, 2))
-                           for keep, at in zip(keeps, analytic)])
-        errs = np.concatenate(chunks, axis=1)
+        try:
+            span = shared.span(n)
+        except _NotLinear as exc:
+            return CheckResult("engine_agreement", False, str(exc), (1, n - 1))
         for p in range(0, n + 1):
-            i = int(errs[p].argmax())  # the first point at the largest error
-            if errs[p, i] > worst:
-                worst = float(errs[p, i])
+            keep = leakage.keep_positions(leakage.aligned_subset(n, p))
+            at = _aligned_states(n, p)
+            errs = np.concatenate([
+                np.abs(np.subtract(states, at(grid[chunk]), out=states))
+                .max(axis=(1, 2)) for chunk, states in span.states(keep)])
+            i = int(errs.argmax())  # the first point at the largest error
+            if errs[i] > worst:
+                worst = float(errs[i])
                 worst_case = f"n={n}, p={p}, bloch={grid[i].round(6)}"
     passed = worst <= tol
     return CheckResult("engine_agreement", passed,
@@ -262,24 +348,24 @@ def _deciders(counts: tuple, reports: dict) -> tuple:
     return leak, bound
 
 
-def _probe_by_containment(n: int, classes: list, stages) -> dict:
+def _probe_by_containment(n: int, classes: list, stages,
+                          shared: _Shared) -> dict:
     """Pole reports of enough count classes to decide every class.
 
     Each stage probes those of its classes that no earlier report decides
     (`_deciders`); a last stage probes every class still undecided. The
     order of the stages only saves probes: what is left undecided is
-    probed. The first stage that probes anything encodes the six poles
-    (`leakage.probe_patterns`), and later stages probe from the same
-    encoded poles. Reports are keyed by count class, in a
-    `leakage.PoleReports` that can probe more classes of n.
+    probed. Probes go through `shared`, which encodes the six poles once
+    per n (`leakage.probe_patterns`) and probes each class once; the
+    reports returned, keyed by count class, are those of the classes
+    this call probed, in the order it probed them.
     """
     reports: dict[tuple, leakage.LeakageReport] = {}
     for stage in [*stages, classes]:
         todo = [first_pattern(n, c) for c in stage if c in classes
                 and c not in reports and not any(_deciders(c, reports))]
         if todo:
-            reports = (reports.probe(todo) if reports
-                       else leakage.probe_patterns(n, todo))
+            reports.update(shared.probe(n, todo))
     return reports
 
 
@@ -287,7 +373,9 @@ def _class_detail(classes: int, probed: int) -> str:
     return f"{classes} classes: {probed} probed, {classes - probed} by containment"
 
 
-def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
+def check_missing_pair_uninformative(config: VerifyConfig,
+                                     shared: _Shared | None = None
+                                     ) -> CheckResult:
     """Every subset missing a full pair is independent of the input state.
 
     Every missing-pair class lies inside the largest one, (n-1, 0, 0, 1),
@@ -299,6 +387,7 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
     """
     if _top_n(config) < 2:
         return _nothing_to_check("missing_pair_uninformative", config, first=2)
+    shared = shared or _Shared(config)
     tol = leakage.TOLERANCES.uninformative
     worst = 0.0
     worst_case = ""
@@ -307,7 +396,8 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
         sizes = enumerate_classifications(n).classes()
         missing = [c for c in sizes if c[3]]
         try:
-            reports = _probe_by_containment(n, missing, [[(n - 1, 0, 0, 1)]])
+            reports = _probe_by_containment(n, missing, [[(n - 1, 0, 0, 1)]],
+                                            shared)
         except _PROBE_FAILURES as exc:
             return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
         count += sum(sizes[c] for c in missing)
@@ -326,7 +416,8 @@ def check_missing_pair_uninformative(config: VerifyConfig) -> CheckResult:
                        (2, _top_n(config)))
 
 
-def check_parity_classification(config: VerifyConfig) -> CheckResult:
+def check_parity_classification(config: VerifyConfig,
+                                shared: _Shared | None = None) -> CheckResult:
     """Structural verdicts and leak signs match brute-force probes on every
     pattern.
 
@@ -343,6 +434,7 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
     to name the first five disagreements in enumeration order."""
     if _top_n(config) < 1:
         return _nothing_to_check("parity_classification", config)
+    shared = shared or _Shared(config)
     found = []  # (n, its table, {count class: disagreement texts})
     count = total = classes = probed = 0
     for n in range(1, _top_n(config) + 1):
@@ -353,11 +445,12 @@ def check_parity_classification(config: VerifyConfig) -> CheckResult:
                   [(1, s, n - 1 - s, 0) for s in range(n)]]
         verdicts = {c: classify(first_pattern(n, c)) for c in sizes}
         try:
-            reports = _probe_by_containment(n, list(sizes), stages)
+            reports = _probe_by_containment(n, list(sizes), stages, shared)
             # A leak sign is read from the class's own probe.
-            reports.probe(first_pattern(n, c) for c, cls in verdicts.items()
-                          if c not in reports and cls.verdict
-                          is Verdict.PARTIALLY_INFORMATIVE)
+            reports.update(shared.probe(n, [
+                first_pattern(n, c) for c, cls in verdicts.items()
+                if c not in reports
+                and cls.verdict is Verdict.PARTIALLY_INFORMATIVE]))
         except _PROBE_FAILURES as exc:
             return _probe_failure("parity_classification", exc, (1, n - 1))
         classes += len(sizes)
@@ -414,25 +507,30 @@ def _via(report, counts: tuple, relation: str) -> str:
     return f" (probed on {report.subset.labels()}, {relation})"
 
 
-def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
+def check_singleton_mixedness(config: VerifyConfig,
+                              shared: _Shared | None = None) -> CheckResult:
     """Each single register qubit and the source qubit reduce to I/2, for
     n >= 2 (the lone clone of n = 1 leaks)."""
     if _top_n(config) < 2:
         return _nothing_to_check("singleton_mixedness", config, first=2)
+    shared = shared or _Shared(config)
     tol = leakage.TOLERANCES.golden
-    _, inputs = _grid(config)
     half_identity = np.eye(2) / 2
     worst = 0.0
     worst_case = ""
     for n in range(2, _top_n(config) + 1):
+        try:
+            span = shared.span(n)
+        except _NotLinear as exc:
+            return CheckResult("singleton_mixedness", False, str(exc),
+                               (2, n - 1))
         positions = [("A", 0)]
         positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
         positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
-        errs = np.concatenate([  # [point, position]
-            np.stack([np.abs(oracle.reduced_density(states, [pos])
-                             - half_identity).max(axis=(1, 2))
-                      for _, pos in positions], axis=1)
-            for _, states in _encoded_grid(n, inputs)])
+        errs = np.stack([  # [point, position]
+            np.concatenate([np.abs(states - half_identity).max(axis=(1, 2))
+                            for _, states in span.states([pos])])
+            for _, pos in positions], axis=1)
         i = int(errs.argmax())  # the first worst, point by point
         if errs.flat[i] > worst:
             worst = float(errs.flat[i])
@@ -445,6 +543,8 @@ def check_singleton_mixedness(config: VerifyConfig) -> CheckResult:
                        (2, _top_n(config)))
 
 
+# Each check takes the config and, as `run_checks` passes it, the battery's
+# `_Shared`; the brute-force checks build their own when called alone.
 ALL_CHECKS = (
     check_bell_trace_identities,
     check_phase_table_decomposition,
@@ -457,6 +557,23 @@ ALL_CHECKS = (
 )
 
 
+# The checks that read the encoder's span (`_Shared.span`), by name:
+# `ALL_CHECKS` may hold wrappers of them, as perfbench's tracer installs.
+_GRID_CHECKS = ("check_engine_agreement", "check_singleton_mixedness")
+
+
 def run_checks(config: VerifyConfig | None = None) -> list[CheckResult]:
+    """The results of `ALL_CHECKS`, in that order.
+
+    The brute-force checks share one `_Shared`, which lives only as long
+    as this call. The grid checks run first and their spans are dropped
+    before the pattern checks probe: the spans of n <= 8 held through the
+    pole probes would raise the peak RSS of `verify --n 8` by about 9 MB.
+    """
     config = config or VerifyConfig()
-    return [check(config) for check in ALL_CHECKS]
+    shared = _Shared(config)
+    done = {check: check(config, shared) for check in ALL_CHECKS
+            if check.__name__ in _GRID_CHECKS}
+    shared.spans.clear()
+    return [done[check] if check in done else check(config, shared)
+            for check in ALL_CHECKS]

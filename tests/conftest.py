@@ -90,3 +90,20 @@ def symmetric_leaking_encoding(monkeypatch):
         return state
 
     monkeypatch.setattr(oracle, "build_encoded_state", ghz)
+
+
+@pytest.fixture
+def nonlinear_encoding(monkeypatch):
+    """Negative control: each input amplitude is squared, and the pair
+    renormalized, before the true encoder runs. Every state is still an
+    encoded state, unchanged by every pair swap, and |0> and |1> encode as
+    before; but the encoder is not linear in psi, so the grid's states are
+    not in the span of enc(|0>) and enc(|1>), and reading them from it
+    would hide the change."""
+    encode = oracle.build_encoded_state
+
+    def squared(n, psi):
+        psi = np.asarray(psi, dtype=complex) ** 2
+        return encode(n, psi / np.linalg.norm(psi, axis=-1, keepdims=True))
+
+    monkeypatch.setattr(oracle, "build_encoded_state", squared)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cloneleak import leakage
+from cloneleak import leakage, oracle
 from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, ProbeVerdict,
                                SeparationGapError, SignRule, _verdict,
                                bloch_grid,
@@ -234,6 +234,26 @@ def test_reduced_state_rejects_nan_bloch(engine):
 def test_probe_rejects_unknown_engine():
     with pytest.raises(ValueError, match="engine"):
         reduced_state(subset(S), [0, 1, 0], "qft")
+
+
+@pytest.mark.parametrize("engine", [ENGINE_ANALYTIC, ENGINE_ORACLE])
+def test_reduced_state_of_a_stack_is_the_stack_of_states(monkeypatch,
+                                                         engine):
+    # A (k, 3) stack of Bloch points gives each point's state; the oracle
+    # engine encodes the stack in one call and traces it in one more.
+    points = bloch_grid(10, 3)
+    sub = subset(S, N, S)
+    per_point = np.stack([reduced_state(sub, b, engine) for b in points])
+    calls = []
+    for name in ("build_encoded_state", "reduced_density"):
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, name=name, fn=getattr(oracle, name):
+                            calls.append(name) or fn(*args))
+    stacked = reduced_state(sub, points, engine)
+    assert stacked.shape == (10, 8, 8)
+    assert np.abs(stacked - per_point).max() <= 1e-15
+    assert calls == ([] if engine == ENGINE_ANALYTIC
+                     else ["build_encoded_state", "reduced_density"])
 
 
 def test_probe_patterns_shares_states():

@@ -47,12 +47,18 @@ print(json.dumps({
 _TRACED_PASS = _LOAD_RUN + r"""
 workload, path = sys.argv[2:4]
 result = run.run_worker(workload, 0, "pass", True, path)
+spans = run.spans.read_spans(path)
 print(json.dumps({
     "failed": result["failed"], "failures": result["failures"],
-    "missing": run.spans.missing_layers(run.spans.read_spans(path),
-                                        run.COVERAGE[workload]),
+    "missing": run.spans.missing_layers(spans, run.COVERAGE[workload]),
+    "encode_calls": run.spans.pass_metrics(spans)["oracle.encode.calls"],
 }))
 """
+
+# Encoder calls of one pass. verify --n 4: per n, the span's rows, the
+# grid and the six poles, and three fixed-y slices (one at n = 1, two at
+# n = 3); the sign resolution's encodes are made at set-up.
+ENCODE_CALLS = {"verify": 15, "table": 0}
 
 
 def _child(code: str, *args: str) -> dict:
@@ -83,3 +89,4 @@ def test_perfbench_traced_pass_covers_its_layers(tmp_path, workload):
     found = _child(_TRACED_PASS, workload, str(tmp_path / "spans.jsonl"))
     assert found["failed"] == 0, found["failures"]
     assert found["missing"] == []
+    assert found["encode_calls"] == ENCODE_CALLS[workload]

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloneleak import branch, cli, leakage, oracle, subsets, verify
 from cloneleak.leakage import aligned_subset, bloch_grid, fixed_y_slice_probe
@@ -128,30 +130,43 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
     # Each pattern check encodes the six poles once per n, although the
     # parity check probes in two stages at even n, where no aligned class
     # leaks and the smallest authorized classes take a stage of their own.
-    # Its fixed-y slices encode one state per call.
-    encoded = []
+    # Its fixed-y slice of each partially informative class (S1 at n = 1;
+    # S1,N2,N3 and S1,S2,S3 at n = 3) encodes its 8 points in one call.
+    encoded, calls = [], []
     build = oracle.build_encoded_state
 
     def counting(n, psi, *args, **kwargs):
-        if np.ndim(psi) == 2:  # one row per input of a stacked call
-            encoded.extend((n, bloch_from_state(row)) for row in psi)
+        calls.append(np.ndim(psi))
+        encoded.extend((n, bloch_from_state(row))
+                       for row in np.reshape(psi, (-1, 2)))
         return build(n, psi, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "build_encoded_state", counting)
-    for check, stages in ((check_missing_pair_uninformative, [2, 3]),
-                          (check_parity_classification, [1, 2, 3, 4])):
+    angles = np.pi * np.arange(8) / 4
+    ring = np.column_stack([np.sqrt(0.75) * np.cos(angles), np.full(8, 0.5),
+                            np.sqrt(0.75) * np.sin(angles)])
+    for check, stages, slices in (
+            (check_missing_pair_uninformative, [2, 3], {}),
+            (check_parity_classification, [1, 2, 3, 4], {1: 1, 3: 2})):
         encoded.clear()
+        calls.clear()
         assert check(VerifyConfig(n_max=max(stages))).passed
-        assert [n for n, _ in encoded] == [n for n in stages for _ in range(6)]
-        np.testing.assert_allclose([b for _, b in encoded],
-                                   np.tile(leakage._POLES, (len(stages), 1)),
-                                   atol=1e-12)
+        assert set(calls) == {2}  # every call encodes a stack
+        assert [n for n, _ in encoded] == [
+            n for n in stages for _ in range(6 + 8 * slices.get(n, 0))]
+        np.testing.assert_allclose(
+            [b for _, b in encoded],
+            np.concatenate([np.concatenate([leakage._POLES]
+                                           + [ring] * slices.get(n, 0))
+                            for n in stages]),
+            atol=1e-12)
 
 
 @pytest.mark.parametrize("check", [check_engine_agreement,
                                    check_singleton_mixedness])
 def test_grid_checks_encode_each_grid_in_one_call(monkeypatch, check):
-    # One stacked encoder call per n covers the whole grid.
+    # Per n, one encoder call gives the span's rows enc(|0>), enc(|1>) and
+    # one stacked call covers the whole grid, the span's certificate.
     calls = []
     build = oracle.build_encoded_state
 
@@ -163,7 +178,8 @@ def test_grid_checks_encode_each_grid_in_one_call(monkeypatch, check):
     result = check(VerifyConfig(n_max=4, grid_size=10))
     assert result.passed, result.detail
     first = result.n_range[0]
-    assert calls == [(n, (10, 2)) for n in range(first, 5)]
+    assert calls == [(n, shape) for n in range(first, 5)
+                     for shape in ((2, 2), (10, 2))]
 
 
 def test_pattern_checks_probe_one_subset_per_pair_orbit(monkeypatch):
@@ -372,7 +388,8 @@ def test_class_containment_matches_qubit_set_inclusion(n):
 def test_grid_checks_are_identical_in_chunks(request, monkeypatch, check,
                                              tampered):
     # One point per chunk gives the same result, byte for byte, including
-    # the worst case named when a check fails.
+    # the worst case named when a check fails: per n, the span's rows and
+    # then one encoder call per grid point.
     if tampered:
         request.getfixturevalue("tampered_analytic_sign")
     config = VerifyConfig(n_max=3, grid_size=10)
@@ -383,7 +400,7 @@ def test_grid_checks_are_identical_in_chunks(request, monkeypatch, check,
                         lambda n, psi: calls.append(n) or build(n, psi))
     monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", 1)
     assert check(config) == whole
-    assert calls == [n for n in range(whole.n_range[0], 4) for _ in range(10)]
+    assert calls == [n for n in range(whole.n_range[0], 4) for _ in range(11)]
     assert whole.passed is not (tampered and check is check_engine_agreement)
 
 
@@ -396,14 +413,15 @@ def test_engine_agreement_forms_the_calculus_once_per_shape(monkeypatch):
     exact = branch.analytic_reduced_state
     monkeypatch.setattr(branch, "analytic_reduced_state",
                         lambda n, p, b: calls.append((n, p)) or exact(n, p, b))
-    # Five points of n = 4 (2^9 amplitudes each) per chunk: six chunks.
+    # Five encoded points of n = 4 (2^9 amplitudes each) per chunk: six
+    # chunks, after the span's rows.
     monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", 5 * 16 * 2 ** 9)
     encodes = []
     build = oracle.build_encoded_state
     monkeypatch.setattr(oracle, "build_encoded_state",
                         lambda n, psi: encodes.append(n) or build(n, psi))
     assert check_engine_agreement(config) == whole
-    assert encodes.count(4) == 6
+    assert encodes.count(4) == 7
     assert len(calls) == 56
     assert Counter(calls) == {(n, p): 4 for n in range(1, 5)
                               for p in range(n + 1)}
@@ -455,7 +473,7 @@ def test_parity_classification_fails_on_an_undecided_class(monkeypatch):
     # Probing the full register alone decides no class below it.
     monkeypatch.setattr(
         verify, "_probe_by_containment",
-        lambda n, classes, stages: leakage.probe_patterns(
+        lambda n, classes, stages, shared: leakage.probe_patterns(
             n, [subsets.first_pattern(n, (n, 0, 0, 0))]))
     result = check_parity_classification(VerifyConfig(n_max=2))
     assert not result.passed
@@ -486,3 +504,148 @@ def test_parity_disagreements_are_counted_per_pattern(
         f"predicted +1; n=1 N1: classified uninformative but distance bound "
         f"1.000e+00")
     assert detail.count("; ") == min(count, 5) - 1
+
+
+_AMPLITUDES = st.floats(-1, 1, allow_nan=False)
+
+
+@st.composite
+def _inputs(draw):
+    """A stack of 1-5 normalized input amplitude pairs."""
+    rows = draw(st.lists(st.tuples(*[_AMPLITUDES] * 4).filter(
+        lambda row: sum(x * x for x in row) > 0.25), min_size=1, max_size=5))
+    psi = np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows])
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@settings(max_examples=10, deadline=None)
+@given(psi=_inputs())
+def test_span_states_equal_the_per_point_partial_trace(n, psi):
+    # sum_ac psi_a conj(psi_c) G_ac, read from the Gram blocks of the
+    # encoder's span, is the partial trace of each encoded state, on every
+    # aligned keep set and every single qubit.
+    span = verify._Span(n, psi)
+    assert span.residual <= leakage.TOLERANCES.engine_agreement
+    encoded = oracle.build_encoded_state(n, psi)
+    keeps = [leakage.keep_positions(RegisterSubset(n, tags)) for tags in
+             itertools.product((PairTag.SIGNAL, PairTag.NOISE), repeat=n)]
+    keeps += [[q] for q in range(2 * n + 1)]
+    for keep in keeps:
+        [(_, states)] = span.states(keep)
+        assert np.abs(states - oracle.reduced_density(encoded, keep)).max() \
+            <= 1e-15, keep
+
+
+@pytest.mark.parametrize("check, first", [(check_engine_agreement, 1),
+                                          (check_singleton_mixedness, 2)])
+def test_grid_checks_fail_on_an_encoder_that_is_not_linear(
+        nonlinear_encoding, check, first):
+    # The span would give the states of the true encoder; its certificate
+    # is what fails, at the first n checked.
+    result = check(VerifyConfig(n_max=3))
+    assert not result.passed
+    residual = {1: "8.978e-01", 2: "6.348e-01"}[first]
+    assert result.detail == (
+        f"encoder not linear at n={first}: the grid states differ from the "
+        f"span of enc(|0>) and enc(|1>) by {residual} (tolerance 1e-10)")
+    assert result.n_range == (first, first - 1)
+
+
+@pytest.mark.parametrize("fixture, n_max, details", [
+    ("tampered_analytic_sign", 3, {
+        "engine_agreement": "max entry error 1.000e+00 (tolerance 1e-10) "
+                            "across n<=3 at n=1, p=1, bloch=[0. 1. 0.]"}),
+    ("symmetric_leaking_encoding", 3, {
+        "engine_agreement": "max entry error 8.750e-01 (tolerance 1e-10) "
+                            "across n<=3 at n=3, p=0, bloch=[0. 0. 1.]",
+        "singleton_mixedness": "max deviation from I/2: 5.000e-01 "
+                               "(tolerance 1e-12) across n=2..3 at n=2, A"}),
+])
+def test_grid_checks_fail_on_linear_controls_as_before(request, fixture,
+                                                       n_max, details):
+    # Controls whose encoder is linear pass the certificate and fail on the
+    # states themselves, with the details the per-point partial trace gave.
+    request.getfixturevalue(fixture)
+    for check in (check_engine_agreement, check_singleton_mixedness):
+        result = check(VerifyConfig(n_max=n_max))
+        if result.name in details:
+            assert not result.passed
+            assert result.detail == details[result.name]
+        else:
+            assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("grid_size", [6, 10, 26])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_battery_results_equal_each_check_run_alone(grid_size, seed):
+    config = VerifyConfig(n_max=3, grid_size=grid_size, seed=seed)
+    results = run_checks(config)
+    assert len(results) == len(verify.ALL_CHECKS)
+    for result, check in zip(results, verify.ALL_CHECKS):
+        assert result == check(config)
+
+
+def test_battery_encodes_each_state_set_once_per_n(monkeypatch):
+    # Per n, the battery encodes the span's rows, the grid and the six
+    # poles once each; each fixed-y slice is one more call of 8 points.
+    leakage.resolve_sign_rule()  # cached: its own encodes come first
+    calls = []
+    build = oracle.build_encoded_state
+    monkeypatch.setattr(oracle, "build_encoded_state",
+                        lambda n, psi: calls.append((n, len(psi)))
+                        or build(n, psi))
+    assert all(r.passed for r in run_checks(VerifyConfig(n_max=4)))
+    expected = Counter({(n, size): 1 for n in range(1, 5)
+                        for size in (2, 26, 6)})
+    expected.update({(1, 8): 1, (3, 8): 2})
+    assert Counter(calls) == expected
+    assert len(calls) == 15
+
+
+def test_a_battery_keeps_nothing_for_the_next(request):
+    # Nothing survives run_checks: a second battery reads the encoder as
+    # it is when that battery runs.
+    config = VerifyConfig(n_max=2)
+    assert all(r.passed for r in run_checks(config))
+    request.getfixturevalue("symmetric_leaking_encoding")
+    results = run_checks(config)
+    assert [r.name for r in results if not r.passed] == list(
+        BRUTE_FORCE_CHECKS)
+    assert results == [check(config) for check in verify.ALL_CHECKS]
+
+
+def test_a_probe_that_raises_is_not_kept(monkeypatch):
+    # The missing-pair check's probe at n = 2 raises; the parity check
+    # probes n = 2 again and fails there too.
+    probe = leakage.probe_patterns
+    probed = []
+
+    def gap_at_two(n, subsets):
+        probed.append(n)
+        if n == 2:
+            raise leakage.SeparationGapError("distance in the gap")
+        return probe(n, subsets)
+
+    monkeypatch.setattr(leakage, "probe_patterns", gap_at_two)
+    results = {r.name: r for r in run_checks(VerifyConfig(n_max=3))}
+    assert probed == [2, 1, 2]
+    for name, n_range in (("missing_pair_uninformative", (2, 1)),
+                          ("parity_classification", (1, 1))):
+        assert results[name].detail.startswith("threshold gap not empty")
+        assert results[name].n_range == n_range
+
+
+def test_brute_force_probes_never_call_the_branch_calculus(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the branch calculus was called")
+
+    for name in ("analytic_reduced_state", "interference_table",
+                 "table_sum", "phase_ratio_table", "phase_ratio_parts"):
+        monkeypatch.setattr(branch, name, refuse)
+    config = VerifyConfig(n_max=4)
+    shared = verify._Shared(config)
+    for check in (check_singleton_mixedness,
+                  check_missing_pair_uninformative,
+                  check_parity_classification):
+        assert check(config, shared).passed
