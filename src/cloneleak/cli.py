@@ -118,7 +118,7 @@ SEED_MAX = 2 ** 63 - 1
 
 # Largest min(--n, --oracle-cap) of verify. Its pole probes form no dense
 # state, but the number of count classes and their spectra grow with n:
-# n = 8 (16-qubit keep sets) takes 2.7-3.7 s and 104 MB on 2 cores.
+# n = 8 (16-qubit keep sets) takes 3.7-4.5 s and 94 MB on 2 cores.
 VERIFY_N_MAX = 8
 
 # Largest dense footprint of one sweep: --grid states of 16 * 4**size bytes,

@@ -46,11 +46,19 @@ class SeparationGapError(RuntimeError):
 
 
 class PairSymmetryError(RuntimeError):
-    """An encoded pole state changed when two clone/noise pairs were swapped.
+    """An encoded state changed when two clone/noise pairs were swapped.
 
     Patterns are probed once per pair-permutation orbit only because the
     encoder treats every pair alike; a state that is not invariant leaves
     orbit-mates with different reduced states, so the probe refuses.
+    """
+
+
+class NotLinearError(RuntimeError):
+    """Encoded states are not in the span of enc(|0>) and enc(|1>).
+
+    The probes and the grid checks read every state from that span, which
+    would hide an encoder that is not linear; so they refuse.
     """
 
 
@@ -66,6 +74,7 @@ _POLES = np.array([
     [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
 ])
 _Y_POLE = _POLES[2]
+_POLE_INPUTS = np.stack([state_from_bloch(b) for b in _POLES])
 
 
 def bloch_grid(size: int = 26, seed: int = 0) -> np.ndarray:
@@ -184,12 +193,6 @@ def reduced_state(subset: RegisterSubset, bloch, engine: str) -> np.ndarray:
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def encode_points(n: int, points) -> np.ndarray:
-    """Encoded states of the Bloch points as rows, from one encoder call."""
-    return oracle.build_encoded_state(
-        n, np.stack([state_from_bloch(b) for b in points]))
-
-
 def y_leak_estimate(rho: np.ndarray, k: int) -> float:
     """Expectation of the all-Y observable on a k-qubit state."""
     return expectation(rho, "Y" * k)
@@ -223,13 +226,14 @@ def _verdict(axis_distances, context: str) -> ProbeVerdict:
         f"other")
 
 
-def certify_pair_symmetry(n: int, encoded_poles) -> None:
-    """Raise `PairSymmetryError` unless every state is exactly invariant
-    under every transposition of adjacent clone/noise pairs.
+def certify_pair_symmetry(n: int, rows) -> None:
+    """Raise `PairSymmetryError` unless both rows enc(|0>), enc(|1>) are
+    exactly invariant under every transposition of adjacent clone/noise
+    pairs.
 
-    These transpositions generate every permutation of the pairs. Run on
-    the six poles, whose +-z states encode |0> and |1>, the certificate
-    covers the linear encoder for every input.
+    These transpositions generate every permutation of the pairs, and a
+    permutation is linear, so the certificate covers every state in the
+    span of the rows (Harrow, arXiv:1308.6595).
     """
     nq = 2 * n + 1
     for i in range(1, n):
@@ -237,16 +241,29 @@ def certify_pair_symmetry(n: int, encoded_poles) -> None:
         for pos in (oracle.signal_position, oracle.noise_position):
             a, b = pos(i), pos(i + 1)
             axes[a], axes[b] = b, a
-        for pole, state in zip(_POLES, encoded_poles):
+        for label, state in enumerate(rows):
             swapped = state.reshape([2] * nq).transpose(axes).reshape(-1)
             if not np.array_equal(swapped, state):
                 raise PairSymmetryError(
-                    f"n={n}: the encoded pole {pole.astype(int).tolist()} "
-                    f"changes under the transposition of pairs {i} and "
-                    f"{i + 1}")
+                    f"n={n}: enc(|{label}>) changes under the transposition "
+                    f"of pairs {i} and {i + 1}")
 
 
-def probe_patterns(n: int, subsets) -> PoleReports:
+# Bytes of input states the span forms at once: encoded for its linearity
+# certificate (512 points of n = 5, 32 KiB each; 8 of n = 8) or reduced to
+# a keep set (16 points of 8 qubits). The arithmetic on a chunk adds about
+# half as much again.
+GRID_CHUNK_BYTES = 16 * 2 ** 20
+
+
+def _chunks(count: int, item_bytes: int):
+    """Consecutive slices of `count` items, each within GRID_CHUNK_BYTES."""
+    step = max(1, GRID_CHUNK_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def probe_patterns(n: int, subsets, reports: PoleReports | None = None
+                   ) -> PoleReports:
     """Brute-force informativeness probes of many subsets from the six poles.
 
     A reduced state is linear in the input |psi><psi| (Nielsen & Chuang,
@@ -254,58 +271,88 @@ def probe_patterns(n: int, subsets) -> PoleReports:
     R_j = (rho(+e_j) - rho(-e_j)) / 2. Any two inputs are then at most
     sum_j ||R_j||_1 apart, and the poles on axis j are exactly
     D_j = ||R_j||_1 apart: the sum bounds the distance on the whole sphere
-    and the largest D_j is attained. The poles are encoded once and each
-    subset's distances come from its reduced factors, one
-    `factored_trace_distance` call per probed subset.
+    and the largest D_j is attained. Each probed subset reads the poles'
+    states from the certified span of `reports` (a new `PoleReports(n)` if
+    None), so no stack of them outlives its probe, and its distances come
+    from its reduced factors in one `factored_trace_distance` call.
 
-    The encoded poles of all 2n+1 qubits are first certified invariant
-    under every pair permutation (`certify_pair_symmetry`) and affine in
-    b: the axes' estimates (rho(+e_j) + rho(-e_j)) / 2 of R0 that differ
-    by the uninformative threshold or more raise `SeparationGapError`.
-    Partial trace contracts the trace norm (Nielsen & Chuang, Thm 9.2), so
-    no subset's estimates differ by more. Subsets with the same
-    `RegisterSubset.counts` then have reduced states equal up to a
-    permutation of their qubits, a unitary, which changes neither a trace
-    distance nor <Y...Y>. So only the first subset of each count class is
-    probed: the reports are keyed by `counts`, in order of first
-    appearance, and each report's `subset` is its class's first subset.
-    `PoleReports.probe` adds the reports of more subsets of the same n from
-    the same encoded poles.
+    Subsets with the same `RegisterSubset.counts` have reduced states equal
+    up to a permutation of their qubits (the span's pair symmetry), a
+    unitary, which changes neither a trace distance nor <Y...Y>. So only
+    the first subset of each count class is probed: the reports are keyed
+    by `counts`, in order of first appearance, and each report's `subset`
+    is its class's first subset. Passing the `reports` of an earlier call
+    adds the reports of more subsets of the same n to it.
     """
-    return PoleReports(n).probe(subsets)
+    reports = PoleReports(n) if reports is None else reports
+    for subset in subsets:
+        if subset.counts not in reports:
+            reports[subset.counts] = _probe_pattern(subset, reports.rows)
+    return reports
 
 
 class PoleReports(dict):
-    """Pole reports of subsets of n pairs keyed by count class, from the six
-    poles encoded and certified once (`probe_patterns`)."""
+    """The encoder's two-state span at n, certified on its inputs, and the
+    pole reports of subsets of n pairs keyed by count class
+    (`probe_patterns`).
 
-    def __init__(self, n: int):
+    The encoder is linear: enc(psi) = psi_0 E_0 + psi_1 E_1, with the rows
+    E = enc(I2). So the states that the pole probes and the grid checks
+    read are combinations of the rows: the six poles as `_POLE_INPUTS @ E`,
+    and the inputs' reduced states on a keep set from its Gram blocks
+    (`states`). That holds only for a linear encoder, so the rows are
+    certified once, here: invariant under every pair permutation
+    (`certify_pair_symmetry`), and equal to the encoder on the inputs, one
+    encoder call per chunk: max |enc(psi_i) - psi_i E| above
+    `TOLERANCES.engine_agreement` raises `NotLinearError`. The inputs must
+    begin with the six poles' amplitudes, as `bloch_grid`'s states do, so
+    the certificate covers every probe.
+    """
+
+    def __init__(self, n: int, inputs: np.ndarray | None = None):
         super().__init__()
-        self._encoded_poles = encode_points(n, _POLES)
-        certify_pair_symmetry(n, self._encoded_poles)
-        # [|+e_j> | |-e_j>] factors rho(+e_j) + rho(-e_j), twice R0.
-        pole_sums = np.reshape(self._encoded_poles, (3, 2, -1)).swapaxes(1, 2)
-        gap = 0.5 * float(factored_trace_distance(
-            pole_sums[1:], pole_sums[[0, 0]]).max())
-        if not gap < TOLERANCES.uninformative:
-            raise SeparationGapError(
-                f"n={n}: the axes' estimates of the input-independent part "
-                f"of the {2 * n + 1}-qubit pole states differ by {gap!r}, "
-                f"not below the uninformative threshold {TOLERANCES.uninformative}"
-                f"; the pole states are not affine in the Bloch vector")
+        self.inputs = _POLE_INPUTS if inputs is None else inputs
+        if not np.array_equal(self.inputs[:6], _POLE_INPUTS):
+            raise ValueError("the span's inputs must begin with the six poles")
+        # Looked up at call time, so that a replaced encoder is the one read.
+        self.rows = oracle.build_encoded_state(n, np.eye(2, dtype=complex))
+        certify_pair_symmetry(n, self.rows)
+        residual = 0.0
+        for chunk in _chunks(len(self.inputs), 16 * 2 ** (2 * n + 1)):
+            states = oracle.build_encoded_state(n, self.inputs[chunk])
+            states -= self.inputs[chunk] @ self.rows
+            residual = max(residual, float(np.abs(states).max()))
+        tol = TOLERANCES.engine_agreement
+        if not residual <= tol:
+            raise NotLinearError(
+                f"n={n}: the states of the {len(self.inputs)} inputs differ "
+                f"from the span of enc(|0>) and enc(|1>) by {residual:.3e} "
+                f"(tolerance {tol:g})")
 
-    def probe(self, subsets) -> PoleReports:
-        """Add a report for each subset whose count class has none yet."""
-        for subset in subsets:
-            if subset.counts not in self:
-                self[subset.counts] = _probe_pattern(subset,
-                                                     self._encoded_poles)
-        return self
+    def states(self, keep: list[int]):
+        """(slice of the inputs, their reduced states on the keep set) for
+        consecutive chunks of the inputs, each within GRID_CHUNK_BYTES.
+
+        A keep set K's reduced factor of enc(psi) is sum_a psi_a M_a, so
+        its reduced state is sum_ac psi_a conj(psi_c) G_ac with G_ac =
+        M_a M_c^dagger, the (a, c) block of the Gram matrix of
+        sum_a |a> (x) E_a with its input label kept: one Gram matrix per
+        call, one (points x 4) @ (4 x d^2) product per chunk.
+        """
+        gram = oracle.reduced_density(self.rows.reshape(-1),
+                                      [0] + [q + 1 for q in keep])
+        d = len(gram) // 2
+        blocks = gram.reshape(2, d, 2, d).swapaxes(1, 2).reshape(4, d * d)
+        for chunk in _chunks(len(self.inputs), 16 * d * d):
+            psi = self.inputs[chunk]
+            weights = (psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 4)
+            yield chunk, (weights @ blocks).reshape(-1, d, d)
 
 
-def _probe_pattern(subset: RegisterSubset, encoded_poles) -> LeakageReport:
-    """Pole report of one subset from the six encoded poles (`probe_patterns`)."""
-    factors = oracle.reduced_factor(encoded_poles, keep_positions(subset))
+def _probe_pattern(subset: RegisterSubset, rows) -> LeakageReport:
+    """Pole report of one subset from the span's rows (`probe_patterns`)."""
+    factors = oracle.reduced_factor(_POLE_INPUTS @ rows,
+                                    keep_positions(subset))
     plus, minus = factors[0::2], factors[1::2]
     axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
     return LeakageReport(

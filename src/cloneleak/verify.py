@@ -54,16 +54,17 @@ def _nothing_to_check(name: str, config: VerifyConfig,
                        (first, _top_n(config)))
 
 
-# Probe refusals that fail a pattern check rather than the whole battery.
-_PROBE_FAILURES = (leakage.SeparationGapError, leakage.PairSymmetryError)
+# Certificate and probe refusals that fail a brute-force check rather
+# than the whole battery, by what each refuses.
+_PROBE_FAILURES = {leakage.PairSymmetryError: "pair symmetry not certified",
+                   leakage.NotLinearError: "linearity not certified",
+                   leakage.SeparationGapError: "threshold gap not empty"}
 
 
 def _probe_failure(name: str, exc: Exception,
                    n_range: tuple[int, int]) -> CheckResult:
-    prefix = ("pair symmetry not certified"
-              if isinstance(exc, leakage.PairSymmetryError)
-              else "threshold gap not empty")
-    return CheckResult(name, False, f"{prefix}: {exc}", n_range)
+    return CheckResult(name, False, f"{_PROBE_FAILURES[type(exc)]}: {exc}",
+                       n_range)
 
 
 def check_bell_trace_identities(config: VerifyConfig,
@@ -144,13 +145,6 @@ def check_sign_resolution(config: VerifyConfig,
     return CheckResult("sign_resolution", True, detail)
 
 
-# Bytes of grid states a grid check forms at once: encoded for the span's
-# certificate (512 points of n = 5, 32 KiB each; 8 of n = 8) or reduced to
-# a keep set (16 points of 8 qubits). The arithmetic on a chunk adds about
-# half as much again.
-GRID_CHUNK_BYTES = 16 * 2 ** 20
-
-
 def _grid(config: VerifyConfig) -> tuple[np.ndarray, np.ndarray]:
     """The configured Bloch grid and its input amplitudes as rows, each
     point converted once for every n."""
@@ -158,91 +152,35 @@ def _grid(config: VerifyConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.stack([state_from_bloch(b) for b in grid])
 
 
-def _chunks(count: int, item_bytes: int):
-    """Consecutive slices of `count` items, each within GRID_CHUNK_BYTES."""
-    step = max(1, GRID_CHUNK_BYTES // item_bytes)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
-class _NotLinear(RuntimeError):
-    """The grid's encoded states are not in the encoder's two-state span."""
-
-
-class _Span:
-    """The encoder's two-state span at n, read on the grid's inputs.
-
-    The encoder is linear: enc(psi) = psi_0 E_0 + psi_1 E_1, with the rows
-    E = enc(I2). A keep set K's reduced factor is then sum_a psi_a M_a, so
-    its reduced state is sum_ac psi_a conj(psi_c) G_ac with G_ac =
-    M_a M_c^dagger, the (a, c) block of the Gram matrix of
-    sum_a |a> (x) E_a with its input label kept (`states`). That holds
-    only for a linear encoder, so the grid is encoded too, one call per
-    chunk, as a certificate: `residual` is max |enc(psi_i) - psi_i E|.
-    """
-
-    def __init__(self, n: int, inputs: np.ndarray):
-        self.inputs = inputs
-        # Looked up at call time, so that a replaced encoder is the one read.
-        self.rows = oracle.build_encoded_state(n, np.eye(2, dtype=complex))
-        self.residual = 0.0
-        for chunk in _chunks(len(inputs), 16 * 2 ** (2 * n + 1)):
-            states = oracle.build_encoded_state(n, inputs[chunk])
-            states -= inputs[chunk] @ self.rows
-            self.residual = max(self.residual, float(np.abs(states).max()))
-
-    def states(self, keep: list[int]):
-        """(slice of the grid, reduced states of the keep set) for
-        consecutive chunks of the inputs, each within GRID_CHUNK_BYTES:
-        one Gram matrix per call, one (points x 4) @ (4 x d^2) product
-        per chunk."""
-        gram = oracle.reduced_density(self.rows.reshape(-1),
-                                      [0] + [q + 1 for q in keep])
-        d = len(gram) // 2
-        blocks = gram.reshape(2, d, 2, d).swapaxes(1, 2).reshape(4, d * d)
-        for chunk in _chunks(len(self.inputs), 16 * d * d):
-            psi = self.inputs[chunk]
-            weights = (psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 4)
-            yield chunk, (weights @ blocks).reshape(-1, d, d)
-
-
 class _Shared:
-    """What the brute-force checks of one `run_checks` call share, per n:
-    the encoder's span on the grid (`_Span`), and the pole reports of the
-    first `leakage.probe_patterns` call, to which later probes add. A
-    check called on its own builds its own; each check keeps its own
-    reports, so its detail counts the classes it probed itself."""
+    """What the brute-force checks of one `run_checks` call share: per n,
+    the encoder's span certified on the grid (`leakage.PoleReports`),
+    whose rows give the grid checks' states and to whose reports the
+    pattern checks add their probes. A check called on its own builds its
+    own; each check keeps its own reports, so its detail counts the
+    classes it probed itself."""
 
     def __init__(self, config: VerifyConfig):
         self.config = config
-        self.spans: dict[int, _Span] = {}
-        self.poles: dict[int, leakage.PoleReports] = {}
+        self.reports: dict[int, leakage.PoleReports] = {}
 
     @functools.cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         return _grid(self.config)
 
-    def span(self, n: int) -> _Span:
-        """The span at n; raises `_NotLinear` unless it holds the grid."""
-        if n not in self.spans:
-            self.spans[n] = _Span(n, self.grid[1])
-        residual = self.spans[n].residual
-        tol = leakage.TOLERANCES.engine_agreement
-        if not residual <= tol:
-            raise _NotLinear(f"encoder not linear at n={n}: the grid states "
-                             f"differ from the span of enc(|0>) and "
-                             f"enc(|1>) by {residual:.3e} (tolerance {tol:g})")
-        return self.spans[n]
+    def span(self, n: int) -> leakage.PoleReports:
+        """The span at n; a certificate that fails raises and keeps none."""
+        if n not in self.reports:
+            self.reports[n] = leakage.PoleReports(n, self.grid[1])
+        return self.reports[n]
 
     def probe(self, n: int, subsets: list) -> dict:
         """Pole reports of the subsets keyed by count class, each class
-        probed once per n. A probe that raises leaves nothing behind."""
+        probed once per n."""
         if not subsets:
             return {}
-        if n in self.poles:
-            self.poles[n].probe(subsets)
-        else:
-            self.poles[n] = leakage.probe_patterns(n, subsets)
-        return {s.counts: self.poles[n][s.counts] for s in subsets}
+        reports = leakage.probe_patterns(n, subsets, self.span(n))
+        return {s.counts: reports[s.counts] for s in subsets}
 
 
 # The calculus is evaluated at b = 0, e_x, e_y, e_z (`_aligned_states`).
@@ -293,8 +231,8 @@ def check_engine_agreement(config: VerifyConfig,
     for n in range(1, _top_n(config) + 1):
         try:
             span = shared.span(n)
-        except _NotLinear as exc:
-            return CheckResult("engine_agreement", False, str(exc), (1, n - 1))
+        except tuple(_PROBE_FAILURES) as exc:
+            return _probe_failure("engine_agreement", exc, (1, n - 1))
         for p in range(0, n + 1):
             keep = leakage.keep_positions(leakage.aligned_subset(n, p))
             at = _aligned_states(n, p)
@@ -355,10 +293,10 @@ def _probe_by_containment(n: int, classes: list, stages,
     Each stage probes those of its classes that no earlier report decides
     (`_deciders`); a last stage probes every class still undecided. The
     order of the stages only saves probes: what is left undecided is
-    probed. Probes go through `shared`, which encodes the six poles once
-    per n (`leakage.probe_patterns`) and probes each class once; the
-    reports returned, keyed by count class, are those of the classes
-    this call probed, in the order it probed them.
+    probed. Probes go through `shared`, which reads the six poles from
+    the span of each n (`leakage.probe_patterns`) and probes each class
+    once; the reports returned, keyed by count class, are those of the
+    classes this call probed, in the order it probed them.
     """
     reports: dict[tuple, leakage.LeakageReport] = {}
     for stage in [*stages, classes]:
@@ -398,7 +336,7 @@ def check_missing_pair_uninformative(config: VerifyConfig,
         try:
             reports = _probe_by_containment(n, missing, [[(n - 1, 0, 0, 1)]],
                                             shared)
-        except _PROBE_FAILURES as exc:
+        except tuple(_PROBE_FAILURES) as exc:
             return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
         count += sum(sizes[c] for c in missing)
         classes += len(missing)
@@ -451,7 +389,7 @@ def check_parity_classification(config: VerifyConfig,
                 first_pattern(n, c) for c, cls in verdicts.items()
                 if c not in reports
                 and cls.verdict is Verdict.PARTIALLY_INFORMATIVE]))
-        except _PROBE_FAILURES as exc:
+        except tuple(_PROBE_FAILURES) as exc:
             return _probe_failure("parity_classification", exc, (1, n - 1))
         classes += len(sizes)
         probed += len(reports)
@@ -521,9 +459,8 @@ def check_singleton_mixedness(config: VerifyConfig,
     for n in range(2, _top_n(config) + 1):
         try:
             span = shared.span(n)
-        except _NotLinear as exc:
-            return CheckResult("singleton_mixedness", False, str(exc),
-                               (2, n - 1))
+        except tuple(_PROBE_FAILURES) as exc:
+            return _probe_failure("singleton_mixedness", exc, (2, n - 1))
         positions = [("A", 0)]
         positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
         positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
@@ -557,23 +494,9 @@ ALL_CHECKS = (
 )
 
 
-# The checks that read the encoder's span (`_Shared.span`), by name:
-# `ALL_CHECKS` may hold wrappers of them, as perfbench's tracer installs.
-_GRID_CHECKS = ("check_engine_agreement", "check_singleton_mixedness")
-
-
 def run_checks(config: VerifyConfig | None = None) -> list[CheckResult]:
-    """The results of `ALL_CHECKS`, in that order.
-
-    The brute-force checks share one `_Shared`, which lives only as long
-    as this call. The grid checks run first and their spans are dropped
-    before the pattern checks probe: the spans of n <= 8 held through the
-    pole probes would raise the peak RSS of `verify --n 8` by about 9 MB.
-    """
+    """The results of `ALL_CHECKS`, in that order. The brute-force checks
+    share one `_Shared`, which lives only as long as this call."""
     config = config or VerifyConfig()
     shared = _Shared(config)
-    done = {check: check(config, shared) for check in ALL_CHECKS
-            if check.__name__ in _GRID_CHECKS}
-    shared.spans.clear()
-    return [done[check] if check in done else check(config, shared)
-            for check in ALL_CHECKS]
+    return [check(config, shared) for check in ALL_CHECKS]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloneleak import PauliSum, bloch_grid, branch, leakage, oracle
+from cloneleak import PauliSum, bloch_grid, branch, oracle, state_from_bloch
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,17 +45,18 @@ def tampered_analytic_sign(monkeypatch):
 
 @pytest.fixture
 def off_pole_encoding(monkeypatch):
-    """Negative control: the +x pole is encoded as another input, so the six
-    pole states are no longer an affine image of the Bloch vectors they stand
-    for, and the pole probe must refuse them."""
-    encode = leakage.encode_points
+    """Negative control: the +x pole is encoded as another input, so the
+    pole states are no longer in the span of enc(|0>) and enc(|1>) at the
+    Bloch vectors they stand for, and the linearity certificate must fail."""
+    encode = oracle.build_encoded_state
+    plus_x = state_from_bloch([1.0, 0.0, 0.0])
 
-    def perturbed(n, points):
-        states = encode(n, points)
-        states[0] = encode(n, [[0.6, 0.8, 0.0]])[0]
-        return states
+    def perturbed(n, psi):
+        psi = np.array(psi, dtype=complex)
+        psi[(psi == plus_x).all(axis=-1)] = state_from_bloch([0.6, 0.8, 0.0])
+        return encode(n, psi)
 
-    monkeypatch.setattr(leakage, "encode_points", perturbed)
+    monkeypatch.setattr(oracle, "build_encoded_state", perturbed)
 
 
 @pytest.fixture
@@ -65,13 +66,15 @@ def asymmetric_pair_encoding(monkeypatch):
     no longer treats every pair alike and the pair-symmetry certificate must
     fail for n >= 2. (Swapping S1 and N1 would not do: that flips the sign
     of the Y branch whichever pair it is applied to.)"""
-    encode = leakage.encode_points
+    encode = oracle.build_encoded_state
 
-    def flipped(n, points):
-        return [np.flip(s.reshape([2] * (2 * n + 1)), axis=2).reshape(-1)
-                for s in encode(n, points)]
+    def flipped(n, psi):
+        states = encode(n, psi)
+        qubits = states.reshape(states.shape[:-1] + (2,) * (2 * n + 1))
+        return np.flip(qubits, axis=states.ndim - 1
+                       + oracle.noise_position(1)).reshape(states.shape)
 
-    monkeypatch.setattr(leakage, "encode_points", flipped)
+    monkeypatch.setattr(oracle, "build_encoded_state", flipped)
 
 
 @pytest.fixture

@@ -2,19 +2,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cloneleak import leakage, oracle
+from cloneleak import cli, leakage, oracle
 from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, ProbeVerdict,
                                SeparationGapError, SignRule, _verdict,
-                               bloch_grid,
-                               encode_points, factored_trace_distance,
+                               bloch_grid, factored_trace_distance,
                                fixed_y_slice_probe,
                                informativeness_probe, keep_positions,
                                pairwise_max_trace_distance,
                                probe_patterns, reduced_state,
                                resolve_sign_rule, trace_distance,
                                y_leak_estimate)
-from cloneleak.oracle import reduced_density, reduced_factor
+from cloneleak.oracle import (build_encoded_state, reduced_density,
+                              reduced_factor)
+from cloneleak.pauli import state_from_bloch
 from cloneleak.subsets import PairTag, RegisterSubset, enumerate_classifications
 
 from conftest import I2, Y
@@ -24,6 +27,12 @@ B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
 
 def subset(*tags):
     return RegisterSubset(len(tags), tags)
+
+
+def encode_points(n, points):
+    """Encoded states of the Bloch points as rows, from one encoder call."""
+    return build_encoded_state(n, np.stack([state_from_bloch(b)
+                                            for b in points]))
 
 
 def random_density(rng, dim):
@@ -129,6 +138,14 @@ def test_bloch_grid_contents():
         assert np.min(np.linalg.norm(grid - np.array(pole), axis=1)) < 1e-12
 
 
+@given(size=st.integers(6, cli.GRID_MAX),
+       seed=st.integers(-cli.SEED_MAX - 1, cli.SEED_MAX))
+def test_bloch_grid_begins_with_the_poles_bit_for_bit(size, seed):
+    # verify certifies the span on the grid's inputs; that covers the pole
+    # probes' inputs only because every grid begins with the exact poles.
+    assert bloch_grid(size, seed)[:6].tobytes() == leakage._POLES.tobytes()
+
+
 def test_bloch_grid_determinism():
     a = bloch_grid(26, 0)
     b = bloch_grid(26, 0)
@@ -189,34 +206,73 @@ def test_pole_verdicts_match_dense_grid_reference():
 
 
 def test_probe_rejects_states_that_are_not_affine(off_pole_encoding):
-    with pytest.raises(SeparationGapError, match="not affine"):
+    with pytest.raises(leakage.NotLinearError, match="span of enc"):
         probe_patterns(1, [sub for sub, _ in enumerate_classifications(1)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pole_reports_refuse_states_that_are_not_affine_at_construction(
         off_pole_encoding, n):
-    # The certificate is on the poles of all 2n+1 qubits, before any probe.
-    with pytest.raises(SeparationGapError,
-                       match=f"^n={n}: .* {2 * n + 1}-qubit pole states .* "
-                             f"not affine in the Bloch vector$"):
+    # The linearity certificate is on the six poles of all 2n+1 qubits,
+    # before any probe.
+    with pytest.raises(leakage.NotLinearError,
+                       match=rf"^n={n}: the states of the 6 inputs differ "
+                             rf"from the span of enc\(\|0>\) and "
+                             rf"enc\(\|1>\) by .* \(tolerance 1e-10\)$"):
         leakage.PoleReports(n)
+
+
+def test_pole_reports_refuse_inputs_that_do_not_begin_with_the_poles():
+    inputs = leakage._POLE_INPUTS
+    with pytest.raises(ValueError, match="begin with the six poles"):
+        leakage.PoleReports(2, inputs[::-1])
+    with pytest.raises(ValueError, match="begin with the six poles"):
+        leakage.PoleReports(2, inputs[:5])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pole_reports_certify_affinity_once(monkeypatch, n):
-    # One trace distance for the certificate, then one per probed class.
-    calls = []
+    # The certificate, linearity on the poles and with it affinity, runs
+    # once at construction: the rows and the poles are encoded, and no
+    # trace distance is taken. Probing then encodes nothing and takes one
+    # trace distance per probed class.
+    calls, encoded = [], []
     exact = leakage.factored_trace_distance
     monkeypatch.setattr(leakage, "factored_trace_distance",
                         lambda *args: calls.append(args) or exact(*args))
+    build = oracle.build_encoded_state
+    monkeypatch.setattr(oracle, "build_encoded_state",
+                        lambda n, psi: encoded.append(np.shape(psi))
+                        or build(n, psi))
     reports = leakage.PoleReports(n)
-    assert len(calls) == 1
-    # The certificate's factors are the pure poles of all 2n+1 qubits.
-    assert [a.shape for a in calls[0]] == [(2, 2 ** (2 * n + 1), 2)] * 2
-    reports.probe(sub for sub, _ in enumerate_classifications(n))
+    assert calls == []
+    assert encoded == [(2, 2), (6, 2)]
+    assert probe_patterns(
+        n, (sub for sub, _ in enumerate_classifications(n)), reports) is reports
     assert len(reports) == (n + 1) * (n + 2) * (n + 3) // 6 - 1
-    assert len(calls) == 1 + len(reports)
+    assert len(calls) == len(reports)
+    assert len(encoded) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pole_factors_from_the_span_equal_the_encoded_poles(monkeypatch, n):
+    # The probes read the poles as _POLE_INPUTS @ E; on every count class
+    # the factors equal those of the encoded poles, bit for bit, which is
+    # what keeps verify's output byte-identical.
+    factors = []
+    factor = oracle.reduced_factor
+
+    def recording(state, keep):
+        factors.append((keep, factor(state, keep)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(oracle, "reduced_factor", recording)
+    reports = probe_patterns(n, [s for s, _ in enumerate_classifications(n)])
+    assert len(factors) == len(reports)
+    encoded = build_encoded_state(n, leakage._POLE_INPUTS)
+    for (keep, got), report in zip(factors, reports.values()):
+        assert keep == keep_positions(report.subset)
+        assert np.array_equal(got, factor(encoded, keep)), report.subset
 
 
 def test_probe_analytic_rejects_nonaligned():
@@ -265,17 +321,17 @@ def test_probe_patterns_shares_states():
 
 
 def test_pole_reports_probe_more_subsets_from_the_same_poles(monkeypatch):
-    # Probing in two steps encodes the poles once and reports what one call
-    # on all the subsets reports, in the same order.
+    # Probing in two steps encodes nothing more after the span and reports
+    # what one call on all the subsets reports, in the same order.
     subs = [s for s, _ in enumerate_classifications(3)]
     whole = probe_patterns(3, subs)
     encoded = []
-    monkeypatch.setattr(leakage, "encode_points",
-                        lambda n, points: encoded.append(n)
-                        or encode_points(n, points))
+    build = oracle.build_encoded_state
+    monkeypatch.setattr(oracle, "build_encoded_state",
+                        lambda n, psi: encoded.append(n) or build(n, psi))
     reports = probe_patterns(3, subs[:10])
-    assert reports.probe(subs[10:]) is reports
-    assert encoded == [3]
+    assert probe_patterns(3, subs[10:], reports) is reports
+    assert encoded == [3, 3]  # the span's rows and its six poles
     assert list(reports) == list(whole)
     for counts, report in whole.items():
         assert reports[counts].subset == report.subset

@@ -55,10 +55,11 @@ print(json.dumps({
 }))
 """
 
-# Encoder calls of one pass. verify --n 4: per n, the span's rows, the
-# grid and the six poles, and three fixed-y slices (one at n = 1, two at
-# n = 3); the sign resolution's encodes are made at set-up.
-ENCODE_CALLS = {"verify": 15, "table": 0}
+# Encoder calls of one pass. verify --n 4: per n, the span's rows and the
+# grid it is certified on, from which the six poles are read, and three
+# fixed-y slices (one at n = 1, two at n = 3); the sign resolution's
+# encodes are made at set-up.
+ENCODE_CALLS = {"verify": 11, "table": 0}
 
 
 def _child(code: str, *args: str) -> dict:

@@ -126,12 +126,14 @@ def test_singleton_check_at_n1_fails_with_empty_range():
     assert result.detail == "no n to check in n=2..1: n_max=1, oracle cap 5"
 
 
-def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
-    # Each pattern check encodes the six poles once per n, although the
-    # parity check probes in two stages at even n, where no aligned class
-    # leaks and the smallest authorized classes take a stage of their own.
-    # Its fixed-y slice of each partially informative class (S1 at n = 1;
-    # S1,N2,N3 and S1,S2,S3 at n = 3) encodes its 8 points in one call.
+def test_pattern_probes_encode_the_span_once_per_n(monkeypatch):
+    # Each pattern check encodes the span once per n, its rows enc(|0>),
+    # enc(|1>) and the grid it is certified on, and reads the six poles
+    # from it, although the parity check probes in two stages at even n,
+    # where no aligned class leaks and the smallest authorized classes take
+    # a stage of their own. Its fixed-y slice of each partially informative
+    # class (S1 at n = 1; S1,N2,N3 and S1,S2,S3 at n = 3) encodes its 8
+    # points in one call.
     encoded, calls = [], []
     build = oracle.build_encoded_state
 
@@ -145,6 +147,8 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
     angles = np.pi * np.arange(8) / 4
     ring = np.column_stack([np.sqrt(0.75) * np.cos(angles), np.full(8, 0.5),
                             np.sqrt(0.75) * np.sin(angles)])
+    span = np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                           bloch_grid(26, 0)])
     for check, stages, slices in (
             (check_missing_pair_uninformative, [2, 3], {}),
             (check_parity_classification, [1, 2, 3, 4], {1: 1, 3: 2})):
@@ -153,11 +157,10 @@ def test_pattern_probes_encode_six_poles_per_n(monkeypatch):
         assert check(VerifyConfig(n_max=max(stages))).passed
         assert set(calls) == {2}  # every call encodes a stack
         assert [n for n, _ in encoded] == [
-            n for n in stages for _ in range(6 + 8 * slices.get(n, 0))]
+            n for n in stages for _ in range(28 + 8 * slices.get(n, 0))]
         np.testing.assert_allclose(
             [b for _, b in encoded],
-            np.concatenate([np.concatenate([leakage._POLES]
-                                           + [ring] * slices.get(n, 0))
+            np.concatenate([np.concatenate([span] + [ring] * slices.get(n, 0))
                             for n in stages]),
             atol=1e-12)
 
@@ -319,8 +322,8 @@ def test_parity_classification_fails_on_states_that_are_not_affine(
         off_pole_encoding):
     result = check_parity_classification(VerifyConfig(n_max=2))
     assert not result.passed
-    assert result.detail.startswith("threshold gap not empty")
-    assert "not affine" in result.detail
+    assert result.detail.startswith("linearity not certified: n=1: ")
+    assert "span of enc(|0>) and enc(|1>)" in result.detail
     assert result.n_range == (1, 0)
 
 
@@ -398,7 +401,7 @@ def test_grid_checks_are_identical_in_chunks(request, monkeypatch, check,
     build = oracle.build_encoded_state
     monkeypatch.setattr(oracle, "build_encoded_state",
                         lambda n, psi: calls.append(n) or build(n, psi))
-    monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", 1)
+    monkeypatch.setattr(leakage, "GRID_CHUNK_BYTES", 1)
     assert check(config) == whole
     assert calls == [n for n in range(whole.n_range[0], 4) for _ in range(11)]
     assert whole.passed is not (tampered and check is check_engine_agreement)
@@ -415,7 +418,7 @@ def test_engine_agreement_forms_the_calculus_once_per_shape(monkeypatch):
                         lambda n, p, b: calls.append((n, p)) or exact(n, p, b))
     # Five encoded points of n = 4 (2^9 amplitudes each) per chunk: six
     # chunks, after the span's rows.
-    monkeypatch.setattr(verify, "GRID_CHUNK_BYTES", 5 * 16 * 2 ** 9)
+    monkeypatch.setattr(leakage, "GRID_CHUNK_BYTES", 5 * 16 * 2 ** 9)
     encodes = []
     build = oracle.build_encoded_state
     monkeypatch.setattr(oracle, "build_encoded_state",
@@ -453,8 +456,8 @@ def test_parity_classification_fails_on_a_class_reached_both_ways(
     # including the lone clone S1, whose own probe leaks at n = 1.
     probe = leakage.probe_patterns
 
-    def hiding_full_register(n, subsets):
-        reports = probe(n, subsets)
+    def hiding_full_register(n, subsets, reports=None):
+        reports = probe(n, subsets, reports)
         full = reports.get((n, 0, 0, 0))
         if full is not None:
             full.verdict = leakage.ProbeVerdict.UNINFORMATIVE
@@ -524,10 +527,11 @@ def _inputs(draw):
 def test_span_states_equal_the_per_point_partial_trace(n, psi):
     # sum_ac psi_a conj(psi_c) G_ac, read from the Gram blocks of the
     # encoder's span, is the partial trace of each encoded state, on every
-    # aligned keep set and every single qubit.
-    span = verify._Span(n, psi)
-    assert span.residual <= leakage.TOLERANCES.engine_agreement
-    encoded = oracle.build_encoded_state(n, psi)
+    # aligned keep set and every single qubit. The span's inputs begin with
+    # the six poles; constructing it certifies that it holds them all.
+    inputs = np.concatenate([leakage._POLE_INPUTS, psi])
+    span = leakage.PoleReports(n, inputs)
+    encoded = oracle.build_encoded_state(n, inputs)
     keeps = [leakage.keep_positions(RegisterSubset(n, tags)) for tags in
              itertools.product((PairTag.SIGNAL, PairTag.NOISE), repeat=n)]
     keeps += [[q] for q in range(2 * n + 1)]
@@ -547,9 +551,36 @@ def test_grid_checks_fail_on_an_encoder_that_is_not_linear(
     assert not result.passed
     residual = {1: "8.978e-01", 2: "6.348e-01"}[first]
     assert result.detail == (
-        f"encoder not linear at n={first}: the grid states differ from the "
-        f"span of enc(|0>) and enc(|1>) by {residual} (tolerance 1e-10)")
+        f"linearity not certified: n={first}: the states of the 26 inputs "
+        f"differ from the span of enc(|0>) and enc(|1>) by {residual} "
+        f"(tolerance 1e-10)")
     assert result.n_range == (first, first - 1)
+
+
+_OFF_SPAN = ("linearity not certified: n={}: the states of the 26 inputs "
+             "differ from the span of enc(|0>) and enc(|1>) by ")
+_ASYMMETRIC = ("pair symmetry not certified: n=2: enc(|0>) changes under "
+               "the transposition of pairs 1 and 2")
+
+
+@pytest.mark.parametrize("fixture, check, detail, n_range", [
+    ("off_pole_encoding", check_engine_agreement, _OFF_SPAN.format(1), (1, 0)),
+    ("off_pole_encoding", check_singleton_mixedness, _OFF_SPAN.format(2),
+     (2, 1)),
+    ("asymmetric_pair_encoding", check_engine_agreement, _ASYMMETRIC, (1, 1)),
+    ("asymmetric_pair_encoding", check_singleton_mixedness, _ASYMMETRIC,
+     (2, 1)),
+])
+def test_grid_checks_read_no_span_that_fails_a_certificate(
+        request, fixture, check, detail, n_range):
+    # The grid checks read the same certified span as the pole probes, so
+    # an encoder that fails either certificate fails them too: off the
+    # pole at the first n checked, without pair symmetry at n = 2.
+    request.getfixturevalue(fixture)
+    result = check(VerifyConfig(n_max=3))
+    assert not result.passed
+    assert result.detail.startswith(detail)
+    assert result.n_range == n_range
 
 
 @pytest.mark.parametrize("fixture, n_max, details", [
@@ -587,8 +618,9 @@ def test_battery_results_equal_each_check_run_alone(grid_size, seed):
 
 
 def test_battery_encodes_each_state_set_once_per_n(monkeypatch):
-    # Per n, the battery encodes the span's rows, the grid and the six
-    # poles once each; each fixed-y slice is one more call of 8 points.
+    # Per n, the battery encodes the span's rows and the grid once each,
+    # and reads the six poles from the span; each fixed-y slice is one more
+    # call of 8 points.
     leakage.resolve_sign_rule()  # cached: its own encodes come first
     calls = []
     build = oracle.build_encoded_state
@@ -597,10 +629,34 @@ def test_battery_encodes_each_state_set_once_per_n(monkeypatch):
                         or build(n, psi))
     assert all(r.passed for r in run_checks(VerifyConfig(n_max=4)))
     expected = Counter({(n, size): 1 for n in range(1, 5)
-                        for size in (2, 26, 6)})
+                        for size in (2, 26)})
     expected.update({(1, 8): 1, (3, 8): 2})
     assert Counter(calls) == expected
-    assert len(calls) == 15
+    assert len(calls) == 11
+
+
+def test_a_battery_holds_two_encoded_states_per_n(monkeypatch):
+    # What the battery shares, per n, is the span's two rows and the pole
+    # reports; no stack of pole states outlives a probe.
+    made = []
+
+    class Recording(verify._Shared):
+        def __init__(self, config):
+            super().__init__(config)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "_Shared", Recording)
+    assert all(r.passed for r in run_checks(VerifyConfig(n_max=4)))
+    [shared] = made
+    assert set(vars(shared)) == {"config", "grid", "reports"}
+    assert sorted(shared.reports) == [1, 2, 3, 4]
+    for n, reports in shared.reports.items():
+        arrays = {name: value.shape for name, value in vars(reports).items()
+                  if isinstance(value, np.ndarray)}
+        assert arrays == {"rows": (2, 2 ** (2 * n + 1)), "inputs": (26, 2)}
+        assert reports.inputs is shared.grid[1]
+        assert all(isinstance(report, leakage.LeakageReport)
+                   for report in reports.values())
 
 
 def test_a_battery_keeps_nothing_for_the_next(request):
@@ -621,11 +677,11 @@ def test_a_probe_that_raises_is_not_kept(monkeypatch):
     probe = leakage.probe_patterns
     probed = []
 
-    def gap_at_two(n, subsets):
+    def gap_at_two(n, subsets, reports=None):
         probed.append(n)
         if n == 2:
             raise leakage.SeparationGapError("distance in the gap")
-        return probe(n, subsets)
+        return probe(n, subsets, reports)
 
     monkeypatch.setattr(leakage, "probe_patterns", gap_at_two)
     results = {r.name: r for r in run_checks(VerifyConfig(n_max=3))}
