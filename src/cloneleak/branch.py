@@ -8,8 +8,12 @@ Pointwise-multiplying the tables and summing the 16 entries gives the
 coefficient of each Bloch component in the reduced state, so the whole
 computation stays exact and independent of the register dimension.
 
-Every table entry lies in {0, +-1, +-i}; powers of i are taken by exponent
-mod 4, so sums like 1 + (-1) cancel exactly rather than to rounding error.
+Every table entry lies in {0, +-1, +-i}. Each table is one exponent of i
+mod 4 per branch pair, set once from `pauli_mul` (the phase ratios from
+`branch_phases(n)`), read on the pairs that feed one component. A pointwise
+product of tables adds their exponents, and p equal factors multiply one
+exponent by p, so sums like 1 + (-1) cancel exactly rather than to rounding
+error.
 """
 
 from __future__ import annotations
@@ -19,22 +23,43 @@ import math
 
 import numpy as np
 
-from .oracle import branch_phases
+from .oracle import branch_phases, i_power
 from .pauli import PAULI_LABELS, PauliSum, pauli_mul, read_only_cache
 
 
-def _component_of(mu: int, nu: int) -> int:
-    """Which Pauli component (1..3) the off-diagonal branch pair feeds."""
-    _, c = pauli_mul(mu, nu)
-    return c
+# i**k at index k; an entry of every branch-pair table is one of these or 0.
+_UNITS = np.array([i_power(k) for k in range(4)])
+_EXPONENT = {i_power(k): k for k in range(4)}
+
+# Per branch pair (mu, nu), from sigma_mu sigma_nu = i**e sigma_c: the
+# component c it feeds (0 on the diagonal) and the exponent of each factor
+# table below: the signal's is e, the overlap's that of (nu, mu), and the
+# noise's the overlap's with Y's sign flipped.
+_PRODUCTS = [[pauli_mul(mu, nu) for nu in range(4)] for mu in range(4)]
+_COMPONENT = np.array([[c for _, c in row] for row in _PRODUCTS])
+_SIGNAL = np.array([[_EXPONENT[phase] for phase, _ in row] for row in _PRODUCTS])
+_OVERLAP = _SIGNAL.T
+_NOISE = np.array([[_EXPONENT[phase] + 2 * (c == 2) for phase, c in row]
+                   for row in zip(*_PRODUCTS)])
+
+
+def _lookup(exponent: np.ndarray, j: int) -> np.ndarray:
+    """i**exponent on the branch pairs that feed component j, 0 elsewhere."""
+    if j not in (1, 2, 3):
+        raise ValueError(f"component index must be 1, 2, or 3, got {j}")
+    return np.where(_COMPONENT == j, _UNITS[exponent % 4], 0)
+
+
+@read_only_cache
+def _ratio_exponents(n: int) -> np.ndarray:
+    """Exponents of alpha_mu^-1 alpha_nu, the encoder's phase ratios."""
+    e = np.array([_EXPONENT[a] for a in branch_phases(n)])
+    return e[None, :] - e[:, None]
 
 
 def phase_ratio_table(n: int) -> np.ndarray:
     """4x4 table of encoder phase ratios: entry (mu, nu) = alpha_mu^-1 alpha_nu."""
-    a = branch_phases(n)
-    inv = [1.0 / v for v in a]
-    return np.array([[inv[mu] * a[nu] for nu in range(4)] for mu in range(4)],
-                    dtype=complex)
+    return _UNITS[_ratio_exponents(n) % 4]
 
 
 @read_only_cache
@@ -44,25 +69,8 @@ def phase_ratio_parts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Part j keeps only the entries at branch pairs that feed component j,
     so phase_ratio_table(n) == I4 + parts[0] + parts[1] + parts[2] exactly.
     """
-    full = phase_ratio_table(n)
-    parts = [np.zeros((4, 4), dtype=complex) for _ in range(3)]
-    for mu in range(4):
-        for nu in range(4):
-            if mu != nu:
-                j = _component_of(mu, nu)
-                parts[j - 1][mu, nu] = full[mu, nu]
-    return parts[0], parts[1], parts[2]
-
-
-def _component_table(j: int, entry) -> np.ndarray:
-    if j not in (1, 2, 3):
-        raise ValueError(f"component index must be 1, 2, or 3, got {j}")
-    out = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            if mu != nu and _component_of(mu, nu) == j:
-                out[mu, nu] = entry(mu, nu)
-    return out
+    ratio = _ratio_exponents(n)
+    return _lookup(ratio, 1), _lookup(ratio, 2), _lookup(ratio, 3)
 
 
 @read_only_cache
@@ -72,7 +80,7 @@ def bloch_overlap_table(j: int) -> np.ndarray:
     Tracing the source qubit leaves the scalar <psi| sigma_nu sigma_mu |psi>;
     entry (mu, nu) is the factor multiplying b_j there.
     """
-    return _component_table(j, lambda mu, nu: pauli_mul(nu, mu)[0])
+    return _lookup(_OVERLAP, j)
 
 
 @read_only_cache
@@ -82,7 +90,7 @@ def signal_factor_table(j: int) -> np.ndarray:
     The kept factor is sigma_mu sigma_nu / 2; entry (mu, nu) is the phase
     multiplying sigma_j.
     """
-    return _component_table(j, lambda mu, nu: pauli_mul(mu, nu)[0])
+    return _lookup(_SIGNAL, j)
 
 
 @read_only_cache
@@ -92,60 +100,35 @@ def noise_factor_table(j: int) -> np.ndarray:
     The kept factor is (sigma_nu sigma_mu)^T / 2; transposition flips the
     sign of the Y component only.
     """
-    def entry(mu, nu):
-        phase, c = pauli_mul(nu, mu)
-        return -phase if c == 2 else phase
-
-    return _component_table(j, entry)
+    return _lookup(_NOISE, j)
 
 
-def pointwise_power(base: np.ndarray, k: int) -> np.ndarray:
-    """Entrywise k-th power of a table, restricted to its support.
-
-    k = 0 yields ones on the support of `base` (the neutral element of the
-    entrywise product there), which keeps all-signal and all-noise subsets
-    well defined.
-    """
-    if k < 0:
-        raise ValueError(f"exponent must be >= 0, got {k}")
-    out = (base != 0).astype(complex)
-    for _ in range(k):
-        out = out * base
-    return out
-
-
-@read_only_cache
-def signal_factor_power(j: int, p: int) -> np.ndarray:
-    return pointwise_power(signal_factor_table(j), p)
-
-
-@read_only_cache
-def noise_factor_power(j: int, q: int) -> np.ndarray:
-    return pointwise_power(noise_factor_table(j), q)
-
-
-def interference_table(n: int, p: int, j: int) -> np.ndarray:
-    """Entrywise product of all four factor tables for component j.
+def interference_table(n: int, p, j: int) -> np.ndarray:
+    """Entrywise product of all four factor tables for component j: the
+    phase ratios, the overlap, p signal and n-p noise factors.
 
     Summing this table over the 16 branch pairs gives (4x) the coefficient
     of b_j * sigma_j^(x)n in the reduced state of an aligned subset with p
-    signal and n-p noise qubits.
+    signal and n-p noise qubits. The product is one power of i per pair,
+    its exponents added mod 4. An int array p gives one table per entry,
+    shape p.shape + (4, 4).
     """
-    if not 0 <= p <= n:
+    p = np.asarray(p)
+    if ((p < 0) | (p > n)).any():
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    q = n - p
-    return (phase_ratio_parts(n)[j - 1]
-            * bloch_overlap_table(j)
-            * signal_factor_power(j, p)
-            * noise_factor_power(j, q))
+    p = p[..., None, None]
+    return _lookup(_ratio_exponents(n) + _OVERLAP + p * _SIGNAL
+                   + (n - p) * _NOISE, j)
 
 
-def table_sum(table: np.ndarray) -> complex:
-    """Sum of all 16 entries of a 4x4 branch-pair table."""
+def table_sum(table: np.ndarray):
+    """Sum of all 16 entries of a 4x4 branch-pair table: a complex, or an
+    array of them for a stack of tables (shape (..., 4, 4))."""
     table = np.asarray(table)
-    if table.shape != (4, 4):
+    if table.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 table, got shape {table.shape}")
-    return complex(table.sum())
+    sums = table.sum(axis=(-2, -1))
+    return complex(sums) if sums.ndim == 0 else sums
 
 
 def leak_sum_closed_form(n: int, p: int) -> int:

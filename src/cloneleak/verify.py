@@ -105,17 +105,17 @@ def check_interference_sums(config: VerifyConfig,
                             shared=None) -> CheckResult:
     """X and Z sums vanish; the Y sum equals its closed form, exactly."""
     for n in range(1, EXACT_N_MAX + 1):
+        t1, t2, t3 = (branch.table_sum(
+            branch.interference_table(n, np.arange(n + 1), j)) for j in (1, 2, 3))
         for p in range(0, n + 1):
-            t1 = branch.table_sum(branch.interference_table(n, p, 1))
-            t3 = branch.table_sum(branch.interference_table(n, p, 3))
-            if t1 != 0 or t3 != 0:
+            if t1[p] != 0 or t3[p] != 0:
                 return CheckResult("interference_sums", False,
                                    f"x/z sum nonzero at n={n}, p={p}: "
-                                   f"{t1!r}, {t3!r}")
-            t2 = branch.table_sum(branch.interference_table(n, p, 2))
-            if t2 != branch.leak_sum_closed_form(n, p):
+                                   f"{complex(t1[p])!r}, {complex(t3[p])!r}")
+            if t2[p] != branch.leak_sum_closed_form(n, p):
                 return CheckResult("interference_sums", False,
-                                   f"y sum {t2!r} != closed form at n={n}, p={p}")
+                                   f"y sum {complex(t2[p])!r} != closed form "
+                                   f"at n={n}, p={p}")
     return CheckResult("interference_sums", True,
                        f"exact for all n=1..{EXACT_N_MAX}, 0 <= p <= n")
 
@@ -136,12 +136,14 @@ def check_sign_resolution(config: VerifyConfig,
     # The engine's own sign must follow the resolved rule wherever the
     # closed form predicts leakage.
     for n in range(1, EXACT_N_MAX + 1, 2):
-        for p in range(1, n + 1, 2):
-            t2 = branch.table_sum(branch.interference_table(n, p, 2))
+        odd = np.arange(1, n + 1, 2)
+        sums = branch.table_sum(branch.interference_table(n, odd, 2))
+        for p, t2 in zip(odd.tolist(), sums):
             if t2 != 4 * res.rule.sign_for(n):
                 return CheckResult("sign_resolution", False,
-                                   f"analytic sum {t2!r} at n={n}, p={p} "
-                                   f"contradicts the resolved rule; {detail}")
+                                   f"analytic sum {complex(t2)!r} at n={n}, "
+                                   f"p={p} contradicts the resolved rule; "
+                                   f"{detail}")
     return CheckResult("sign_resolution", True, detail)
 
 
@@ -162,16 +164,23 @@ class _Shared:
 
     def __init__(self, config: VerifyConfig):
         self.config = config
-        self.reports: dict[int, leakage.PoleReports] = {}
+        # Per n, the certified span or the refusal of its certificate.
+        self.reports: dict[int, leakage.PoleReports | Exception] = {}
 
     @functools.cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         return _grid(self.config)
 
     def span(self, n: int) -> leakage.PoleReports:
-        """The span at n; a certificate that fails raises and keeps none."""
+        """The span at n. A certificate that fails raises, and its refusal
+        is kept and raised again to every later check of that n."""
         if n not in self.reports:
-            self.reports[n] = leakage.PoleReports(n, self.grid[1])
+            try:
+                self.reports[n] = leakage.PoleReports(n, self.grid[1])
+            except tuple(_PROBE_FAILURES) as exc:
+                self.reports[n] = exc
+        if isinstance(self.reports[n], Exception):
+            raise self.reports[n]
         return self.reports[n]
 
     def probe(self, n: int, subsets: list) -> dict:

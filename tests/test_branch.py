@@ -3,10 +3,9 @@ import pytest
 
 from cloneleak.branch import (analytic_reduced_state, bloch_overlap_table,
                               interference_table, leak_sum_closed_form,
-                              noise_factor_power, noise_factor_table,
-                              phase_ratio_parts, phase_ratio_table,
-                              pointwise_power, signal_factor_power,
-                              signal_factor_table, table_sum)
+                              noise_factor_table, phase_ratio_parts,
+                              phase_ratio_table, signal_factor_table,
+                              table_sum)
 from cloneleak.oracle import i_power
 from cloneleak.pauli import PauliSum
 
@@ -81,21 +80,90 @@ def test_noise_factor_tables():
         _table({(0, 3): 1, (3, 0): 1, (1, 2): -1j, (2, 1): 1j}))
 
 
-def test_pointwise_power_examples():
-    assert signal_factor_power(2, 1)[1, 3] == -1j
-    assert noise_factor_power(2, 2)[0, 2] == 1       # (-1)**2
-    assert signal_factor_power(3, 2)[1, 2] == -1     # (i)**2
+def _product(*tables):
+    out = np.ones((4, 4), dtype=complex)
+    for table in tables:
+        out = out * table
+    return out
 
 
-def test_pointwise_power_zero_is_support_ones():
-    base = signal_factor_table(2)
-    p0 = pointwise_power(base, 0)
-    np.testing.assert_array_equal(p0, (base != 0).astype(complex))
+def test_interference_table_is_the_entrywise_product_of_its_factors():
+    # The phase ratios and the overlap times p signal and n-p noise
+    # factors, multiplied out one table at a time.
+    for n in range(1, 7):
+        for j in (1, 2, 3):
+            base = phase_ratio_parts(n)[j - 1] * bloch_overlap_table(j)
+            for p in range(n + 1):
+                m = _product(base, *[signal_factor_table(j)] * p,
+                             *[noise_factor_table(j)] * (n - p))
+                np.testing.assert_array_equal(interference_table(n, p, j), m)
 
 
-def test_pointwise_power_rejects_negative():
-    with pytest.raises(ValueError):
-        pointwise_power(signal_factor_table(1), -1)
+def test_interference_table_powers_examples():
+    # One signal factor -i, two noise factors (-1)**2 and two signal
+    # factors i**2, each times the entry's phase ratio and overlap.
+    for (n, p, j, (r, c)), signal, noise in [((2, 1, 2, (1, 3)), -1j, -1j),
+                                             ((2, 0, 2, (0, 2)), 1, -1),
+                                             ((2, 2, 3, (1, 2)), 1j, -1j)]:
+        assert signal_factor_table(j)[r, c] == signal
+        assert noise_factor_table(j)[r, c] == noise
+        assert interference_table(n, p, j)[r, c] == (
+            phase_ratio_table(n)[r, c] * bloch_overlap_table(j)[r, c]
+            * signal ** p * noise ** (n - p))
+
+
+def test_interference_stack_equals_the_scalar_tables():
+    for n in range(1, 13):
+        for j in (1, 2, 3):
+            stack = interference_table(n, np.arange(n + 1), j)
+            assert stack.shape == (n + 1, 4, 4)
+            for p in range(n + 1):
+                np.testing.assert_array_equal(stack[p],
+                                              interference_table(n, p, j))
+    grid = np.array([[0, 3], [5, 1]])
+    stack = interference_table(5, grid, 2)
+    assert stack.shape == (2, 2, 4, 4)
+    np.testing.assert_array_equal(stack[1, 0], interference_table(5, 5, 2))
+
+
+def test_every_table_entry_is_zero_or_a_power_of_i():
+    units = {0, 1, 1j, -1, -1j}
+    tables = [phase_ratio_table(n) for n in range(1, 13)]
+    tables += [t for n in range(1, 13) for t in phase_ratio_parts(n)]
+    tables += [f(j) for j in (1, 2, 3) for f in (
+        bloch_overlap_table, signal_factor_table, noise_factor_table)]
+    tables += [interference_table(n, np.arange(n + 1), j)
+               for n in range(1, 13) for j in (1, 2, 3)]
+    for table in tables:
+        assert set(table.ravel().tolist()) <= units
+
+
+def test_table_sum_of_a_stack_is_the_per_table_sums():
+    for n in (1, 4, 7, 12):
+        for j in (1, 2, 3):
+            stack = interference_table(n, np.arange(n + 1), j)
+            sums = table_sum(stack)
+            assert sums.shape == (n + 1,)
+            assert sums.tolist() == [table_sum(t) for t in stack]
+    assert type(table_sum(interference_table(3, 1, 2))) is complex
+
+
+def test_interference_table_rejects_p_outside_0_to_n_and_bad_j():
+    for p in (-1, 5, [0, 5], [-1, 0], [[1, 2], [3, 7]]):
+        with pytest.raises(ValueError, match="need 0 <= p <= n"):
+            interference_table(4, np.array(p), 1)
+    with pytest.raises(ValueError, match="component index"):
+        interference_table(4, 0, 4)
+
+
+def test_sums_far_above_the_exact_range_match_the_closed_form():
+    for n in (10_000, 9_999):
+        p = np.array([0, 1, 4_999, n])
+        assert table_sum(interference_table(n, p, 1)).tolist() == [0] * 4
+        assert table_sum(interference_table(n, p, 3)).tolist() == [0] * 4
+        assert table_sum(interference_table(n, p, 2)).tolist() == [
+            leak_sum_closed_form(n, int(k)) for k in p]
+    assert leak_sum_closed_form(9_999, 4_999) == -4
 
 
 def test_table_sum_examples():
@@ -128,8 +196,9 @@ def test_closed_form_examples():
 
 
 def test_table_sum_shape_guard():
-    with pytest.raises(ValueError):
-        table_sum(np.zeros((3, 3)))
+    for shape in ((3, 3), (2, 3, 3), (4, 4, 3), (4,)):
+        with pytest.raises(ValueError):
+            table_sum(np.zeros(shape))
 
 
 def test_analytic_single_clone():
@@ -170,6 +239,6 @@ def test_interference_table_n1_matches_hand_expansion():
     # For a single kept signal qubit the y table is the entrywise product of
     # the n=1 phase ratios, the overlap table, and one signal factor.
     m = (phase_ratio_parts(1)[1] * bloch_overlap_table(2)
-         * signal_factor_power(2, 1) * noise_factor_power(2, 0))
+         * signal_factor_table(2))
     np.testing.assert_array_equal(interference_table(1, 1, 2), m)
     assert table_sum(m) == 4

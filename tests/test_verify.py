@@ -76,6 +76,43 @@ def test_fast_checks_pass():
         assert result.passed, f"{result.name}: {result.detail}"
 
 
+def _flip_table_entry(monkeypatch, at_n, at_j, entry):
+    # Negative control: every table of component at_j at n = at_n comes
+    # back with one entry's sign flipped.
+    table = branch.interference_table
+
+    def flipped(n, p, j):
+        out = table(n, p, j)
+        if (n, j) == (at_n, at_j):
+            out[(..., *entry)] *= -1
+        return out
+
+    monkeypatch.setattr(branch, "interference_table", flipped)
+
+
+@pytest.mark.parametrize("at_n, at_j, entry, detail", [
+    (3, 1, (0, 1), "x/z sum nonzero at n=3, p=0: -2j, 0j"),
+    (5, 3, (0, 3), "x/z sum nonzero at n=5, p=0: 0j, -2j"),
+    (2, 2, (0, 2), "y sum -2j != closed form at n=2, p=0"),
+])
+def test_interference_sums_fail_on_a_flipped_entry(monkeypatch, at_n, at_j,
+                                                    entry, detail):
+    _flip_table_entry(monkeypatch, at_n, at_j, entry)
+    result = check_interference_sums(VerifyConfig())
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_sign_resolution_fails_on_a_flipped_entry(monkeypatch):
+    _flip_table_entry(monkeypatch, 3, 2, (0, 2))
+    result = check_sign_resolution(VerifyConfig())
+    assert not result.passed
+    assert result.detail.startswith(
+        "analytic sum (-2+0j) at n=3, p=1 contradicts the resolved rule; "
+        "measured n=1: +1, n=3: -1; ")
+    assert "complex128" not in result.detail
+
+
 def test_full_battery_small_config_all_named_checks():
     results = run_checks(VerifyConfig(n_max=2))
     names = [r.name for r in results]
@@ -690,6 +727,34 @@ def test_a_probe_that_raises_is_not_kept(monkeypatch):
                           ("parity_classification", (1, 1))):
         assert results[name].detail.startswith("threshold gap not empty")
         assert results[name].n_range == n_range
+
+
+@pytest.mark.parametrize("fixture, encodes", [
+    # Off the pole, n = 1 and n = 2 fail the linearity certificate after
+    # encoding the rows and the grid.
+    ("off_pole_encoding", {(1, 2): 1, (1, 26): 1, (2, 2): 1, (2, 26): 1}),
+    # Without pair symmetry n = 2 fails on its rows; n = 1 is certified and
+    # its parity probes run one fixed-y slice.
+    ("asymmetric_pair_encoding", {(1, 2): 1, (1, 26): 1, (1, 8): 1,
+                                  (2, 2): 1}),
+])
+def test_a_refused_span_is_encoded_once_per_battery(request, monkeypatch,
+                                                    fixture, encodes):
+    # Each later check of a refused n gets the same refusal without
+    # encoding it again, and reports what it reports when run alone.
+    leakage.resolve_sign_rule()  # cached: its own encodes come first
+    request.getfixturevalue(fixture)
+    calls = []
+    build = oracle.build_encoded_state
+    monkeypatch.setattr(oracle, "build_encoded_state",
+                        lambda n, psi: calls.append((n, len(psi)))
+                        or build(n, psi))
+    config = VerifyConfig(n_max=3)
+    results = run_checks(config)
+    assert Counter(calls) == Counter(encodes)
+    assert [r.name for r in results if not r.passed] == list(
+        BRUTE_FORCE_CHECKS)
+    assert results == [check(config) for check in verify.ALL_CHECKS]
 
 
 def test_brute_force_probes_never_call_the_branch_calculus(monkeypatch):
