@@ -165,22 +165,23 @@ def analytic_reduced_state(n: int, p: int, bloch) -> PauliSum:
         raise ValueError(f"Bloch vector norm {np.linalg.norm(b)!r} exceeds 1")
     scale = math.ldexp(1.0, -n)  # 1.0 / 2 ** n overflows from n = 1024
     terms = {"I" * n: scale}
-    for j, c in enumerate(_component_coefficients(n, p), start=1):
+    for j, c in enumerate(_component_coefficients(n)[p], start=1):
         coeff = c * float(b[j - 1]) * scale
         if coeff != 0.0:
             terms[PAULI_LABELS[j] * n] = coeff
     return PauliSum(n, terms)
 
 
-@functools.lru_cache(maxsize=256)
-def _component_coefficients(n: int, p: int) -> tuple[float, float, float]:
-    """c_j = (interference sum of component j) / 4 for j = 1, 2, 3: the
-    three sums an aligned (n, p) state needs, computed once per (n, p)."""
-    coeffs = []
+@functools.lru_cache(maxsize=64)
+def _component_coefficients(n: int) -> tuple[tuple[float, float, float], ...]:
+    """Per p = 0..n, c_j = (interference sum of component j) / 4 for
+    j = 1, 2, 3: the three sums an aligned (n, p) state needs, from one
+    stacked interference table per j."""
+    columns = []
     for j in (1, 2, 3):
-        t = table_sum(interference_table(n, p, j))
-        if t.imag != 0.0:
+        sums = table_sum(interference_table(n, np.arange(n + 1), j))
+        if sums.imag.any():
             raise AssertionError(f"interference sum for component {j} is not "
-                                 f"real: {t!r}")
-        coeffs.append(t.real / 4.0)
-    return tuple(coeffs)
+                                 f"real: {complex(sums[sums.imag != 0][0])!r}")
+        columns.append((sums.real / 4.0).tolist())
+    return tuple(zip(*columns))

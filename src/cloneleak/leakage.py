@@ -62,6 +62,11 @@ class NotLinearError(RuntimeError):
     """
 
 
+class NotGaussianError(RuntimeError):
+    """The encoder's rows, scaled by 2 / h^n, are not Gaussian integers with
+    parts in {-1, 0, 1}, which the grid checks sum exactly (`gram_blocks`)."""
+
+
 class ProbeVerdict(str, Enum):
     UNINFORMATIVE = "UNINFORMATIVE"
     INFORMATIVE = "INFORMATIVE"
@@ -249,17 +254,8 @@ def certify_pair_symmetry(n: int, rows) -> None:
                     f"of pairs {i} and {i + 1}")
 
 
-# Bytes of input states the span forms at once: encoded for its linearity
-# certificate (512 points of n = 5, 32 KiB each; 8 of n = 8) or reduced to
-# a keep set (16 points of 8 qubits). The arithmetic on a chunk adds about
-# half as much again.
+# Bytes of input states the span encodes at once (512 of n = 5; 8 of n = 8).
 GRID_CHUNK_BYTES = 16 * 2 ** 20
-
-
-def _chunks(count: int, item_bytes: int):
-    """Consecutive slices of `count` items, each within GRID_CHUNK_BYTES."""
-    step = max(1, GRID_CHUNK_BYTES // item_bytes)
-    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def probe_patterns(n: int, subsets, reports: PoleReports | None = None
@@ -296,17 +292,15 @@ class PoleReports(dict):
     pole reports of subsets of n pairs keyed by count class
     (`probe_patterns`).
 
-    The encoder is linear: enc(psi) = psi_0 E_0 + psi_1 E_1, with the rows
-    E = enc(I2). So the states that the pole probes and the grid checks
-    read are combinations of the rows: the six poles as `_POLE_INPUTS @ E`,
-    and the inputs' reduced states on a keep set from its Gram blocks
-    (`states`). That holds only for a linear encoder, so the rows are
-    certified once, here: invariant under every pair permutation
-    (`certify_pair_symmetry`), and equal to the encoder on the inputs, one
-    encoder call per chunk: max |enc(psi_i) - psi_i E| above
-    `TOLERANCES.engine_agreement` raises `NotLinearError`. The inputs must
-    begin with the six poles' amplitudes, as `bloch_grid`'s states do, so
-    the certificate covers every probe.
+    The encoder is linear, enc(psi) = psi_0 E_0 + psi_1 E_1 with the rows
+    E = enc(I2), so the pole probes (`_POLE_INPUTS @ E`) and the grid
+    checks (`integer_rows`) read every state from the rows. That holds only
+    for a linear encoder, so the rows are certified once, here: invariant
+    under every pair permutation (`certify_pair_symmetry`), and equal to
+    the encoder on the inputs, encoded in chunks of GRID_CHUNK_BYTES, to
+    `TOLERANCES.engine_agreement`, or `NotLinearError`. The inputs begin
+    with the six poles, as `bloch_grid`'s states do, so the certificate
+    covers every probe.
     """
 
     def __init__(self, n: int, inputs: np.ndarray | None = None):
@@ -314,13 +308,16 @@ class PoleReports(dict):
         self.inputs = _POLE_INPUTS if inputs is None else inputs
         if not np.array_equal(self.inputs[:6], _POLE_INPUTS):
             raise ValueError("the span's inputs must begin with the six poles")
+        self.n = n
         # Looked up at call time, so that a replaced encoder is the one read.
         self.rows = oracle.build_encoded_state(n, np.eye(2, dtype=complex))
         certify_pair_symmetry(n, self.rows)
         residual = 0.0
-        for chunk in _chunks(len(self.inputs), 16 * 2 ** (2 * n + 1)):
-            states = oracle.build_encoded_state(n, self.inputs[chunk])
-            states -= self.inputs[chunk] @ self.rows
+        step = max(1, GRID_CHUNK_BYTES // (16 * 2 ** (2 * n + 1)))
+        for start in range(0, len(self.inputs), step):
+            chunk = self.inputs[start:start + step]
+            states = oracle.build_encoded_state(n, chunk)
+            states -= chunk @ self.rows
             residual = max(residual, float(np.abs(states).max()))
         tol = TOLERANCES.engine_agreement
         if not residual <= tol:
@@ -329,24 +326,39 @@ class PoleReports(dict):
                 f"from the span of enc(|0>) and enc(|1>) by {residual:.3e} "
                 f"(tolerance {tol:g})")
 
-    def states(self, keep: list[int]):
-        """(slice of the inputs, their reduced states on the keep set) for
-        consecutive chunks of the inputs, each within GRID_CHUNK_BYTES.
+    def integer_rows(self) -> np.ndarray:
+        """The rows as Gaussian integers, G = round(E 2 / h^n), formed anew
+        on each call (the form of `oracle.encoding_basis`). Raises
+        `NotGaussianError` unless the rounding moves no real or imaginary
+        part by more than `TOLERANCES.engine_agreement` and every part of G
+        lies in {-1, 0, 1}."""
+        scale = 2.0 * math.sqrt(2.0) ** self.n
+        scaled = np.ascontiguousarray(self.rows * scale, complex).view(float)
+        parts = np.rint(scaled)
+        scaled -= parts
+        moved = float(np.abs(scaled, out=scaled).max())
+        largest = max(parts.max(), -parts.min())
+        tol = TOLERANCES.engine_agreement
+        if not (moved <= tol and largest <= 1):
+            raise NotGaussianError(
+                f"n={self.n}: enc(|0>) and enc(|1>) scaled by 2/h^{self.n} "
+                f"lie {moved:.3e} from Gaussian integers with parts up to "
+                f"{largest:g} (tolerance {tol:g}, parts up to 1)")
+        return parts.view(complex)
 
-        A keep set K's reduced factor of enc(psi) is sum_a psi_a M_a, so
-        its reduced state is sum_ac psi_a conj(psi_c) G_ac with G_ac =
-        M_a M_c^dagger, the (a, c) block of the Gram matrix of
-        sum_a |a> (x) E_a with its input label kept: one Gram matrix per
-        call, one (points x 4) @ (4 x d^2) product per chunk.
-        """
-        gram = oracle.reduced_density(self.rows.reshape(-1),
-                                      [0] + [q + 1 for q in keep])
-        d = len(gram) // 2
-        blocks = gram.reshape(2, d, 2, d).swapaxes(1, 2).reshape(4, d * d)
-        for chunk in _chunks(len(self.inputs), 16 * d * d):
-            psi = self.inputs[chunk]
-            weights = (psi[:, :, None] * psi[:, None, :].conj()).reshape(-1, 4)
-            yield chunk, (weights @ blocks).reshape(-1, d, d)
+
+def gram_blocks(integers: np.ndarray, keep: list[int]):
+    """Gamma_ac = M_a M_c^dagger for (a, c) = (0, 0), (0, 1), (1, 1), with
+    M_a the reduced factor of the integer rows' G_a on the keep set K
+    (Gamma10 is Gamma01^dagger). The reduced state of enc(psi) on K is
+    sum_ac psi_a conj(psi_c) Gamma_ac / 2^(n+2). The products run in
+    complex64, exactly: an entry sums at most 2^(2n) products with parts in
+    {-2, ..., 2}, below 2^24 for every n up to ORACLE_CAP_MAX (tested)."""
+    top, bottom = np.split(oracle.reduced_factor(
+        integers.reshape(-1), [0] + [q + 1 for q in keep]
+    ).astype(np.complex64), 2)
+    return (top @ top.conj().T, top @ bottom.conj().T,
+            bottom @ bottom.conj().T)
 
 
 def _probe_pattern(subset: RegisterSubset, rows) -> LeakageReport:

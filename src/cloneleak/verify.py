@@ -58,6 +58,7 @@ def _nothing_to_check(name: str, config: VerifyConfig,
 # than the whole battery, by what each refuses.
 _PROBE_FAILURES = {leakage.PairSymmetryError: "pair symmetry not certified",
                    leakage.NotLinearError: "linearity not certified",
+                   leakage.NotGaussianError: "integer rows not certified",
                    leakage.SeparationGapError: "threshold gap not empty"}
 
 
@@ -147,17 +148,10 @@ def check_sign_resolution(config: VerifyConfig,
     return CheckResult("sign_resolution", True, detail)
 
 
-def _grid(config: VerifyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The configured Bloch grid and its input amplitudes as rows, each
-    point converted once for every n."""
-    grid = leakage.bloch_grid(config.grid_size, config.seed)
-    return grid, np.stack([state_from_bloch(b) for b in grid])
-
-
 class _Shared:
     """What the brute-force checks of one `run_checks` call share: per n,
     the encoder's span certified on the grid (`leakage.PoleReports`),
-    whose rows give the grid checks' states and to whose reports the
+    whose rows give the grid checks' Gram blocks and to whose reports the
     pattern checks add their probes. A check called on its own builds its
     own; each check keeps its own reports, so its detail counts the
     classes it probed itself."""
@@ -169,7 +163,9 @@ class _Shared:
 
     @functools.cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        return _grid(self.config)
+        """The Bloch grid and its input amplitudes, converted once."""
+        grid = leakage.bloch_grid(self.config.grid_size, self.config.seed)
+        return grid, np.stack([state_from_bloch(b) for b in grid])
 
     def span(self, n: int) -> leakage.PoleReports:
         """The span at n. A certificate that fails raises, and its refusal
@@ -192,72 +188,80 @@ class _Shared:
         return {s.counts: reports[s.counts] for s in subsets}
 
 
-# The calculus is evaluated at b = 0, e_x, e_y, e_z (`_aligned_states`).
-_AFFINE_BASIS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+# On a keep set, sum_ac sigma_j[a, c] Gamma_ac for sigma_j = I, X, Y, Z is
+# 2^(n+3) times the oracle's state at b = 0 and its slopes in b_x, b_y, b_z
+# (`leakage.gram_blocks`); each must be 8 times that part of D_b, 2^n times
+# the expected state at b, which the calculus gives at these four b.
+_AFFINE_BASIS = np.vstack([np.zeros(3), np.eye(3)])
+_IDENTITIES = ("Gamma00 + Gamma11 == 8 D0", "Gamma01 + Gamma10 == 8 (Dx - D0)",
+               "i (Gamma10 - Gamma01) == 8 (Dy - D0)",
+               "Gamma00 - Gamma11 == 8 (Dz - D0)")
 
 
-def _aligned_states(n: int, p: int):
-    """Dense analytic states of the aligned subset (n, p), as a function of
-    a stack of points.
+def _first_failure(integers: np.ndarray, keep: list[int], parts) -> str:
+    """The first of `_IDENTITIES` that fails on the keep set against the
+    expected parts D0, Dx - D0, Dy - D0, Dz - D0, or ""."""
+    g00, g01, g11 = leakage.gram_blocks(integers, keep)
+    g10 = g01.conj().T
+    sides = (g00 + g11, g01 + g10, 1j * (g10 - g01), g00 - g11)
+    return next((name for name, side, part in zip(_IDENTITIES, sides, parts)
+                 if not np.array_equal(side, 8 * part)), "")
 
-    The calculus's state 2^-n (I + sum_j c_j b_j sigma_j^(x)n) is affine in
-    the Bloch vector b, so it is formed at `_AFFINE_BASIS` only, once per
-    call here, and every point is rho(0) + sum_j b_j (rho(e_j) - rho(0)).
-    That is exactly the state formed at the point: c_x = c_z = 0
-    (`check_interference_sums`), and the Y slope's entries are 0 or 2^-n
-    times +-1 or +-i, so every product and sum is exact. The one difference
-    would be `PauliSum` dropping a Y coefficient below `COEFF_PRUNE`, which
-    no `bloch_grid` point comes near (tested). Only the entries where rho(0)
-    or some slope is nonzero are kept and summed, one per column of each
-    Pauli string: a product over every entry is a thin complex GEMM, which
-    costs more than forming the states point by point from n = 6 on, and a
-    dense rho(0) per shape would hold 9 MiB at n = 8.
-    """
-    rho0, *at_axes = [pauli_sum_to_dense(branch.analytic_reduced_state(n, p, b))
-                      for b in _AFFINE_BASIS]
-    slopes = (np.stack(at_axes) - rho0).reshape(3, -1)
-    support = slopes.any(axis=0) | (rho0 != 0).ravel()
-    base, slopes, shape = rho0.ravel()[support], slopes[:, support], rho0.shape
 
-    def at(points: np.ndarray) -> np.ndarray:
-        states = np.zeros((len(points),) + shape, base.dtype)
-        states.reshape(len(points), -1)[:, support] = base + points @ slopes
-        return states
-    return at
+def _exact_on_span(name: str, config: VerifyConfig, shared: _Shared | None,
+                   first: int, what: str, cases) -> CheckResult:
+    """A grid check: per n from `first` on, `cases(n)` yields (case, keep
+    set, expected parts), each compared by `_first_failure` on the span's
+    integer rows (`leakage.PoleReports.integer_rows`). The detail counts
+    the exact cases and names the first failure."""
+    top = _top_n(config)
+    if top < first:
+        return _nothing_to_check(name, config, first)
+    shared = shared or _Shared(config)
+    exact, total, failure = 0, 0, ""
+    for n in range(first, top + 1):
+        try:
+            integers = shared.span(n).integer_rows()
+        except tuple(_PROBE_FAILURES) as exc:
+            return _probe_failure(name, exc, (first, n - 1))
+        for case, keep, parts in cases(n):
+            failed = _first_failure(integers, keep, parts)
+            total += 1
+            exact += not failed
+            if failed and not failure:
+                failure = f"n={n}, {case}: {failed}"
+    across = f"n<={top}" if first == 1 else f"n={first}..{top}"
+    detail = (f"exact on {exact} of {total} {what} across {across}; first "
+              f"failure at {failure}" if failure
+              else f"exact on {total} {what} across {across}")
+    return CheckResult(name, not failure, detail, (first, top))
 
 
 def check_engine_agreement(config: VerifyConfig,
                            shared: _Shared | None = None) -> CheckResult:
-    """Brute-force and analytic reduced states agree on aligned subsets."""
-    if _top_n(config) < 1:
-        return _nothing_to_check("engine_agreement", config)
-    shared = shared or _Shared(config)
-    tol = leakage.TOLERANCES.engine_agreement
-    grid, _ = shared.grid
-    worst = 0.0
-    worst_case = ""
-    for n in range(1, _top_n(config) + 1):
-        try:
-            span = shared.span(n)
-        except tuple(_PROBE_FAILURES) as exc:
-            return _probe_failure("engine_agreement", exc, (1, n - 1))
-        for p in range(0, n + 1):
-            keep = leakage.keep_positions(leakage.aligned_subset(n, p))
-            at = _aligned_states(n, p)
-            errs = np.concatenate([
-                np.abs(np.subtract(states, at(grid[chunk]), out=states))
-                .max(axis=(1, 2)) for chunk, states in span.states(keep)])
-            i = int(errs.argmax())  # the first point at the largest error
-            if errs[i] > worst:
-                worst = float(errs[i])
-                worst_case = f"n={n}, p={p}, bloch={grid[i].round(6)}"
-    passed = worst <= tol
-    return CheckResult("engine_agreement", passed,
-                       f"max entry error {worst:.3e} (tolerance {tol:g}) "
-                       f"across n<={_top_n(config)}"
-                       + ("" if passed else f" at {worst_case}"),
-                       (1, _top_n(config)))
+    """Brute-force and analytic reduced states agree on aligned subsets, as
+    Gaussian-integer identities.
+
+    The oracle's state on a keep set is affine in the Bloch vector b
+    (`leakage.gram_blocks`), and so is the calculus's:
+    (D0 + sum_j b_j (Dj - D0)) / 2^n, with D_b 2^n times
+    `analytic_reduced_state` at b, Gaussian integers. So the two agree at
+    every b exactly when the four `_IDENTITIES` hold, compared with `==`.
+    """
+    return _exact_on_span(
+        "engine_agreement", config, shared, 1, "aligned shapes",
+        lambda n: ((f"p={p}", leakage.keep_positions(leakage.aligned_subset(
+            n, p)), _calculus_parts(n, p)) for p in range(n + 1)))
+
+
+def _calculus_parts(n: int, p: int):
+    """D0, then Dj - D0 for j = x, y, z, each formed when it is compared."""
+    scaled = (2.0 ** n * pauli_sum_to_dense(
+        branch.analytic_reduced_state(n, p, b)) for b in _AFFINE_BASIS)
+    d0 = next(scaled)
+    yield d0
+    for d in scaled:
+        yield d - d0
 
 
 def class_contains(outer: tuple, inner: tuple) -> bool:
@@ -456,37 +460,18 @@ def _via(report, counts: tuple, relation: str) -> str:
 
 def check_singleton_mixedness(config: VerifyConfig,
                               shared: _Shared | None = None) -> CheckResult:
-    """Each single register qubit and the source qubit reduce to I/2, for
-    n >= 2 (the lone clone of n = 1 leaks)."""
-    if _top_n(config) < 2:
-        return _nothing_to_check("singleton_mixedness", config, first=2)
-    shared = shared or _Shared(config)
-    tol = leakage.TOLERANCES.golden
-    half_identity = np.eye(2) / 2
-    worst = 0.0
-    worst_case = ""
-    for n in range(2, _top_n(config) + 1):
-        try:
-            span = shared.span(n)
-        except tuple(_PROBE_FAILURES) as exc:
-            return _probe_failure("singleton_mixedness", exc, (2, n - 1))
-        positions = [("A", 0)]
-        positions += [(f"S{i}", oracle.signal_position(i)) for i in range(1, n + 1)]
-        positions += [(f"N{i}", oracle.noise_position(i)) for i in range(1, n + 1)]
-        errs = np.stack([  # [point, position]
-            np.concatenate([np.abs(states - half_identity).max(axis=(1, 2))
-                            for _, states in span.states([pos])])
-            for _, pos in positions], axis=1)
-        i = int(errs.argmax())  # the first worst, point by point
-        if errs.flat[i] > worst:
-            worst = float(errs.flat[i])
-            worst_case = f"n={n}, {positions[i % len(positions)][0]}"
-    passed = worst <= tol
-    return CheckResult("singleton_mixedness", passed,
-                       f"max deviation from I/2: {worst:.3e} (tolerance {tol:g}) "
-                       f"across n=2..{_top_n(config)}"
-                       + ("" if passed else f" at {worst_case}"),
-                       (2, _top_n(config)))
+    """Each single register qubit and the source qubit reduce to I/2 for
+    every input, for n >= 2 (the lone clone of n = 1 leaks): the
+    `_IDENTITIES` with D_b = 2^n I/2 for every b, that is Gamma00 ==
+    Gamma11 == 2^(n+1) I and Gamma01 == Gamma10 == 0."""
+    def cases(n: int) -> list:
+        parts = [2.0 ** (n - 1) * np.eye(2)] + [np.zeros((2, 2))] * 3
+        return [("A", [0], parts)] + [
+            (f"{kind}{i}", [at(i)], parts) for kind, at in
+            (("S", oracle.signal_position), ("N", oracle.noise_position))
+            for i in range(1, n + 1)]
+    return _exact_on_span("singleton_mixedness", config, shared, 2,
+                          "single qubits", cases)
 
 
 # Each check takes the config and, as `run_checks` passes it, the battery's

@@ -110,3 +110,32 @@ def nonlinear_encoding(monkeypatch):
         return encode(n, psi / np.linalg.norm(psi, axis=-1, keepdims=True))
 
     monkeypatch.setattr(oracle, "build_encoded_state", squared)
+
+
+@pytest.fixture
+def scaled_encoding(monkeypatch):
+    """Negative control: every encoded state scaled by 1 + 1e-9. The encoder
+    stays linear and pair-symmetric, so both certificates of the span pass;
+    but its rows scaled by 2 / h^n lie 1e-9 off the Gaussian integers, so
+    the grid checks must refuse to read them."""
+    encode = oracle.build_encoded_state
+    monkeypatch.setattr(oracle, "build_encoded_state",
+                        lambda n, psi: encode(n, psi) * (1 + 1e-9))
+
+
+@pytest.fixture
+def bumped_one_encoding(monkeypatch):
+    """Negative control: enc(|1>) gains h^n / 2 on |0...0>, whose amplitude
+    is 0 in the true enc(|1>). The encoder stays linear (psi_1 times a
+    fixed vector is added), pair-symmetric (|0...0> is unchanged by every
+    pair swap), and its rows scaled by 2 / h^n stay Gaussian integers with
+    parts in {-1, 0, 1}: only the identities can catch it."""
+    encode = oracle.build_encoded_state
+
+    def bumped(n, psi):
+        psi = np.asarray(psi, dtype=complex)
+        states = encode(n, psi)
+        states[..., 0] += psi[..., 1] * np.sqrt(0.5) ** n / 2
+        return states
+
+    monkeypatch.setattr(oracle, "build_encoded_state", bumped)

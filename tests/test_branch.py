@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cloneleak import branch
 from cloneleak.branch import (analytic_reduced_state, bloch_overlap_table,
                               interference_table, leak_sum_closed_form,
                               noise_factor_table, phase_ratio_parts,
@@ -242,3 +243,32 @@ def test_interference_table_n1_matches_hand_expansion():
          * signal_factor_table(2))
     np.testing.assert_array_equal(interference_table(1, 1, 2), m)
     assert table_sum(m) == 4
+
+
+def test_component_coefficients_equal_the_scalar_sums():
+    # One stacked table per (n, j) gives, for every p, the same floats as
+    # the sum of the scalar table (p) divided by 4, sign of zero included.
+    for n in range(1, 200):
+        for p in range(n + 1):
+            scalar = tuple(table_sum(interference_table(n, p, j)).real / 4.0
+                           for j in (1, 2, 3))
+            assert repr(branch._component_coefficients(n)[p]) == repr(scalar)
+
+
+def test_component_coefficients_refuse_a_sum_that_is_not_real(monkeypatch):
+    table = branch.interference_table
+
+    def tilted(n, p, j):
+        out = table(n, p, j)
+        if j == 2:
+            out[..., 0, 0] = 1j
+        return out
+
+    monkeypatch.setattr(branch, "interference_table", tilted)
+    branch._component_coefficients.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match=r"component 2 is not real: 1j"):
+            analytic_reduced_state(3, 1, [0.0, 1.0, 0.0])
+    finally:
+        branch._component_coefficients.cache_clear()

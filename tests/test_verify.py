@@ -276,12 +276,13 @@ def test_pair_symmetry_certificate_refuses_asymmetric_encoders(
 
 def test_engine_agreement_sums_each_table_once_per_aligned_shape(
         monkeypatch):
-    # 14 aligned shapes (n, p) at n <= 4, three interference tables each.
+    # The 14 aligned shapes (n, p) at n <= 4 take one stacked interference
+    # table per (n, j), over p = 0..n: 12 calls.
     tables = []
     table = branch.interference_table
 
     def counting(n, p, j):
-        tables.append((n, p, j))
+        tables.append((n, tuple(np.atleast_1d(p).tolist()), j))
         return table(n, p, j)
 
     monkeypatch.setattr(branch, "interference_table", counting)
@@ -290,30 +291,37 @@ def test_engine_agreement_sums_each_table_once_per_aligned_shape(
         assert check_engine_agreement(VerifyConfig(n_max=4)).passed
     finally:
         branch._component_coefficients.cache_clear()
-    assert sorted(tables) == [(n, p, j) for n in range(1, 5)
-                              for p in range(n + 1) for j in (1, 2, 3)]
+    assert sorted(tables) == [(n, tuple(range(n + 1)), j)
+                              for n in range(1, 5) for j in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("size", [6, 7, 26, 27, 1000])
 def test_affine_engine_states_equal_the_per_point_calculus(size):
-    # The calculus formed at b = 0, e_x, e_y, e_z and extended affinely is
-    # the calculus formed at each point, entry for entry.
+    # The engine-agreement identities read the calculus at b = 0, e_x, e_y,
+    # e_z only, as D0 and the slopes Dj - D0 (D_b = 2^n times its state).
+    # Extended affinely, they give the calculus formed at each grid point,
+    # entry for entry, so the identities cover every point.
     for seed in (0, 3):
         grid = bloch_grid(size, seed)
         for n in range(1, 7):
             for p in range(n + 1):
-                for start in range(0, size, 100):
-                    points = grid[start:start + 100]
-                    per_point = [pauli_sum_to_dense(
-                        branch.analytic_reduced_state(n, p, b)) for b in points]
-                    assert np.array_equal(verify._aligned_states(n, p)(points),
-                                          per_point), (size, seed, n, p)
+                d0, *at_axes = [2.0 ** n * pauli_sum_to_dense(
+                    branch.analytic_reduced_state(n, p, b))
+                    for b in verify._AFFINE_BASIS]
+                slopes = np.stack(at_axes) - d0
+                for b in grid:
+                    affine = d0 + np.tensordot(b, slopes, axes=1)
+                    per_point = 2.0 ** n * pauli_sum_to_dense(
+                        branch.analytic_reduced_state(n, p, b))
+                    assert np.array_equal(affine, per_point), (size, seed,
+                                                               n, p, b)
 
 
 def test_bloch_grid_y_never_reaches_the_pauli_prune_threshold():
     # A Y coefficient y * 2^-n of the calculus is never dropped as below
-    # COEFF_PRUNE, which the affine engine states rely on: every y of every
-    # grid verify accepts is 0 or far above COEFF_PRUNE * 2^n.
+    # COEFF_PRUNE, which the per-point calculus's affine form relies on:
+    # every y of every grid verify accepts is 0 or far above
+    # COEFF_PRUNE * 2^n.
     floor = COEFF_PRUNE * 2 ** cli.VERIFY_N_MAX
     for size in range(6, cli.GRID_MAX + 1):
         for seed in (0, 3):
@@ -427,9 +435,10 @@ def test_class_containment_matches_qubit_set_inclusion(n):
 @pytest.mark.parametrize("tampered", [False, True])
 def test_grid_checks_are_identical_in_chunks(request, monkeypatch, check,
                                              tampered):
-    # One point per chunk gives the same result, byte for byte, including
-    # the worst case named when a check fails: per n, the span's rows and
-    # then one encoder call per grid point.
+    # One point per chunk of the linearity certificate gives the same
+    # result, byte for byte, including the first failure named when a check
+    # fails: per n, the span's rows and then one encoder call per grid
+    # point.
     if tampered:
         request.getfixturevalue("tampered_analytic_sign")
     config = VerifyConfig(n_max=3, grid_size=10)
@@ -562,18 +571,23 @@ def _inputs(draw):
 @settings(max_examples=10, deadline=None)
 @given(psi=_inputs())
 def test_span_states_equal_the_per_point_partial_trace(n, psi):
-    # sum_ac psi_a conj(psi_c) G_ac, read from the Gram blocks of the
-    # encoder's span, is the partial trace of each encoded state, on every
-    # aligned keep set and every single qubit. The span's inputs begin with
-    # the six poles; constructing it certifies that it holds them all.
+    # sum_ac psi_a conj(psi_c) Gamma_ac / 2^(n+2), from the Gram blocks of
+    # the span's integer rows, is the partial trace of each encoded state,
+    # on every aligned keep set and every single qubit. The span's inputs
+    # begin with the six poles; constructing it certifies that it holds
+    # them all.
     inputs = np.concatenate([leakage._POLE_INPUTS, psi])
     span = leakage.PoleReports(n, inputs)
+    integers = span.integer_rows()
     encoded = oracle.build_encoded_state(n, inputs)
     keeps = [leakage.keep_positions(RegisterSubset(n, tags)) for tags in
              itertools.product((PairTag.SIGNAL, PairTag.NOISE), repeat=n)]
     keeps += [[q] for q in range(2 * n + 1)]
     for keep in keeps:
-        [(_, states)] = span.states(keep)
+        g00, g01, g11 = leakage.gram_blocks(integers, keep)
+        blocks = np.array([[g00, g01], [g01.conj().T, g11]])
+        weights = inputs[:, :, None] * inputs[:, None, :].conj()
+        states = np.einsum("iac,acxy->ixy", weights, blocks) / 2 ** (n + 2)
         assert np.abs(states - oracle.reduced_density(encoded, keep)).max() \
             <= 1e-15, keep
 
@@ -620,28 +634,76 @@ def test_grid_checks_read_no_span_that_fails_a_certificate(
     assert result.n_range == n_range
 
 
+_OFF_INTEGERS = ("integer rows not certified: n={0}: enc(|0>) and enc(|1>) "
+                 "scaled by 2/h^{0} lie {1} from Gaussian integers with parts "
+                 "up to {2} (tolerance 1e-10, parts up to 1)")
+
+
 @pytest.mark.parametrize("fixture, n_max, details", [
     ("tampered_analytic_sign", 3, {
-        "engine_agreement": "max entry error 1.000e+00 (tolerance 1e-10) "
-                            "across n<=3 at n=1, p=1, bloch=[0. 1. 0.]"}),
+        "engine_agreement": (
+            "exact on 6 of 9 aligned shapes across n<=3; first failure at "
+            "n=1, p=1: i (Gamma10 - Gamma01) == 8 (Dy - D0)", (1, 3))}),
+    # Its rows scaled by 2 / h^n are 2^(1 + n/2) on two entries: no
+    # integer at odd n, and a part of 4 at n = 2.
     ("symmetric_leaking_encoding", 3, {
-        "engine_agreement": "max entry error 8.750e-01 (tolerance 1e-10) "
-                            "across n<=3 at n=3, p=0, bloch=[0. 0. 1.]",
-        "singleton_mixedness": "max deviation from I/2: 5.000e-01 "
-                               "(tolerance 1e-12) across n=2..3 at n=2, A"}),
+        "engine_agreement": (_OFF_INTEGERS.format(1, "1.716e-01", 3), (1, 0)),
+        "singleton_mixedness": (_OFF_INTEGERS.format(2, "8.882e-16", 4),
+                                (2, 1))}),
+    ("scaled_encoding", 3, {
+        "engine_agreement": (_OFF_INTEGERS.format(1, "1.000e-09", 1), (1, 0)),
+        "singleton_mixedness": (_OFF_INTEGERS.format(2, "1.000e-09", 1),
+                                (2, 1))}),
+    ("bumped_one_encoding", 3, {
+        "engine_agreement": (
+            "exact on 0 of 9 aligned shapes across n<=3; first failure at "
+            "n=1, p=0: Gamma00 + Gamma11 == 8 D0", (1, 3)),
+        "singleton_mixedness": (
+            "exact on 0 of 12 single qubits across n=2..3; first failure at "
+            "n=2, A: Gamma00 + Gamma11 == 8 D0", (2, 3))}),
 ])
 def test_grid_checks_fail_on_linear_controls_as_before(request, fixture,
                                                        n_max, details):
-    # Controls whose encoder is linear pass the certificate and fail on the
-    # states themselves, with the details the per-point partial trace gave.
+    # Controls whose encoder is linear and pair-symmetric pass both
+    # certificates of the span and fail on its integer rows or on the
+    # identities, naming the first failure.
     request.getfixturevalue(fixture)
     for check in (check_engine_agreement, check_singleton_mixedness):
         result = check(VerifyConfig(n_max=n_max))
         if result.name in details:
             assert not result.passed
-            assert result.detail == details[result.name]
+            assert (result.detail, result.n_range) == details[result.name]
         else:
             assert result.passed, result.detail
+
+
+def test_only_the_grid_checks_read_the_integer_rows(scaled_encoding):
+    # The pattern checks probe the scaled span as they would without the
+    # integer-rows certificate: the missing-pair check passes, and the
+    # parity check fails on its pole signals, (1 + 1e-9)^2 off +-1.
+    results = {r.name: r for r in run_checks(VerifyConfig(n_max=3))}
+    assert [name for name, r in results.items() if not r.passed] == [
+        "engine_agreement", "parity_classification", "singleton_mixedness"]
+    for name in ("engine_agreement", "singleton_mixedness"):
+        assert results[name].detail.startswith("integer rows not certified")
+    for name in ("missing_pair_uninformative", "parity_classification"):
+        assert "integer rows" not in results[name].detail
+    assert results["parity_classification"].detail.startswith(
+        "5 disagreement(s): n=1 S1: pole signal +1.000e+00 != predicted +1; ")
+
+
+def test_integer_rows_are_the_encoding_basis():
+    # Rounded from the certified rows, never read from the basis itself.
+    for n in range(1, 7):
+        assert np.array_equal(leakage.PoleReports(n).integer_rows(),
+                              oracle.encoding_basis(n))
+
+
+def test_gram_blocks_sum_exactly_in_complex64():
+    # A Gram entry sums at most 2^(2n) products with parts in {-2, ..., 2},
+    # and an identity adds two blocks: below 2^24, where every complex64
+    # sum of integers is exact, for every n the oracle takes.
+    assert 2 * 2 * 2 ** (2 * oracle.ORACLE_CAP_MAX) <= 2 ** 24
 
 
 @pytest.mark.parametrize("grid_size", [6, 10, 26])
