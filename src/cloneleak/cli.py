@@ -4,7 +4,8 @@ Verbs: classify, reduce, table, verify, sweep. Output is JSON (one record
 with n, engine, seed, rows, summary, tolerances) or CSV rows; identical
 configuration and seed produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -115,11 +116,6 @@ GRID_MAX = 1_000
 # Largest |--seed|, the signed 64-bit range: the probe grid turns the seed
 # into a float, which a much larger int overflows.
 SEED_MAX = 2 ** 63 - 1
-
-# Largest min(--n, --oracle-cap) of verify. Its pole probes form no dense
-# state, but the number of count classes and their spectra grow with n:
-# n = 8 (16-qubit keep sets) takes 3.7-4.5 s and 94 MB on 2 cores.
-VERIFY_N_MAX = 8
 
 # Largest dense footprint of one sweep: --grid states of 16 * 4**size bytes,
 # plus a batch of PAIR_CHUNK differences and the two stacks they come from.
@@ -252,18 +248,9 @@ def _note_single_pair(args: argparse.Namespace) -> None:
               "partially hidden. Proceeding anyway.", file=sys.stderr)
 
 
-def _refuse_oversized(args: argparse.Namespace, subset=None) -> None:
-    """Refuse a brute-force run too large to finish, before anything is
+def _refuse_oversized(args: argparse.Namespace, subset) -> None:
+    """Refuse a reduce or sweep run too large to finish, before anything is
     encoded. argparse bounds each flag alone; these bounds join flags."""
-    if args.command == "verify":
-        # The parity check keeps all 2n register qubits of the largest n.
-        top = min(args.n, args.oracle_cap)
-        if top > VERIFY_N_MAX:
-            raise UsageError(f"--n {args.n} with --oracle-cap {args.oracle_cap} "
-                             f"probes subsets of {2 * top} qubits, above the "
-                             f"verify bound of {2 * VERIFY_N_MAX}; lower --n "
-                             f"or --oracle-cap to {VERIFY_N_MAX}")
-        return
     aligned = not (subset.missing_pairs or subset.both_count)
     if args.engine != leakage.ENGINE_ANALYTIC and args.n > args.oracle_cap:
         raise UsageError(f"n={args.n} exceeds the oracle cap {args.oracle_cap} "
@@ -392,7 +379,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _refuse_oversized(args)
     results = verify.run_checks(verify.VerifyConfig(
         n_max=args.n, oracle_cap=args.oracle_cap, grid_size=args.grid,
         seed=args.seed))
@@ -488,6 +474,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # SubsetSpecError and UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -36,13 +36,9 @@ TOLERANCES = Tolerances()
 
 
 class SeparationGapError(RuntimeError):
-    """A probe distance fell between the two thresholds.
-
-    The calculus predicts distances that are either numerically zero or of
-    order |y1 - y2|, so a value in the gap means something is wrong with
-    the configuration or the implementation; refusing to classify is safer
-    than guessing.
-    """
+    """The poles of an axis reduce to states neither equal nor orthogonal
+    (`_pole_distance`). The calculus predicts distances of exactly 0 or 1,
+    so refusing to classify is safer than guessing."""
 
 
 class PairSymmetryError(RuntimeError):
@@ -64,7 +60,8 @@ class NotLinearError(RuntimeError):
 
 class NotGaussianError(RuntimeError):
     """The encoder's rows, scaled by 2 / h^n, are not Gaussian integers with
-    parts in {-1, 0, 1}, which the grid checks sum exactly (`gram_blocks`)."""
+    parts in {-1, 0, 1}, which the grid checks (`gram_blocks`) and the pole
+    probes (`_pole_distance`) sum exactly."""
 
 
 class ProbeVerdict(str, Enum):
@@ -137,26 +134,6 @@ def pairwise_max_trace_distance(rhos) -> tuple[float, np.ndarray]:
     return float(per_point.max(initial=0.0)), per_point
 
 
-def factored_trace_distance(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """Trace distance between P P^dagger and M M^dagger, given P and M.
-
-    `plus` and `minus` are stacks (..., d_keep, k) of factors with the same
-    shape. The difference is A J A^dagger with A = [P | M] and
-    J = diag(I, -I). Writing A = Q R with Q an isometry, its nonzero
-    eigenvalues are those of R J R^dagger = Rp Rp^dagger - Rm Rm^dagger, and
-    trace distance is unchanged by an isometry (Nielsen & Chuang, ch. 9).
-    The QR runs only for tall factors (d_keep > 2 k); a wide factor's
-    d_keep-square difference is formed directly, cheaper and no larger.
-    """
-    k = plus.shape[-1]
-    if plus.shape[-2] > 2 * k:
-        r = np.linalg.qr(np.concatenate([plus, minus], axis=-1), mode="r")
-        plus, minus = r[..., :k], r[..., k:]
-    diff = (plus @ plus.conj().swapaxes(-1, -2)
-            - minus @ minus.conj().swapaxes(-1, -2))
-    return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
-
-
 def keep_positions(subset: RegisterSubset) -> list[int]:
     """Qubit positions of a register subset in the simulator layout."""
     pos = []
@@ -206,7 +183,7 @@ def y_leak_estimate(rho: np.ndarray, k: int) -> float:
 @dataclass
 class LeakageReport:
     subset: RegisterSubset
-    # Trace distance between the reduced states at the poles +-e_j, j = x, y, z.
+    # Trace distance, 0.0 or 1.0, between the states at the poles +-e_j.
     axis_distances: tuple[float, float, float]
     y_signal: float
     verdict: ProbeVerdict
@@ -215,20 +192,6 @@ class LeakageReport:
     def distance_bound(self) -> float:
         """Upper bound on the distance between any two inputs' reduced states."""
         return sum(self.axis_distances)
-
-
-def _verdict(axis_distances, context: str) -> ProbeVerdict:
-    bound = sum(axis_distances)
-    if bound < TOLERANCES.uninformative:
-        return ProbeVerdict.UNINFORMATIVE
-    if max(axis_distances) > TOLERANCES.informative:
-        return ProbeVerdict.INFORMATIVE
-    raise SeparationGapError(
-        f"{context}: pole distances {tuple(axis_distances)!r} sum to {bound!r}, "
-        f"not below the uninformative threshold {TOLERANCES.uninformative}, "
-        f"and none exceeds the informative threshold "
-        f"{TOLERANCES.informative}; distances are expected to be one or the "
-        f"other")
 
 
 def certify_pair_symmetry(n: int, rows) -> None:
@@ -268,9 +231,8 @@ def probe_patterns(n: int, subsets, reports: PoleReports | None = None
     sum_j ||R_j||_1 apart, and the poles on axis j are exactly
     D_j = ||R_j||_1 apart: the sum bounds the distance on the whole sphere
     and the largest D_j is attained. Each probed subset reads the poles'
-    states from the certified span of `reports` (a new `PoleReports(n)` if
-    None), so no stack of them outlives its probe, and its distances come
-    from its reduced factors in one `factored_trace_distance` call.
+    factors from the integer rows of `reports` (a new `PoleReports(n)` if
+    None), and each D_j is exactly 0 or 1 (`_pole_distance`).
 
     Subsets with the same `RegisterSubset.counts` have reduced states equal
     up to a permutation of their qubits (the span's pair symmetry), a
@@ -283,7 +245,7 @@ def probe_patterns(n: int, subsets, reports: PoleReports | None = None
     reports = PoleReports(n) if reports is None else reports
     for subset in subsets:
         if subset.counts not in reports:
-            reports[subset.counts] = _probe_pattern(subset, reports.rows)
+            reports[subset.counts] = _probe_pattern(subset, reports.integers)
     return reports
 
 
@@ -293,14 +255,17 @@ class PoleReports(dict):
     (`probe_patterns`).
 
     The encoder is linear, enc(psi) = psi_0 E_0 + psi_1 E_1 with the rows
-    E = enc(I2), so the pole probes (`_POLE_INPUTS @ E`) and the grid
-    checks (`integer_rows`) read every state from the rows. That holds only
-    for a linear encoder, so the rows are certified once, here: invariant
-    under every pair permutation (`certify_pair_symmetry`), and equal to
-    the encoder on the inputs, encoded in chunks of GRID_CHUNK_BYTES, to
-    `TOLERANCES.engine_agreement`, or `NotLinearError`. The inputs begin
-    with the six poles, as `bloch_grid`'s states do, so the certificate
-    covers every probe.
+    E = enc(I2), so the pole probes and the grid checks read every state
+    from the rows. That holds only for a linear encoder, so the rows are
+    certified once, here: invariant under every pair permutation
+    (`certify_pair_symmetry`), and equal to the encoder on the inputs,
+    encoded in chunks of GRID_CHUNK_BYTES, to `TOLERANCES.engine_agreement`,
+    or `NotLinearError`. The inputs begin with the six poles, as
+    `bloch_grid`'s states do, so the certificate covers every probe. Only
+    the rows as Gaussian integers G = round(E 2 / h^n) are kept
+    (`integers`, the form of `oracle.encoding_basis`): the rounding must
+    move no part by more than that tolerance, and every part must lie in
+    {-1, 0, 1}, or `NotGaussianError`.
     """
 
     def __init__(self, n: int, inputs: np.ndarray | None = None):
@@ -310,14 +275,14 @@ class PoleReports(dict):
             raise ValueError("the span's inputs must begin with the six poles")
         self.n = n
         # Looked up at call time, so that a replaced encoder is the one read.
-        self.rows = oracle.build_encoded_state(n, np.eye(2, dtype=complex))
-        certify_pair_symmetry(n, self.rows)
+        rows = oracle.build_encoded_state(n, np.eye(2, dtype=complex))
+        certify_pair_symmetry(n, rows)
         residual = 0.0
         step = max(1, GRID_CHUNK_BYTES // (16 * 2 ** (2 * n + 1)))
         for start in range(0, len(self.inputs), step):
             chunk = self.inputs[start:start + step]
             states = oracle.build_encoded_state(n, chunk)
-            states -= chunk @ self.rows
+            states -= chunk @ rows
             residual = max(residual, float(np.abs(states).max()))
         tol = TOLERANCES.engine_agreement
         if not residual <= tol:
@@ -325,54 +290,97 @@ class PoleReports(dict):
                 f"n={n}: the states of the {len(self.inputs)} inputs differ "
                 f"from the span of enc(|0>) and enc(|1>) by {residual:.3e} "
                 f"(tolerance {tol:g})")
-
-    def integer_rows(self) -> np.ndarray:
-        """The rows as Gaussian integers, G = round(E 2 / h^n), formed anew
-        on each call (the form of `oracle.encoding_basis`). Raises
-        `NotGaussianError` unless the rounding moves no real or imaginary
-        part by more than `TOLERANCES.engine_agreement` and every part of G
-        lies in {-1, 0, 1}."""
-        scale = 2.0 * math.sqrt(2.0) ** self.n
-        scaled = np.ascontiguousarray(self.rows * scale, complex).view(float)
+        scaled = np.ascontiguousarray(rows * (2.0 * math.sqrt(2.0) ** n),
+                                      complex).view(float)
+        del rows
         parts = np.rint(scaled)
         scaled -= parts
         moved = float(np.abs(scaled, out=scaled).max())
         largest = max(parts.max(), -parts.min())
-        tol = TOLERANCES.engine_agreement
         if not (moved <= tol and largest <= 1):
             raise NotGaussianError(
-                f"n={self.n}: enc(|0>) and enc(|1>) scaled by 2/h^{self.n} "
-                f"lie {moved:.3e} from Gaussian integers with parts up to "
+                f"n={n}: enc(|0>) and enc(|1>) scaled by 2/h^{n} lie "
+                f"{moved:.3e} from Gaussian integers with parts up to "
                 f"{largest:g} (tolerance {tol:g}, parts up to 1)")
-        return parts.view(complex)
+        self.integers = parts.view(complex)
 
 
 def gram_blocks(integers: np.ndarray, keep: list[int]):
     """Gamma_ac = M_a M_c^dagger for (a, c) = (0, 0), (0, 1), (1, 1), with
     M_a the reduced factor of the integer rows' G_a on the keep set K
     (Gamma10 is Gamma01^dagger). The reduced state of enc(psi) on K is
-    sum_ac psi_a conj(psi_c) Gamma_ac / 2^(n+2). The products run in
-    complex64, exactly: an entry sums at most 2^(2n) products with parts in
-    {-2, ..., 2}, below 2^24 for every n up to ORACLE_CAP_MAX (tested)."""
+    sum_ac psi_a conj(psi_c) Gamma_ac / 2^(n+2). The rows are permuted and
+    multiplied in complex64, exactly: an entry sums at most 2^(2n)
+    products with parts in {-2, ..., 2}, below 2^24 for every n up to
+    ORACLE_CAP_MAX (tested)."""
     top, bottom = np.split(oracle.reduced_factor(
-        integers.reshape(-1), [0] + [q + 1 for q in keep]
-    ).astype(np.complex64), 2)
+        integers.reshape(-1).astype(np.complex64),
+        [0] + [q + 1 for q in keep]), 2)
     return (top @ top.conj().T, top @ bottom.conj().T,
             bottom @ bottom.conj().T)
 
 
-def _probe_pattern(subset: RegisterSubset, rows) -> LeakageReport:
-    """Pole report of one subset from the span's rows (`probe_patterns`)."""
-    factors = oracle.reduced_factor(_POLE_INPUTS @ rows,
-                                    keep_positions(subset))
-    plus, minus = factors[0::2], factors[1::2]
-    axes = tuple(float(d) for d in factored_trace_distance(plus, minus))
+# Per axis x, y, z, its poles' inputs (1, +-1), (1, +-i), (1, 0), (0, 1) as
+# weights of the integer rows, without the scales, which matter to neither
+# equality nor orthogonality.
+_AXIS_WEIGHTS = np.array([[[1, 1], [1, -1]], [[1, 1j], [1, -1j]],
+                          [[1, 0], [0, 1]]])
+
+
+def _pole_distance(plus: np.ndarray, minus: np.ndarray, context: str
+                   ) -> float:
+    """Trace distance between the normalized states P P^dagger and
+    Q Q^dagger of integer factors P = `plus`, Q = `minus` (d_keep x r):
+    exactly 0.0 if they are equal and 1.0 if their supports are orthogonal
+    (Nielsen & Chuang, ch. 9), else `SeparationGapError`. A wide pair
+    (d_keep <= r) is equal if P P^dagger == Q Q^dagger and orthogonal if
+    sum (P P^dagger) o conj(Q Q^dagger) = ||P^dagger Q||_F^2 == 0. A tall
+    one is orthogonal if P^dagger Q == 0 and equal if W J W, which is
+    A^dagger (P P^dagger - Q Q^dagger) A, == 0, with A = [P | Q],
+    W = A^dagger A and J = diag(I, -I).
+
+    Parts of P and Q lie in {-2, ..., 2}, so ||P||_F^2, ||Q||_F^2 <=
+    8 * 2^(2n+1). A partial sum of a Gram entry or of P^dagger Q is at most
+    that in modulus, of the trace its square, of W J W
+    (||P||_F^2 + ||Q||_F^2)^2 = 2^50 at n = 10: below 2^53, so float64 sums
+    them exactly in any order for every n up to ORACLE_CAP_MAX (tested).
+    """
+    d_keep, r = plus.shape
+    if d_keep <= r:
+        pp, qq = plus @ plus.conj().T, minus @ minus.conj().T
+        if np.array_equal(pp, qq):
+            return 0.0
+        if not np.vdot(qq, pp):
+            return 1.0
+    elif not (plus.conj().T @ minus).any():
+        return 1.0
+    else:
+        both = np.concatenate([plus, minus], axis=1)
+        w = both.conj().T @ both
+        if np.array_equal(w[:, :r] @ w[:r], w[:, r:] @ w[r:]):
+            return 0.0
+    raise SeparationGapError(f"{context} are neither equal nor orthogonal")
+
+
+def _probe_pattern(subset: RegisterSubset, integers) -> LeakageReport:
+    """Pole report of one subset from the span's integer rows
+    (`probe_patterns`), whose reduced factors the poles weight."""
+    factors = oracle.reduced_factor(integers, keep_positions(subset))
+    flat = factors.reshape(2, -1)
+    where = f"n={subset.n}, {subset.labels() or '(empty)'}: the"
+    axes = tuple(_pole_distance(*(weights @ flat).reshape(factors.shape),
+                                f"{where} {axis} poles")
+                 for axis, weights in zip("xyz", _AXIS_WEIGHTS))
+    # <Y...Y> at the +y pole, an exact integer read from its factor (no
+    # dense state), over the factor's squared norm, an exact integer too.
+    plus_y = factors[0] + 1j * factors[1]
     return LeakageReport(
         subset=subset,
         axis_distances=axes,
-        # <Y...Y> at the +y pole, read from its factor: no dense state.
-        y_signal=expectation(plus[1], "Y" * subset.size, factored=True),
-        verdict=_verdict(axes, subset.labels() or "(empty)"),
+        y_signal=(expectation(plus_y, "Y" * subset.size, factored=True)
+                  / np.vdot(plus_y, plus_y).real),
+        verdict=(ProbeVerdict.INFORMATIVE if any(axes)
+                 else ProbeVerdict.UNINFORMATIVE),
     )
 
 

@@ -123,9 +123,12 @@ def reduced_factor(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
     Permutes the kept axes to the front and flattens, so no density matrix
     is formed. The kept factors appear in the order listed. A stack of
-    states (..., 2**nq) gives a stack of factors in one call.
+    states (..., 2**nq) gives a stack of factors in one call. Complex input
+    keeps its dtype; any other is converted to complex128.
     """
-    state = np.atleast_1d(np.asarray(state, dtype=complex))
+    state = np.atleast_1d(np.asarray(state))
+    if not np.iscomplexobj(state):
+        state = state.astype(complex)
     nq = int(state.shape[-1]).bit_length() - 1
     if 2 ** nq != state.shape[-1]:
         raise ValueError(f"amplitude count {state.shape[-1]} is not a power "

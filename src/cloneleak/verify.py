@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import ne
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def _nothing_to_check(name: str, config: VerifyConfig,
 _PROBE_FAILURES = {leakage.PairSymmetryError: "pair symmetry not certified",
                    leakage.NotLinearError: "linearity not certified",
                    leakage.NotGaussianError: "integer rows not certified",
-                   leakage.SeparationGapError: "threshold gap not empty"}
+                   leakage.SeparationGapError: "pole distance neither 0 nor 1"}
 
 
 def _probe_failure(name: str, exc: Exception,
@@ -151,10 +152,10 @@ def check_sign_resolution(config: VerifyConfig,
 class _Shared:
     """What the brute-force checks of one `run_checks` call share: per n,
     the encoder's span certified on the grid (`leakage.PoleReports`),
-    whose rows give the grid checks' Gram blocks and to whose reports the
-    pattern checks add their probes. A check called on its own builds its
-    own; each check keeps its own reports, so its detail counts the
-    classes it probed itself."""
+    whose integer rows give the grid checks' Gram blocks and the pattern
+    checks' pole factors, and to whose reports the pattern checks add their
+    probes. A check called on its own builds its own; each check keeps its
+    own reports, so its detail counts the classes it probed itself."""
 
     def __init__(self, config: VerifyConfig):
         self.config = config
@@ -212,7 +213,7 @@ def _exact_on_span(name: str, config: VerifyConfig, shared: _Shared | None,
                    first: int, what: str, cases) -> CheckResult:
     """A grid check: per n from `first` on, `cases(n)` yields (case, keep
     set, expected parts), each compared by `_first_failure` on the span's
-    integer rows (`leakage.PoleReports.integer_rows`). The detail counts
+    integer rows (`leakage.PoleReports.integers`). The detail counts
     the exact cases and names the first failure."""
     top = _top_n(config)
     if top < first:
@@ -221,7 +222,7 @@ def _exact_on_span(name: str, config: VerifyConfig, shared: _Shared | None,
     exact, total, failure = 0, 0, ""
     for n in range(first, top + 1):
         try:
-            integers = shared.span(n).integer_rows()
+            integers = shared.span(n).integers
         except tuple(_PROBE_FAILURES) as exc:
             return _probe_failure(name, exc, (first, n - 1))
         for case, keep, parts in cases(n):
@@ -280,23 +281,28 @@ def class_contains(outer: tuple, inner: tuple) -> bool:
             <= both - in_both)
 
 
-def _deciders(counts: tuple, reports: dict) -> tuple:
-    """(an informative report of a class `counts` holds, an uninformative
-    report of a class that holds `counts`), each None if no probe gives
-    one; the class's own report comes first.
+# The pole pattern (D_x, D_y, D_z) of each verdict.
+_PATTERNS = {Verdict.AUTHORIZED: (1, 1, 1),
+             Verdict.PARTIALLY_INFORMATIVE: (0, 1, 0),
+             Verdict.COMPLETELY_UNINFORMATIVE: (0, 0, 0)}
 
-    Trace distance only shrinks under partial trace (Nielsen & Chuang,
-    Thm 9.2), so D_j(S) <= D_j(T) on every axis whenever S lies inside T.
-    """
-    own = reports.get(counts)
-    ordered = [(counts, own)] * (own is not None) + list(reports.items())
-    leak = next((report for key, report in ordered
-                 if report.verdict is leakage.ProbeVerdict.INFORMATIVE
-                 and class_contains(counts, key)), None)
-    bound = next((report for key, report in ordered
-                  if report.verdict is leakage.ProbeVerdict.UNINFORMATIVE
-                  and class_contains(key, counts)), None)
-    return leak, bound
+
+def _bounds(counts: tuple, reports: dict) -> tuple:
+    """(lower, upper) bounds on the pole pattern of class `counts`, decided
+    when equal: per axis, the largest D_j of a probed class it holds and
+    the smallest of one that holds it. Trace distance only shrinks under
+    partial trace (Nielsen & Chuang, Thm 9.2), so D_j(S) <= D_j(T) on
+    every axis whenever S lies inside T. A report of (0, 0, 0) raises no
+    lower bound and one of (1, 1, 1) lowers no upper bound, so their
+    containment is not tested."""
+    held = [(0, 0, 0)] + [r.axis_distances for key, r in reports.items()
+                          if any(r.axis_distances)
+                          and class_contains(counts, key)]
+    holding = [(1, 1, 1)] + [r.axis_distances for key, r in reports.items()
+                             if not all(r.axis_distances)
+                             and class_contains(key, counts)]
+    return (tuple(int(max(axis)) for axis in zip(*held)),
+            tuple(int(min(axis)) for axis in zip(*holding)))
 
 
 def _probe_by_containment(n: int, classes: list, stages,
@@ -304,17 +310,17 @@ def _probe_by_containment(n: int, classes: list, stages,
     """Pole reports of enough count classes to decide every class.
 
     Each stage probes those of its classes that no earlier report decides
-    (`_deciders`); a last stage probes every class still undecided. The
+    (`_bounds`); a last stage probes every class still undecided. The
     order of the stages only saves probes: what is left undecided is
-    probed. Probes go through `shared`, which reads the six poles from
-    the span of each n (`leakage.probe_patterns`) and probes each class
+    probed. Probes go through `shared`, which reads the poles from the
+    span of each n (`leakage.probe_patterns`) and probes each class
     once; the reports returned, keyed by count class, are those of the
     classes this call probed, in the order it probed them.
     """
     reports: dict[tuple, leakage.LeakageReport] = {}
     for stage in [*stages, classes]:
         todo = [first_pattern(n, c) for c in stage if c in classes
-                and c not in reports and not any(_deciders(c, reports))]
+                and c not in reports and ne(*_bounds(c, reports))]
         if todo:
             reports.update(shared.probe(n, todo))
     return reports
@@ -375,12 +381,12 @@ def check_parity_classification(config: VerifyConfig,
     Per n, the pole probes go to the full register, then to the aligned
     classes, the largest missing-pair class and the smallest authorized
     classes (1, s, n-1-s, 0); containment decides the rest
-    (`_probe_by_containment`). The patterns of a count class share its
-    verdict, decision and pole report, so each class is compared once and
-    counts for its patterns (`ClassificationTable.classes`). A class both
-    inside an uninformative probe and around an informative one, or
-    neither, disagrees with any verdict. A partially informative class's
-    leak sign is read from its own probe, and the fixed-y slice runs once
+    (`_probe_by_containment`). Each class's pole pattern must be decided
+    and equal its verdict's (`_PATTERNS`). The patterns of a count class
+    share its verdict, decision and pole report, so each class is compared
+    once and counts for its patterns (`ClassificationTable.classes`). A
+    partially informative class's leak sign is read from its own probe and
+    must equal the predicted sign exactly, and the fixed-y slice runs once
     per such class. Only the patterns of disagreeing classes are formed,
     to name the first five disagreements in enumeration order."""
     if _top_n(config) < 1:
@@ -427,35 +433,25 @@ def check_parity_classification(config: VerifyConfig,
 def _disagreements(counts: tuple, cls, reports: dict) -> list[str]:
     """What each pattern of a count class disagrees on, in order."""
     tol = leakage.TOLERANCES
-    leak, bound = _deciders(counts, reports)
+    lower, upper = _bounds(counts, reports)
+    expected = _PATTERNS[cls.verdict]
     texts = []
-    if leak is None and bound is None:
-        texts.append("no probe decides it")
-    elif cls.verdict is Verdict.COMPLETELY_UNINFORMATIVE:
-        if leak is not None:
-            texts.append(f"classified uninformative but distance bound "
-                         f"{leak.distance_bound:.3e}"
-                         + _via(leak, counts, "which it holds"))
-    elif bound is not None:
-        texts.append(f"classified {cls.verdict.value} but no probe response"
-                     + _via(bound, counts, "which holds it"))
+    if lower != upper:
+        texts.append(f"no probe decides it (pattern at least {lower}, at "
+                     f"most {upper})")
+    elif lower != expected:
+        texts.append(f"classified {cls.verdict.value} {expected} but probes "
+                     f"give {lower}")
     if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
         report = reports[counts]
         slice_d = leakage.fixed_y_slice_probe(report.subset, 0.5, 8)
         if slice_d >= tol.uninformative:
             texts.append(f"leak depends on more than y "
                          f"(fixed-y distance {slice_d:.3e})")
-        if abs(report.y_signal - cls.leak.sign) > tol.engine_agreement:
+        if report.y_signal != cls.leak.sign:
             texts.append(f"pole signal {report.y_signal:+.3e} != predicted "
                          f"{cls.leak.sign:+d}")
     return texts
-
-
-def _via(report, counts: tuple, relation: str) -> str:
-    """Where a decision came from, when not from the pattern's own class."""
-    if report.subset.counts == counts:
-        return ""
-    return f" (probed on {report.subset.labels()}, {relation})"
 
 
 def check_singleton_mixedness(config: VerifyConfig,

@@ -139,3 +139,21 @@ def bumped_one_encoding(monkeypatch):
         return states
 
     monkeypatch.setattr(oracle, "build_encoded_state", bumped)
+
+
+@pytest.fixture
+def gaussian_leaking_encoding(monkeypatch):
+    """Negative control: symmetric_leaking_encoding with every amplitude
+    times h^n / 2, so that its rows scaled by 2 / h^n are 0 or 1. It is
+    linear, pair-symmetric and Gaussian, so it passes every certificate of
+    the span (nothing reads its norm), and only the pole probes can catch
+    it: every count class reads (0, 0, 1), no verdict's pattern."""
+
+    def ghz(n, psi):
+        psi = np.asarray(psi, dtype=complex)
+        state = np.zeros(psi.shape[:-1] + (2 ** (2 * n + 1),), dtype=complex)
+        state[..., 0] = psi[..., 0] * np.sqrt(0.5) ** n / 2
+        state[..., -1] = psi[..., 1] * np.sqrt(0.5) ** n / 2
+        return state
+
+    monkeypatch.setattr(oracle, "build_encoded_state", ghz)

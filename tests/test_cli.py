@@ -415,28 +415,28 @@ def test_oracle_cap_above_the_bound_is_a_usage_error(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--n", str(cli.VERIFY_N_MAX + 1),
-     "--oracle-cap", str(cli.VERIFY_N_MAX + 1)],
-    ["verify", "--n", "10", "--oracle-cap", str(oracle.ORACLE_CAP_MAX)],
+    ["verify", "--n", str(oracle.ORACLE_CAP_MAX + 1),
+     "--oracle-cap", str(oracle.ORACLE_CAP_MAX + 1)],
+    ["verify", "--n", "10", "--oracle-cap", str(oracle.ORACLE_CAP_MAX + 1)],
 ])
 def test_verify_refuses_keep_sets_above_the_dense_cap(capsys, monkeypatch,
                                                       argv):
     # The all-BOTH pattern of n = min(--n, --oracle-cap) keeps 2n qubits.
-    # The pole probes form no dense state, so the bound is verify's own,
-    # cli.VERIFY_N_MAX, rather than the dense cap; it is still checked first.
+    # The pole probes form no dense state, so verify's bound is the
+    # oracle's own, ORACLE_CAP_MAX, rather than the dense cap: one past it
+    # is refused while the arguments are parsed, before anything is run.
     def refuse(*args, **kwargs):
         raise AssertionError("ran work above the verify bound")
 
     monkeypatch.setattr(verify, "run_checks", refuse)
     monkeypatch.setattr(oracle, "build_encoded_state", refuse)
-    assert main(argv) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    top = int(argv[2])
-    assert captured.err == (
-        f"error: --n {top} with --oracle-cap {top} probes subsets of "
-        f"{2 * top} qubits, above the verify bound of {2 * cli.VERIFY_N_MAX}; "
-        f"lower --n or --oracle-cap to {cli.VERIFY_N_MAX}\n")
+    assert (f"--oracle-cap: must be <= {oracle.ORACLE_CAP_MAX}, got "
+            f"{oracle.ORACLE_CAP_MAX + 1}" in captured.err)
 
 
 @pytest.mark.parametrize("argv, top", [
@@ -444,8 +444,9 @@ def test_verify_refuses_keep_sets_above_the_dense_cap(capsys, monkeypatch,
     (["verify", "--n", "6", "--oracle-cap", "6"], 6),
     (["verify", "--n", "3", "--oracle-cap", "9"], 3),
     (["verify", "--n", "7", "--oracle-cap", "7"], 7),
-    (["verify", "--n", str(oracle.ORACLE_CAP_MAX), "--oracle-cap",
-      str(cli.VERIFY_N_MAX)], cli.VERIFY_N_MAX),
+    (["verify", "--n", str(oracle.ORACLE_CAP_MAX), "--oracle-cap", "8"], 8),
+    (["verify", "--n", str(oracle.ORACLE_CAP_MAX + 1), "--oracle-cap",
+      str(oracle.ORACLE_CAP_MAX)], oracle.ORACLE_CAP_MAX),
 ])
 def test_verify_accepts_keep_sets_within_the_dense_cap(capsys, monkeypatch,
                                                        argv, top):
@@ -454,6 +455,22 @@ def test_verify_accepts_keep_sets_within_the_dense_cap(capsys, monkeypatch,
                         lambda config: configs.append(config) or [])
     assert main(argv) == 0
     assert [min(c.n_max, c.oracle_cap) for c in configs] == [top]
+
+
+def test_an_internal_fault_exits_3_without_a_traceback(capsys, monkeypatch):
+    # A fault of the program, not of its input (here an AssertionError, as
+    # pauli.expectation raises on an imaginary residue), is reported on
+    # stderr with its own exit code; nothing reaches stdout.
+    def faulty(config, shared=None):
+        raise AssertionError("expectation has imaginary residue 0.5")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS",
+                        verify.ALL_CHECKS[:-1] + (faulty,))
+    assert main(["verify", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal error: AssertionError: "
+                            "expectation has imaginary residue 0.5\n")
 
 
 def _refuse_work(monkeypatch):
@@ -517,7 +534,7 @@ def test_sweep_over_the_memory_budget_is_refused(capsys, monkeypatch, argv,
 
 
 class _Reached(Exception):
-    pass
+    """Raised where a run is stopped; main reports it as an internal error."""
 
 
 @pytest.mark.parametrize("argv", [
@@ -526,13 +543,14 @@ class _Reached(Exception):
     ["--n", "9", "--subset", "S1,N2,S3,N4,S5,N6,S7,N8,S9",
      "--engine", "analytic"],
 ])
-def test_sweep_within_the_memory_budget_builds_its_grid(monkeypatch, argv):
+def test_sweep_within_the_memory_budget_builds_its_grid(capsys, monkeypatch,
+                                                        argv):
     def reached(*args, **kwargs):
-        raise _Reached
+        raise _Reached("grid")
 
     monkeypatch.setattr(leakage, "bloch_grid", reached)
-    with pytest.raises(_Reached):
-        main(["sweep"] + argv)
+    assert main(["sweep"] + argv) == 3
+    assert capsys.readouterr().err == "error: internal error: _Reached: grid\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -822,14 +840,16 @@ def test_table_renders_each_row_class_once(capsys, monkeypatch, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("cell", ["@", "x@y"])
-def test_table_refuses_a_cell_holding_the_label_marker(monkeypatch, fmt,
-                                                       cell):
+def test_table_refuses_a_cell_holding_the_label_marker(capsys, monkeypatch,
+                                                       fmt, cell):
     # A cell that holds the marker would take a head's label in its place.
     structural_row = cli._structural_row
     monkeypatch.setattr(cli, "_structural_row", lambda pattern, fields: (
         structural_row(pattern, fields) | {"rule": cell}))
-    with pytest.raises(RuntimeError, match="label marker"):
-        main(["table", "--n", "3", "--format", fmt])
+    assert main(["table", "--n", "3", "--format", fmt]) == 3
+    assert capsys.readouterr().err == (
+        "error: internal error: RuntimeError: a row does not hold the label "
+        "marker '@' exactly once\n")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -883,12 +903,17 @@ def test_table_matches_the_stdlib_writers(capsys, n):
 # on the span's integer rows: their details now count the exact cases
 # ("exact on 14 aligned shapes across n<=4", "exact on 21 single qubits
 # across n=2..4") instead of printing round-off maxima; no other byte
-# changed.
+# changed. Both were re-recorded again when the pole probes began deciding
+# each distance by exact identities: the missing-pair maximum is exactly
+# 0.000e+00 (2.465e-32 at n <= 2, 1.888e-16 at n <= 4), and at n = 3 the
+# parity check probes the three smallest authorized classes, which an
+# informative probe no longer decides ("65 classes: 30 probed, 35 by
+# containment", 27 and 38 before); no other byte changed.
 CSV_DIGESTS = {
     ("verify", "--n", "2"):
-        "eb743cc5f4bcf21bab1cd13a23bd3eeba6caa9178cee21ed6cb16f09ff844c74",
+        "041c8a272eab9441608c98373b7fd7ca4273ef5b98f5bacfe23df3700ff37293",
     ("verify", "--n", "4"):
-        "42b099c8b2d32673408b701f9af4671c22acfcbb6e94bd460df1c0fa27c2b94e",
+        "064862b4c46bd250f6e8d4d1c13c26a21826cc9e01a941bcd9970981c8d4039b",
     ("sweep", "--n", "3", "--subset", "S1,N2,N3"):
         "a7937bc06659e04131d48a1b4eaa1924334978184f3400ad8a08cc89b5101cca",
     ("reduce", "--n", "3", "--subset", "S1,N2,S3", "--psi", "0,0.6,0.8",

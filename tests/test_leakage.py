@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloneleak import cli, leakage, oracle
-from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, ProbeVerdict,
-                               SeparationGapError, SignRule, _verdict,
-                               bloch_grid, factored_trace_distance,
-                               fixed_y_slice_probe,
+from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, TOLERANCES,
+                               ProbeVerdict, SeparationGapError, SignRule,
+                               bloch_grid, fixed_y_slice_probe,
                                informativeness_probe, keep_positions,
                                pairwise_max_trace_distance,
                                probe_patterns, reduced_state,
@@ -76,56 +75,81 @@ def test_pairwise_max_matches_direct_loop(rng):
     assert max_d == pytest.approx(direct.max())
 
 
-def random_factor(rng, d_keep, d_rest):
-    m = rng.normal(size=(d_keep, d_rest)) + 1j * rng.normal(size=(d_keep, d_rest))
-    return m / np.linalg.norm(m)  # unit trace for m m^dagger
+def gaussian_factor(rng, d_keep, d_rest):
+    """An integer factor with parts in {-2, ..., 2}, as a pole factor's."""
+    return (rng.integers(-2, 3, size=(d_keep, d_rest))
+            + 1j * rng.integers(-2, 3, size=(d_keep, d_rest)))
 
 
-def assert_factored_matches_dense(factors):
-    # Every pair of states, from the factors and from dense trace_distance.
-    arr = np.stack(factors)
-    ii, jj = np.triu_indices(len(factors), 1)
-    got = factored_trace_distance(arr[ii], arr[jj])
-    dense = [m @ m.conj().T for m in factors]
-    want = [trace_distance(dense[i], dense[j]) for i, j in zip(ii, jj)]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+def exact_distance(monkeypatch, plus, minus):
+    """leakage._pole_distance with every spectrum and factorization of
+    np.linalg refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pole distance took a spectrum or a QR")
+
+    with monkeypatch.context() as patched:
+        for name in ("eigvalsh", "eigh", "eigvals", "qr", "svd"):
+            patched.setattr(np.linalg, name, refuse)
+        return leakage._pole_distance(plus, minus, "test")
+
+
+def dense_distance(plus, minus):
+    """Trace distance of the normalized dense states of two factors."""
+    return trace_distance(*[m @ m.conj().T / np.vdot(m, m).real
+                            for m in (plus, minus)])
 
 
 @pytest.mark.parametrize("d_keep, d_rest", [
-    (16, 2), (32, 4), (64, 1), (32, 15),  # 2 d_rest < d_keep: tall, QR
-    (8, 4), (8, 8), (4, 16),              # 2 d_rest >= d_keep: wide, Gram
+    (16, 2), (32, 4), (64, 1), (32, 15), (8, 4),  # d_keep > d_rest: tall
+    (8, 8), (4, 16),                              # d_keep <= d_rest: wide
 ])
 def test_factored_distance_matches_dense_random(rng, monkeypatch, d_keep,
                                                 d_rest):
-    qr_calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr",
-                        lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
-    factors = [random_factor(rng, d_keep, d_rest) for _ in range(7)]
-    assert_factored_matches_dense(factors)
-    assert bool(qr_calls) == (d_keep > 2 * d_rest)
-    # Rank-deficient pairs (states sharing a support) as well.
-    shared = factors[0] @ np.diag(rng.uniform(0.5, 1.5, size=d_rest))
-    assert_factored_matches_dense(factors[:3] + [shared / np.linalg.norm(shared)])
+    # The exact pole distance of integer factors against the spectrum of
+    # their dense states: equal states (Q = P V, V a permutation with
+    # powers of i, so Q Q^dagger = P P^dagger although Q != P), states on
+    # disjoint rows, and independent factors, which are refused.
+    plus = gaussian_factor(rng, d_keep, d_rest)
+    unitary = np.zeros((d_rest, d_rest), dtype=complex)
+    unitary[rng.permutation(d_rest), np.arange(d_rest)] = np.array(
+        [1, 1j, -1, -1j])[rng.integers(0, 4, d_rest)]
+    top = (np.arange(d_keep) < d_keep // 2)[:, None]
+    other = gaussian_factor(rng, d_keep, d_rest)
+    for p, q, want in ((plus, plus @ unitary, 0.0),
+                       (plus * top, other * ~top, 1.0)):
+        assert exact_distance(monkeypatch, p, q) == want
+        assert exact_distance(monkeypatch, q, p) == want
+        assert abs(dense_distance(p, q) - want) <= 1e-12
+    assert 1e-3 < dense_distance(plus, other) < 1 - 1e-3
+    with pytest.raises(SeparationGapError,
+                       match="^test are neither equal nor orthogonal$"):
+        exact_distance(monkeypatch, plus, other)
 
 
-def test_factored_distance_matches_dense_every_pattern_small_n(grid):
+def assert_poles_match_dense(n, subsets):
+    # Each pattern's three pole distances, read exactly from its count
+    # class's probe, against the spectra of its own dense pole states.
+    poles = encode_points(n, leakage._POLES)
+    reports = probe_patterns(n, subsets)
+    for sub in subsets:
+        rhos = reduced_density(poles, keep_positions(sub))
+        dense = [trace_distance(rhos[2 * j], rhos[2 * j + 1])
+                 for j in range(3)]
+        np.testing.assert_allclose(reports[sub.counts].axis_distances, dense,
+                                   rtol=0, atol=1e-12, err_msg=sub.labels())
+
+
+def test_factored_distance_matches_dense_every_pattern_small_n():
     for n in range(1, 4):
-        states = encode_points(n, grid)
-        for sub, _ in enumerate_classifications(n):
-            keep = keep_positions(sub)
-            assert_factored_matches_dense([reduced_factor(s, keep)
-                                           for s in states])
+        assert_poles_match_dense(n, [sub for sub, _ in
+                                     enumerate_classifications(n)])
 
 
 def test_factored_distance_matches_dense_large_subsets_n4():
-    # 6-, 7- and 8-qubit subsets of the 9-qubit n = 4 state, on a small grid.
-    states = encode_points(4, bloch_grid(8, 0))
+    # 6-, 7- and 8-qubit subsets of the 9-qubit n = 4 state.
     subsets = [sub for sub, _ in enumerate_classifications(4) if sub.size >= 6]
     assert {sub.size for sub in subsets} == {6, 7, 8}
-    for sub in subsets:
-        keep = keep_positions(sub)
-        assert_factored_matches_dense([reduced_factor(s, keep) for s in states])
+    assert_poles_match_dense(4, subsets)
 
 
 def test_bloch_grid_contents():
@@ -198,8 +222,12 @@ def test_pole_verdicts_match_dense_grid_reference():
             keep = keep_positions(sub)
             rhos = [reduced_density(s, keep) for s in encoded[size]]
             max_d, _ = pairwise_max_trace_distance(rhos)
-            assert report.verdict is _verdict([max_d], sub.labels()), \
+            # Uninformative exactly when every grid point gives one state;
+            # an informative pattern's states are far apart.
+            uninformative = report.verdict is ProbeVerdict.UNINFORMATIVE
+            assert uninformative == (max_d < TOLERANCES.uninformative), \
                 (n, sub.labels(), report.axis_distances, max_d)
+            assert uninformative or max_d > TOLERANCES.informative
             # The pole bound holds on the grid, and the poles are on it.
             assert max(report.axis_distances) - 1e-12 <= max_d
             assert max_d <= report.distance_bound + 1e-12
@@ -234,11 +262,11 @@ def test_pole_reports_refuse_inputs_that_do_not_begin_with_the_poles():
 def test_pole_reports_certify_affinity_once(monkeypatch, n):
     # The certificate, linearity on the poles and with it affinity, runs
     # once at construction: the rows and the poles are encoded, and no
-    # trace distance is taken. Probing then encodes nothing and takes one
-    # trace distance per probed class.
+    # pole distance is taken. Probing then encodes nothing and takes three
+    # pole distances, one per axis, per probed class.
     calls, encoded = [], []
-    exact = leakage.factored_trace_distance
-    monkeypatch.setattr(leakage, "factored_trace_distance",
+    exact = leakage._pole_distance
+    monkeypatch.setattr(leakage, "_pole_distance",
                         lambda *args: calls.append(args) or exact(*args))
     build = oracle.build_encoded_state
     monkeypatch.setattr(oracle, "build_encoded_state",
@@ -250,29 +278,36 @@ def test_pole_reports_certify_affinity_once(monkeypatch, n):
     assert probe_patterns(
         n, (sub for sub, _ in enumerate_classifications(n)), reports) is reports
     assert len(reports) == (n + 1) * (n + 2) * (n + 3) // 6 - 1
-    assert len(calls) == len(reports)
+    assert len(calls) == 3 * len(reports)
     assert len(encoded) == 2
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_pole_factors_from_the_span_equal_the_encoded_poles(monkeypatch, n):
-    # The probes read the poles as _POLE_INPUTS @ E; on every count class
-    # the factors equal those of the encoded poles, bit for bit, which is
-    # what keeps verify's output byte-identical.
+    # The probes make one partial trace of the span's two integer rows per
+    # count class. Weighted per pole (`_AXIS_WEIGHTS`) and scaled by the
+    # pole's h^n / 2, or h^n / (2 sqrt 2) on the x and y poles, those
+    # factors are the encoded poles' factors, on every count class.
     factors = []
     factor = oracle.reduced_factor
 
     def recording(state, keep):
-        factors.append((keep, factor(state, keep)))
-        return factors[-1][1]
+        factors.append((state, keep, factor(state, keep)))
+        return factors[-1][2]
 
     monkeypatch.setattr(oracle, "reduced_factor", recording)
     reports = probe_patterns(n, [s for s, _ in enumerate_classifications(n)])
     assert len(factors) == len(reports)
+    integers = leakage.PoleReports(n).integers
     encoded = build_encoded_state(n, leakage._POLE_INPUTS)
-    for (keep, got), report in zip(factors, reports.values()):
+    scales = np.sqrt(0.5) ** n / 2 * np.array([np.sqrt(0.5)] * 4 + [1, 1])
+    weights = leakage._AXIS_WEIGHTS.reshape(6, 2)
+    for (state, keep, got), report in zip(factors, reports.values()):
         assert keep == keep_positions(report.subset)
-        assert np.array_equal(got, factor(encoded, keep)), report.subset
+        assert np.array_equal(state, integers)
+        poles = np.tensordot(weights, got, axes=1) * scales[:, None, None]
+        assert np.abs(poles - factor(encoded, keep)).max() <= 1e-15, \
+            report.subset
 
 
 def test_probe_analytic_rejects_nonaligned():
@@ -401,14 +436,29 @@ def test_fixed_y_slice_varies_for_authorized():
     assert fixed_y_slice_probe(subset(B), 0.3, 8) > 1e-3
 
 
-def test_verdict_gap_guard():
-    assert _verdict((1e-12, 0.0, 0.0), "t") is ProbeVerdict.UNINFORMATIVE
-    assert _verdict((0.0, 0.5, 0.0), "t") is ProbeVerdict.INFORMATIVE
-    with pytest.raises(SeparationGapError):
-        _verdict((1e-6, 0.0, 0.0), "t")
-    # Uninformative needs the sum below the threshold, not each distance.
-    with pytest.raises(SeparationGapError):
-        _verdict((4e-11, 4e-11, 4e-11), "t")
+def test_verdict_gap_guard(monkeypatch):
+    # Two poles whose states are neither equal nor orthogonal are refused,
+    # from a wide pair of factors and from a tall one; equal and orthogonal
+    # states read exactly 0 and 1.
+    zero, one = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    for wide in (True, False):
+        def pair(a):  # 2 x 2 or 4 x 1
+            return np.hstack([a, a]) if wide else np.kron(a, [[1], [0]])
+
+        p = pair(zero)
+        assert exact_distance(monkeypatch, p, 1j * p) == 0.0
+        assert exact_distance(monkeypatch, p, pair(one)) == 1.0
+        with pytest.raises(SeparationGapError, match="neither equal nor"):
+            exact_distance(monkeypatch, p, pair(zero + one))
+    # A report is uninformative only when all three axes read 0.
+    whole = subset(S, N, N)
+    for axes, verdict in (((0.0, 0.0, 0.0), ProbeVerdict.UNINFORMATIVE),
+                          ((0.0, 0.0, 1.0), ProbeVerdict.INFORMATIVE)):
+        read = iter(axes)
+        monkeypatch.setattr(leakage, "_pole_distance",
+                            lambda *args, read=read: next(read))
+        report = probe_patterns(3, [whole])[whole.counts]
+        assert (report.axis_distances, report.verdict) == (axes, verdict)
 
 
 def test_sign_resolution():

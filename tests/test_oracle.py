@@ -199,6 +199,21 @@ def test_reduced_density_errors():
     assert np.array_equal(factor[:, 0], thirteen_qubits)
 
 
+def test_reduced_factor_keeps_a_complex_dtype():
+    # complex64 is permuted as complex64, with the same values as the
+    # complex128 factor; real input is converted to complex128.
+    state = build_encoded_state(3, np.stack([state_from_bloch(b)
+                                             for b in bloch_grid(8, 0)]))
+    keep = [1, 4, 5]
+    wide = reduced_factor(state, keep)
+    narrow = reduced_factor(state.astype(np.complex64), keep)
+    assert (wide.dtype, narrow.dtype) == (np.complex128, np.complex64)
+    assert np.array_equal(narrow, wide.astype(np.complex64))
+    real = reduced_factor(state.real, keep)
+    assert real.dtype == np.complex128
+    assert np.array_equal(real, wide.real)
+
+
 def test_layout_positions():
     assert signal_position(1) == 1 and noise_position(1) == 2
     assert signal_position(3) == 5 and noise_position(3) == 6

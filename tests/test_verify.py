@@ -226,8 +226,11 @@ def test_pattern_checks_probe_one_subset_per_pair_orbit(monkeypatch):
     # Each pattern keeps a distinct qubit set, so the distinct keep sets
     # reduced at each n are the subsets probed: one per probed count class,
     # the others being decided by containment. The parity check's fixed-y
-    # slices reduce the keep sets of subsets it probed. A stacked call (six
-    # poles) counts once, with n read from the length of one state.
+    # slices reduce the keep sets of subsets it probed. A stacked call (the
+    # span's two integer rows) counts once, with n read from the length of
+    # one state. At n = 3 the smallest authorized classes (1, s, 2 - s, 0)
+    # are probed: each holds a leaking aligned class, which bounds its
+    # pattern below by (0, 1, 0) only.
     reduced = []
     factor = oracle.reduced_factor
 
@@ -238,7 +241,7 @@ def test_pattern_checks_probe_one_subset_per_pair_orbit(monkeypatch):
 
     monkeypatch.setattr(oracle, "reduced_factor", recording)
     for check, probed in ((check_parity_classification,
-                           {1: 3, 2: 7, 3: 6, 4: 11}),
+                           {1: 3, 2: 7, 3: 9, 4: 11}),
                           (check_missing_pair_uninformative,
                            {2: 1, 3: 1, 4: 1})):
         reduced.clear()
@@ -321,8 +324,8 @@ def test_bloch_grid_y_never_reaches_the_pauli_prune_threshold():
     # A Y coefficient y * 2^-n of the calculus is never dropped as below
     # COEFF_PRUNE, which the per-point calculus's affine form relies on:
     # every y of every grid verify accepts is 0 or far above
-    # COEFF_PRUNE * 2^n.
-    floor = COEFF_PRUNE * 2 ** cli.VERIFY_N_MAX
+    # COEFF_PRUNE * 2^n, up to the largest n verify accepts.
+    floor = COEFF_PRUNE * 2 ** oracle.ORACLE_CAP_MAX
     for size in range(6, cli.GRID_MAX + 1):
         for seed in (0, 3):
             y = np.abs(bloch_grid(size, seed)[:, 1])
@@ -408,7 +411,7 @@ def test_gap_error_range_stops_before_the_failing_n(monkeypatch):
                          (check_parity_classification, 1)):
         result = check(VerifyConfig(n_max=3))
         assert not result.passed
-        assert result.detail.startswith("threshold gap not empty")
+        assert result.detail.startswith("pole distance neither 0 nor 1")
         assert result.n_range == (first, 1)
 
 
@@ -480,42 +483,96 @@ def test_engine_agreement_forms_the_calculus_once_per_shape(monkeypatch):
                                    check_parity_classification])
 def test_pattern_checks_catch_a_pair_symmetric_leak(symmetric_leaking_encoding,
                                                     check):
-    # The encoder passes the pair-symmetry certificate, so only the probes
-    # can catch it: the one probe of (n-1, 0, 0, 1) leaks at n = 2.
+    # The encoder passes the pair-symmetry and linearity certificates, but
+    # its rows scaled by 2 / h^n are no Gaussian integers: each check
+    # refuses its span at the first n it covers, before any probe.
+    result = check(VerifyConfig(n_max=2))
+    first = result.n_range[0]
+    moved, parts = {1: ("1.716e-01", 3), 2: ("8.882e-16", 4)}[first]
+    assert not result.passed
+    assert (result.detail, result.n_range) == (
+        _OFF_INTEGERS.format(first, moved, parts), (first, first - 1))
+
+
+@pytest.mark.parametrize("check", [check_missing_pair_uninformative,
+                                   check_parity_classification])
+def test_pattern_checks_catch_a_gaussian_pair_symmetric_leak(
+        gaussian_leaking_encoding, check):
+    # The encoder passes every certificate of the span, so only the probes
+    # can catch it: the one probe of (n-1, 0, 0, 1) leaks at n = 2, and
+    # every class reads (0, 0, 1).
     result = check(VerifyConfig(n_max=2))
     assert not result.passed
-    assert not result.detail.startswith(("pair symmetry", "threshold gap"))
     if check is check_missing_pair_uninformative:
         # A leaking probe decides nothing below it: the others are probed.
-        assert result.detail.startswith(
-            "6 patterns (3 classes: 3 probed, 0 by containment), ")
-        assert "max distance 1.000e+00 " in result.detail
-        assert result.detail.endswith(" at n=2, S1,N1")
+        assert result.detail == (
+            "6 patterns (3 classes: 3 probed, 0 by containment), max "
+            "distance 1.000e+00 (threshold 1e-10) across n<=2 at n=2, S1,N1")
     else:
-        assert ("n=2 S1,N1: classified uninformative but distance bound "
-                "1.000e+00" in result.detail)
+        assert ("n=1 N1: classified COMPLETELY_UNINFORMATIVE (0, 0, 0) "
+                "but probes give (0, 0, 1)" in result.detail)
+
+
+@pytest.mark.parametrize("check, detail, n_range", [
+    (check_missing_pair_uninformative, "n=2, S1,N1: the x poles", (2, 1)),
+    (check_parity_classification, "n=1, S1,N1: the x poles", (1, 0)),
+])
+def test_pattern_checks_fail_on_poles_neither_equal_nor_orthogonal(
+        bumped_one_encoding, check, detail, n_range):
+    # Linear, pair-symmetric and Gaussian, so only the identities catch it;
+    # here, the pole probes' own: the first probe of each check reads a
+    # pair of poles whose states are neither equal nor orthogonal.
+    result = check(VerifyConfig(n_max=3))
+    assert not result.passed
+    assert (result.detail, result.n_range) == (
+        f"pole distance neither 0 nor 1: {detail} are neither equal nor "
+        f"orthogonal", n_range)
 
 
 def test_parity_classification_fails_on_a_class_reached_both_ways(
         monkeypatch):
     # The full register reported as uninformative lies around every class,
-    # including the lone clone S1, whose own probe leaks at n = 1.
+    # including the lone clone S1, whose own probe leaks at n = 1: their
+    # bounds contradict each other.
     probe = leakage.probe_patterns
 
     def hiding_full_register(n, subsets, reports=None):
         reports = probe(n, subsets, reports)
         full = reports.get((n, 0, 0, 0))
         if full is not None:
+            full.axis_distances = (0.0, 0.0, 0.0)
             full.verdict = leakage.ProbeVerdict.UNINFORMATIVE
         return reports
 
     monkeypatch.setattr(leakage, "probe_patterns", hiding_full_register)
     result = check_parity_classification(VerifyConfig(n_max=1))
     assert not result.passed
-    assert ("n=1 S1,N1: classified AUTHORIZED but no probe response"
-            in result.detail)
-    assert ("n=1 S1: classified PARTIALLY_INFORMATIVE but no probe response "
-            "(probed on S1,N1, which holds it)" in result.detail)
+    assert result.detail == (
+        "2 disagreement(s): n=1 S1,N1: no probe decides it (pattern at least "
+        "(0, 1, 0), at most (0, 0, 0)); n=1 S1: no probe decides it (pattern "
+        "at least (0, 1, 0), at most (0, 0, 0))")
+
+
+def test_parity_classification_fails_on_an_authorized_class_reading_y_only(
+        monkeypatch):
+    # A smallest authorized class whose probe reads only the y axis leaks,
+    # so "informative" would pass it; its pattern is not AUTHORIZED's.
+    probe = leakage.probe_patterns
+
+    def y_only(n, subsets, reports=None):
+        reports = probe(n, subsets, reports)
+        smallest = reports.get((1, 0, 1, 0)) if n == 2 else None
+        if smallest is not None:
+            smallest.axis_distances = (0.0, 1.0, 0.0)
+        return reports
+
+    monkeypatch.setattr(leakage, "probe_patterns", y_only)
+    result = check_parity_classification(VerifyConfig(n_max=3))
+    assert not result.passed
+    assert result.detail == (
+        "2 disagreement(s): n=2 S1,N1,N2: classified AUTHORIZED (1, 1, 1) but "
+        "probes give (0, 1, 0); n=2 N1,S2,N2: classified AUTHORIZED "
+        "(1, 1, 1) but probes give (0, 1, 0)")
 
 
 def test_parity_classification_fails_on_an_undecided_class(monkeypatch):
@@ -537,21 +594,25 @@ def test_passing_parity_check_forms_no_pattern(monkeypatch):
 
     monkeypatch.setattr(subsets.ClassificationTable, "__iter__", no_patterns)
     assert (check_parity_classification(VerifyConfig(n_max=4)).detail
-            == "336 patterns (65 classes: 27 probed, 38 by containment) "
+            == "336 patterns (65 classes: 30 probed, 35 by containment) "
                "agree across n<=4")
 
 
-@pytest.mark.parametrize("n_max, count", [(1, 3), (2, 13), (3, 61)])
+@pytest.mark.parametrize("n_max, count", [(1, 5), (2, 20), (3, 91)])
 def test_parity_disagreements_are_counted_per_pattern(
-        symmetric_leaking_encoding, n_max, count):
+        gaussian_leaking_encoding, n_max, count):
     # The counts a walk over every pattern gives: each pattern counts each
     # of its class's disagreements, and the first five are named in order.
+    # Every pattern reads (0, 0, 1), and each partially informative one
+    # (1 at n = 1, 4 at n = 3) also fails its fixed-y slice and its sign.
     detail = check_parity_classification(VerifyConfig(n_max=n_max)).detail
     assert detail.startswith(
-        f"{count} disagreement(s): n=1 S1: leak depends on more than y "
-        f"(fixed-y distance 8.660e-01); n=1 S1: pole signal +0.000e+00 != "
-        f"predicted +1; n=1 N1: classified uninformative but distance bound "
-        f"1.000e+00")
+        f"{count} disagreement(s): n=1 S1,N1: classified AUTHORIZED "
+        f"(1, 1, 1) but probes give (0, 0, 1); n=1 S1: classified "
+        f"PARTIALLY_INFORMATIVE (0, 1, 0) but probes give (0, 0, 1); n=1 S1: "
+        f"leak depends on more than y (fixed-y distance 1.083e-01); n=1 S1: "
+        f"pole signal +0.000e+00 != predicted +1; n=1 N1: classified "
+        f"COMPLETELY_UNINFORMATIVE (0, 0, 0) but probes give (0, 0, 1)")
     assert detail.count("; ") == min(count, 5) - 1
 
 
@@ -577,8 +638,7 @@ def test_span_states_equal_the_per_point_partial_trace(n, psi):
     # begin with the six poles; constructing it certifies that it holds
     # them all.
     inputs = np.concatenate([leakage._POLE_INPUTS, psi])
-    span = leakage.PoleReports(n, inputs)
-    integers = span.integer_rows()
+    integers = leakage.PoleReports(n, inputs).integers
     encoded = oracle.build_encoded_state(n, inputs)
     keeps = [leakage.keep_positions(RegisterSubset(n, tags)) for tags in
              itertools.product((PairTag.SIGNAL, PairTag.NOISE), repeat=n)]
@@ -677,25 +737,25 @@ def test_grid_checks_fail_on_linear_controls_as_before(request, fixture,
             assert result.passed, result.detail
 
 
-def test_only_the_grid_checks_read_the_integer_rows(scaled_encoding):
-    # The pattern checks probe the scaled span as they would without the
-    # integer-rows certificate: the missing-pair check passes, and the
-    # parity check fails on its pole signals, (1 + 1e-9)^2 off +-1.
+def test_every_brute_force_check_reads_the_integer_rows(request):
+    # The span keeps only its integer rows, so all four brute-force checks
+    # refuse the scaled rows, 1e-9 off the Gaussian integers, at the first
+    # n each covers.
+    leakage.resolve_sign_rule()  # cached: resolved before the scaling
+    request.getfixturevalue("scaled_encoding")
     results = {r.name: r for r in run_checks(VerifyConfig(n_max=3))}
-    assert [name for name, r in results.items() if not r.passed] == [
-        "engine_agreement", "parity_classification", "singleton_mixedness"]
-    for name in ("engine_agreement", "singleton_mixedness"):
-        assert results[name].detail.startswith("integer rows not certified")
-    for name in ("missing_pair_uninformative", "parity_classification"):
-        assert "integer rows" not in results[name].detail
-    assert results["parity_classification"].detail.startswith(
-        "5 disagreement(s): n=1 S1: pole signal +1.000e+00 != predicted +1; ")
+    assert [name for name, r in results.items() if not r.passed] == list(
+        BRUTE_FORCE_CHECKS)
+    for name in BRUTE_FORCE_CHECKS:
+        first = results[name].n_range[0]
+        assert (results[name].detail, results[name].n_range) == (
+            _OFF_INTEGERS.format(first, "1.000e-09", 1), (first, first - 1))
 
 
 def test_integer_rows_are_the_encoding_basis():
     # Rounded from the certified rows, never read from the basis itself.
     for n in range(1, 7):
-        assert np.array_equal(leakage.PoleReports(n).integer_rows(),
+        assert np.array_equal(leakage.PoleReports(n).integers,
                               oracle.encoding_basis(n))
 
 
@@ -704,6 +764,40 @@ def test_gram_blocks_sum_exactly_in_complex64():
     # and an identity adds two blocks: below 2^24, where every complex64
     # sum of integers is exact, for every n the oracle takes.
     assert 2 * 2 * 2 ** (2 * oracle.ORACLE_CAP_MAX) <= 2 ** 24
+
+
+def test_pole_distances_sum_exactly_in_float64():
+    # A pole factor's parts lie in {-2, ..., 2}: its squared norm is at
+    # most 8 per entry of the 2^(2n+1). The largest partial sum of
+    # `_pole_distance`, W J W's, is at most the square of two such norms:
+    # below 2^53, where every float64 sum of integers is exact, for every n
+    # the oracle takes.
+    norm2 = 8 * 2 ** (2 * oracle.ORACLE_CAP_MAX + 1)
+    assert (2 * norm2) ** 2 < 2 ** 53
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_count_class_reads_its_verdicts_pattern_exactly(monkeypatch,
+                                                              n):
+    # Probed on its own, with no spectrum and no factorization, each count
+    # class reads exactly its verdict's pole pattern, with ==, and a
+    # leaking class's signal is exactly its sign.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pole probe took a spectrum or a QR")
+
+    classes = enumerate_classifications(n).classes()
+    span = leakage.PoleReports(n)
+    for name in ("eigvalsh", "eigh", "eigvals", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    reports = leakage.probe_patterns(
+        n, [subsets.first_pattern(n, c) for c in classes], span)
+    for counts in classes:
+        cls = subsets.classify(subsets.first_pattern(n, counts))
+        report = reports[counts]
+        assert report.axis_distances == verify._PATTERNS[cls.verdict], counts
+        assert {type(d) for d in report.axis_distances} == {float}
+        if cls.leak is not None:
+            assert report.y_signal == cls.leak.sign, counts
 
 
 @pytest.mark.parametrize("grid_size", [6, 10, 26])
@@ -752,7 +846,8 @@ def test_a_battery_holds_two_encoded_states_per_n(monkeypatch):
     for n, reports in shared.reports.items():
         arrays = {name: value.shape for name, value in vars(reports).items()
                   if isinstance(value, np.ndarray)}
-        assert arrays == {"rows": (2, 2 ** (2 * n + 1)), "inputs": (26, 2)}
+        assert arrays == {"integers": (2, 2 ** (2 * n + 1)),
+                          "inputs": (26, 2)}
         assert reports.inputs is shared.grid[1]
         assert all(isinstance(report, leakage.LeakageReport)
                    for report in reports.values())
@@ -787,7 +882,8 @@ def test_a_probe_that_raises_is_not_kept(monkeypatch):
     assert probed == [2, 1, 2]
     for name, n_range in (("missing_pair_uninformative", (2, 1)),
                           ("parity_classification", (1, 1))):
-        assert results[name].detail.startswith("threshold gap not empty")
+        assert results[name].detail.startswith(
+            "pole distance neither 0 nor 1")
         assert results[name].n_range == n_range
 
 
