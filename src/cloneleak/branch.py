@@ -33,8 +33,14 @@ _EXPONENT = {i_power(k): k for k in range(4)}
 
 # Per branch pair (mu, nu), from sigma_mu sigma_nu = i**e sigma_c: the
 # component c it feeds (0 on the diagonal) and the exponent of each factor
-# table below: the signal's is e, the overlap's that of (nu, mu), and the
-# noise's the overlap's with Y's sign flipped.
+# table, read on component j by `_lookup`:
+# - the signal's is e: tracing a noise partner out leaves sigma_mu sigma_nu
+#   / 2 on the kept signal qubit;
+# - the overlap's is that of (nu, mu): tracing the source qubit out leaves
+#   the scalar <psi| sigma_nu sigma_mu |psi>, whose b_j factor it gives;
+# - the noise's is the overlap's with Y's sign flipped: tracing a signal
+#   partner out leaves (sigma_nu sigma_mu)^T / 2, and transposition flips
+#   the sign of the Y component only.
 _PRODUCTS = [[pauli_mul(mu, nu) for nu in range(4)] for mu in range(4)]
 _COMPONENT = np.array([[c for _, c in row] for row in _PRODUCTS])
 _SIGNAL = np.array([[_EXPONENT[phase] for phase, _ in row] for row in _PRODUCTS])
@@ -71,36 +77,6 @@ def phase_ratio_parts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     ratio = _ratio_exponents(n)
     return _lookup(ratio, 1), _lookup(ratio, 2), _lookup(ratio, 3)
-
-
-@read_only_cache
-def bloch_overlap_table(j: int) -> np.ndarray:
-    """Coefficient of Bloch component j in the source-qubit overlap.
-
-    Tracing the source qubit leaves the scalar <psi| sigma_nu sigma_mu |psi>;
-    entry (mu, nu) is the factor multiplying b_j there.
-    """
-    return _lookup(_OVERLAP, j)
-
-
-@read_only_cache
-def signal_factor_table(j: int) -> np.ndarray:
-    """Phase left on a kept signal qubit when its noise partner is traced out.
-
-    The kept factor is sigma_mu sigma_nu / 2; entry (mu, nu) is the phase
-    multiplying sigma_j.
-    """
-    return _lookup(_SIGNAL, j)
-
-
-@read_only_cache
-def noise_factor_table(j: int) -> np.ndarray:
-    """Phase left on a kept noise qubit when its signal partner is traced out.
-
-    The kept factor is (sigma_nu sigma_mu)^T / 2; transposition flips the
-    sign of the Y component only.
-    """
-    return _lookup(_NOISE, j)
 
 
 def interference_table(n: int, p, j: int) -> np.ndarray:

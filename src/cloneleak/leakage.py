@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -62,11 +61,6 @@ class NotGaussianError(RuntimeError):
     """The encoder's rows, scaled by 2 / h^n, are not Gaussian integers with
     parts in {-1, 0, 1}, which the grid checks (`gram_blocks`) and the pole
     probes (`_pole_distance`) sum exactly."""
-
-
-class ProbeVerdict(str, Enum):
-    UNINFORMATIVE = "UNINFORMATIVE"
-    INFORMATIVE = "INFORMATIVE"
 
 
 # +e_j then -e_j, for j = x, y, z.
@@ -183,15 +177,10 @@ def y_leak_estimate(rho: np.ndarray, k: int) -> float:
 @dataclass
 class LeakageReport:
     subset: RegisterSubset
-    # Trace distance, 0.0 or 1.0, between the states at the poles +-e_j.
+    # Trace distance, 0.0 or 1.0, between the states at the poles +-e_j;
+    # the subset is uninformative exactly when all three are 0.
     axis_distances: tuple[float, float, float]
     y_signal: float
-    verdict: ProbeVerdict
-
-    @property
-    def distance_bound(self) -> float:
-        """Upper bound on the distance between any two inputs' reduced states."""
-        return sum(self.axis_distances)
 
 
 def certify_pair_symmetry(n: int, rows) -> None:
@@ -379,8 +368,6 @@ def _probe_pattern(subset: RegisterSubset, integers) -> LeakageReport:
         axis_distances=axes,
         y_signal=(expectation(plus_y, "Y" * subset.size, factored=True)
                   / np.vdot(plus_y, plus_y).real),
-        verdict=(ProbeVerdict.INFORMATIVE if any(axes)
-                 else ProbeVerdict.UNINFORMATIVE),
     )
 
 

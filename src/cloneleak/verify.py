@@ -183,8 +183,6 @@ class _Shared:
     def probe(self, n: int, subsets: list) -> dict:
         """Pole reports of the subsets keyed by count class, each class
         probed once per n."""
-        if not subsets:
-            return {}
         reports = leakage.probe_patterns(n, subsets, self.span(n))
         return {s.counts: reports[s.counts] for s in subsets}
 
@@ -209,6 +207,11 @@ def _first_failure(integers: np.ndarray, keep: list[int], parts) -> str:
                  if not np.array_equal(side, 8 * part)), "")
 
 
+def _across(first: int, top: int) -> str:
+    """The n range first..top of a brute-force check's detail."""
+    return f"n<={top}" if first == 1 else f"n={first}..{top}"
+
+
 def _exact_on_span(name: str, config: VerifyConfig, shared: _Shared | None,
                    first: int, what: str, cases) -> CheckResult:
     """A grid check: per n from `first` on, `cases(n)` yields (case, keep
@@ -231,7 +234,7 @@ def _exact_on_span(name: str, config: VerifyConfig, shared: _Shared | None,
             exact += not failed
             if failed and not failure:
                 failure = f"n={n}, {case}: {failed}"
-    across = f"n<={top}" if first == 1 else f"n={first}..{top}"
+    across = _across(first, top)
     detail = (f"exact on {exact} of {total} {what} across {across}; first "
               f"failure at {failure}" if failure
               else f"exact on {total} {what} across {across}")
@@ -326,51 +329,81 @@ def _probe_by_containment(n: int, classes: list, stages,
     return reports
 
 
-def _class_detail(classes: int, probed: int) -> str:
-    return f"{classes} classes: {probed} probed, {classes - probed} by containment"
+def _pattern_texts(claim: str, pattern: tuple, lower: tuple,
+                   upper: tuple) -> list[str]:
+    """Why a class whose pole pattern lies between `lower` and `upper`
+    (`_bounds`) disagrees with `claim`, which gives it `pattern`."""
+    if lower != upper:
+        return [f"no probe decides it (pattern at least {lower}, at most "
+                f"{upper})"]
+    return ([] if lower == pattern
+            else [f"{claim} {pattern} but probes give {lower}"])
+
+
+def _pattern_check(name: str, config: VerifyConfig, shared: _Shared | None,
+                   first: int, stages, expected) -> CheckResult:
+    """A pattern check: per n from `first` on, `expected(n, sizes)` maps
+    each compared count class to the function that gives its disagreement
+    texts from its pole bounds (`_bounds`) and the reports. The classes are
+    probed by containment in `stages(n)` (`_probe_by_containment`). The
+    patterns of a count class share its decision and pole report, so each
+    class is compared once and counts for its patterns
+    (`ClassificationTable.classes`). Only the patterns of disagreeing
+    classes are formed, to name the first five disagreements in
+    enumeration order."""
+    top = _top_n(config)
+    if top < first:
+        return _nothing_to_check(name, config, first)
+    shared = shared or _Shared(config)
+    found = []  # (n, its table, {count class: disagreement texts})
+    count = total = classes = probed = 0
+    for n in range(first, top + 1):
+        table = enumerate_classifications(n)
+        sizes = table.classes()
+        compared = expected(n, sizes)
+        try:
+            reports = _probe_by_containment(n, list(compared), stages(n),
+                                            shared)
+        except tuple(_PROBE_FAILURES) as exc:
+            return _probe_failure(name, exc, (first, n - 1))
+        classes += len(compared)
+        probed += len(reports)
+        texts = {c: texts_of(*_bounds(c, reports), reports)
+                 for c, texts_of in compared.items()}
+        count += sum(len(t) * sizes[c] for c, t in texts.items())
+        total += sum(sizes[c] for c in compared)
+        found.append((n, table, texts))
+    detail = (f"{total} patterns ({classes} classes: {probed} probed, "
+              f"{classes - probed} by containment) agree across "
+              f"{_across(first, top)}")
+    if count:
+        shown = itertools.islice(
+            ((n, subset, text) for n, table, texts in found
+             if any(texts.values()) for subset, _ in table
+             for text in texts.get(subset.counts, ())), 5)
+        detail = f"{count} disagreement(s): " + "; ".join(
+            f"n={n} {subset.labels()}: {text}" for n, subset, text in shown)
+    return CheckResult(name, not count, detail, (first, top))
 
 
 def check_missing_pair_uninformative(config: VerifyConfig,
                                      shared: _Shared | None = None
                                      ) -> CheckResult:
-    """Every subset missing a full pair is independent of the input state.
+    """Every subset missing a full pair is independent of the input state:
+    its pole pattern is (0, 0, 0), as the claim, not `classify`, says.
 
     Every missing-pair class lies inside the largest one, (n-1, 0, 0, 1),
     so that one probe decides them all when it is uninformative; if it is
-    not, every other class is probed. The distance reported is the
-    largest pole bound sum_j D_j of a probe, which holds for every pair of
-    inputs on the Bloch sphere and for every class inside the probed one.
-    Its range starts at n = 2: the one pair of n = 1 is never missing.
+    not, every other class is probed. Its range starts at n = 2: the one
+    pair of n = 1 is never missing.
     """
-    if _top_n(config) < 2:
-        return _nothing_to_check("missing_pair_uninformative", config, first=2)
-    shared = shared or _Shared(config)
-    tol = leakage.TOLERANCES.uninformative
-    worst = 0.0
-    worst_case = ""
-    count = classes = probed = 0
-    for n in range(2, _top_n(config) + 1):
-        sizes = enumerate_classifications(n).classes()
-        missing = [c for c in sizes if c[3]]
-        try:
-            reports = _probe_by_containment(n, missing, [[(n - 1, 0, 0, 1)]],
-                                            shared)
-        except tuple(_PROBE_FAILURES) as exc:
-            return _probe_failure("missing_pair_uninformative", exc, (2, n - 1))
-        count += sum(sizes[c] for c in missing)
-        classes += len(missing)
-        probed += len(reports)
-        for report in reports.values():
-            if report.distance_bound > worst:
-                worst = report.distance_bound
-                worst_case = f"n={n}, {report.subset.labels()}"
-    passed = worst < tol
-    return CheckResult("missing_pair_uninformative", passed,
-                       f"{count} patterns ({_class_detail(classes, probed)}), "
-                       f"max distance {worst:.3e} "
-                       f"(threshold {tol:g}) across n<={_top_n(config)}"
-                       + ("" if passed else f" at {worst_case}"),
-                       (2, _top_n(config)))
+    return _pattern_check(
+        "missing_pair_uninformative", config, shared, 2,
+        lambda n: [[(n - 1, 0, 0, 1)]],
+        lambda n, sizes: dict.fromkeys(
+            (c for c in sizes if c[3]),
+            lambda lower, upper, reports: _pattern_texts(
+                "missing a pair", (0, 0, 0), lower, upper)))
 
 
 def check_parity_classification(config: VerifyConfig,
@@ -382,70 +415,31 @@ def check_parity_classification(config: VerifyConfig,
     classes, the largest missing-pair class and the smallest authorized
     classes (1, s, n-1-s, 0); containment decides the rest
     (`_probe_by_containment`). Each class's pole pattern must be decided
-    and equal its verdict's (`_PATTERNS`). The patterns of a count class
-    share its verdict, decision and pole report, so each class is compared
-    once and counts for its patterns (`ClassificationTable.classes`). A
-    partially informative class's leak sign is read from its own probe and
-    must equal the predicted sign exactly, and the fixed-y slice runs once
-    per such class. Only the patterns of disagreeing classes are formed,
-    to name the first five disagreements in enumeration order."""
-    if _top_n(config) < 1:
-        return _nothing_to_check("parity_classification", config)
-    shared = shared or _Shared(config)
-    found = []  # (n, its table, {count class: disagreement texts})
-    count = total = classes = probed = 0
-    for n in range(1, _top_n(config) + 1):
-        table = enumerate_classifications(n)
-        sizes = table.classes()
-        stages = [[(n, 0, 0, 0)] + [(0, p, n - p, 0) for p in range(n + 1)]
-                  + [(n - 1, 0, 0, 1)],
-                  [(1, s, n - 1 - s, 0) for s in range(n)]]
-        verdicts = {c: classify(first_pattern(n, c)) for c in sizes}
-        try:
-            reports = _probe_by_containment(n, list(sizes), stages, shared)
-            # A leak sign is read from the class's own probe.
-            reports.update(shared.probe(n, [
-                first_pattern(n, c) for c, cls in verdicts.items()
-                if c not in reports
-                and cls.verdict is Verdict.PARTIALLY_INFORMATIVE]))
-        except tuple(_PROBE_FAILURES) as exc:
-            return _probe_failure("parity_classification", exc, (1, n - 1))
-        classes += len(sizes)
-        probed += len(reports)
-        texts = {c: _disagreements(c, cls, reports)
-                 for c, cls in verdicts.items()}
-        count += sum(len(t) * sizes[c] for c, t in texts.items())
-        total += sum(sizes.values())
-        found.append((n, table, texts))
-    detail = (f"{total} patterns ({_class_detail(classes, probed)}) agree "
-              f"across n<={_top_n(config)}")
-    if count:
-        shown = itertools.islice(
-            ((n, subset, text) for n, table, texts in found
-             if any(texts.values()) for subset, _ in table
-             for text in texts[subset.counts]), 5)
-        detail = f"{count} disagreement(s): " + "; ".join(
-            f"n={n} {subset.labels()}: {text}" for n, subset, text in shown)
-    return CheckResult("parity_classification", not count, detail,
-                       (1, _top_n(config)))
+    and equal its verdict's (`_PATTERNS`). A decided partially informative
+    class's leak sign is read from its own probe and must equal the
+    predicted sign exactly, and the fixed-y slice runs once per such class.
+    """
+    return _pattern_check(
+        "parity_classification", config, shared, 1,
+        lambda n: [[(n, 0, 0, 0)] + [(0, p, n - p, 0) for p in range(n + 1)]
+                   + [(n - 1, 0, 0, 1)],
+                   [(1, s, n - 1 - s, 0) for s in range(n)]],
+        lambda n, sizes: {c: functools.partial(
+            _parity_texts, c, classify(first_pattern(n, c))) for c in sizes})
 
 
-def _disagreements(counts: tuple, cls, reports: dict) -> list[str]:
-    """What each pattern of a count class disagrees on, in order."""
-    tol = leakage.TOLERANCES
-    lower, upper = _bounds(counts, reports)
-    expected = _PATTERNS[cls.verdict]
-    texts = []
-    if lower != upper:
-        texts.append(f"no probe decides it (pattern at least {lower}, at "
-                     f"most {upper})")
-    elif lower != expected:
-        texts.append(f"classified {cls.verdict.value} {expected} but probes "
-                     f"give {lower}")
-    if cls.verdict is Verdict.PARTIALLY_INFORMATIVE:
+def _parity_texts(counts: tuple, cls, lower: tuple, upper: tuple,
+                  reports: dict) -> list[str]:
+    """What each pattern of a count class disagrees on, in order. The only
+    class whose pattern lies below (1, 1, 1) and holds an aligned class is
+    that class itself, so a partially informative class is decided only by
+    its own probe: its report exists whenever its leak is read."""
+    texts = _pattern_texts(f"classified {cls.verdict.value}",
+                           _PATTERNS[cls.verdict], lower, upper)
+    if cls.verdict is Verdict.PARTIALLY_INFORMATIVE and lower == upper:
         report = reports[counts]
         slice_d = leakage.fixed_y_slice_probe(report.subset, 0.5, 8)
-        if slice_d >= tol.uninformative:
+        if slice_d >= leakage.TOLERANCES.uninformative:
             texts.append(f"leak depends on more than y "
                          f"(fixed-y distance {slice_d:.3e})")
         if report.y_signal != cls.leak.sign:

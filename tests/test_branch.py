@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 from cloneleak import branch
-from cloneleak.branch import (analytic_reduced_state, bloch_overlap_table,
-                              interference_table, leak_sum_closed_form,
-                              noise_factor_table, phase_ratio_parts,
-                              phase_ratio_table, signal_factor_table,
-                              table_sum)
+from cloneleak.branch import (analytic_reduced_state, interference_table,
+                              leak_sum_closed_form, phase_ratio_parts,
+                              phase_ratio_table, table_sum)
 from cloneleak.oracle import i_power
 from cloneleak.pauli import PauliSum
+
+
+def bloch_overlap_table(j):
+    return branch._lookup(branch._OVERLAP, j)
+
+
+def signal_factor_table(j):
+    return branch._lookup(branch._SIGNAL, j)
+
+
+def noise_factor_table(j):
+    return branch._lookup(branch._NOISE, j)
 
 
 def _table(entries):

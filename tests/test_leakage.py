@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cloneleak import cli, leakage, oracle
 from cloneleak.leakage import (ENGINE_ANALYTIC, ENGINE_ORACLE, TOLERANCES,
-                               ProbeVerdict, SeparationGapError, SignRule,
+                               SeparationGapError, SignRule,
                                bloch_grid, fixed_y_slice_probe,
                                informativeness_probe, keep_positions,
                                pairwise_max_trace_distance,
@@ -192,18 +192,18 @@ def test_keep_positions():
 def test_probe_uninformative_cases():
     for tags in [(S, N), (N,)]:
         rep = informativeness_probe(subset(*tags))
-        assert rep.verdict is ProbeVerdict.UNINFORMATIVE
-        assert rep.distance_bound < 1e-10
+        assert not any(rep.axis_distances)
+        assert sum(rep.axis_distances) < 1e-10
         assert abs(rep.y_signal) < 1e-10
 
 
 def test_probe_leaky_case_has_unit_distance():
     rep = informativeness_probe(subset(S, N, N))
-    assert rep.verdict is ProbeVerdict.INFORMATIVE
+    assert any(rep.axis_distances)
     # Poles y=+-1 differ by (2/8) YYY, giving trace distance |y1-y2|/2 = 1;
     # the x and z poles give the same state.
     assert rep.axis_distances == pytest.approx((0.0, 1.0, 0.0), abs=1e-9)
-    assert rep.distance_bound == pytest.approx(1.0, abs=1e-9)
+    assert sum(rep.axis_distances) == pytest.approx(1.0, abs=1e-9)
     assert rep.y_signal == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -224,13 +224,13 @@ def test_pole_verdicts_match_dense_grid_reference():
             max_d, _ = pairwise_max_trace_distance(rhos)
             # Uninformative exactly when every grid point gives one state;
             # an informative pattern's states are far apart.
-            uninformative = report.verdict is ProbeVerdict.UNINFORMATIVE
+            uninformative = not any(report.axis_distances)
             assert uninformative == (max_d < TOLERANCES.uninformative), \
                 (n, sub.labels(), report.axis_distances, max_d)
             assert uninformative or max_d > TOLERANCES.informative
             # The pole bound holds on the grid, and the poles are on it.
             assert max(report.axis_distances) - 1e-12 <= max_d
-            assert max_d <= report.distance_bound + 1e-12
+            assert max_d <= sum(report.axis_distances) + 1e-12
 
 
 def test_probe_rejects_states_that_are_not_affine(off_pole_encoding):
@@ -350,9 +350,8 @@ def test_reduced_state_of_a_stack_is_the_stack_of_states(monkeypatch,
 def test_probe_patterns_shares_states():
     subs = [subset(S, N), subset(N, N), subset(B, B)]
     reports = probe_patterns(2, subs)
-    assert [reports[sub.counts].verdict for sub in subs] == [
-        ProbeVerdict.UNINFORMATIVE, ProbeVerdict.UNINFORMATIVE,
-        ProbeVerdict.INFORMATIVE]
+    assert [any(reports[sub.counts].axis_distances) for sub in subs] == [
+        False, False, True]
 
 
 def test_pole_reports_probe_more_subsets_from_the_same_poles(monkeypatch):
@@ -372,7 +371,6 @@ def test_pole_reports_probe_more_subsets_from_the_same_poles(monkeypatch):
         assert reports[counts].subset == report.subset
         assert reports[counts].axis_distances == report.axis_distances
         assert reports[counts].y_signal == report.y_signal
-        assert reports[counts].verdict is report.verdict
 
 
 def test_probe_y_signal_matches_the_dense_pole_state():
@@ -399,7 +397,7 @@ def test_probe_keeps_fourteen_qubits_without_a_dense_state():
     finally:
         tracemalloc.stop()
     assert report.subset.size == 14
-    assert report.verdict is ProbeVerdict.INFORMATIVE
+    assert any(report.axis_distances)
     assert peak < 64 * 2 ** 20
 
 
@@ -450,15 +448,15 @@ def test_verdict_gap_guard(monkeypatch):
         assert exact_distance(monkeypatch, p, pair(one)) == 1.0
         with pytest.raises(SeparationGapError, match="neither equal nor"):
             exact_distance(monkeypatch, p, pair(zero + one))
-    # A report is uninformative only when all three axes read 0.
+    # A report carries the three axes as read; it is uninformative exactly
+    # when all three read 0.
     whole = subset(S, N, N)
-    for axes, verdict in (((0.0, 0.0, 0.0), ProbeVerdict.UNINFORMATIVE),
-                          ((0.0, 0.0, 1.0), ProbeVerdict.INFORMATIVE)):
+    for axes in ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
         read = iter(axes)
         monkeypatch.setattr(leakage, "_pole_distance",
                             lambda *args, read=read: next(read))
         report = probe_patterns(3, [whole])[whole.counts]
-        assert (report.axis_distances, report.verdict) == (axes, verdict)
+        assert report.axis_distances == axes
 
 
 def test_sign_resolution():

@@ -138,10 +138,9 @@ def test_details_state_the_n_range_covered():
     # n_max above the cap: the checks cover n <= cap and say so.
     config = VerifyConfig(n_max=7, oracle_cap=2)
     assert check_engine_agreement(config).detail.endswith(" across n<=2")
-    missing = check_missing_pair_uninformative(config).detail
-    assert missing.startswith(
-        "6 patterns (3 classes: 1 probed, 2 by containment), ")
-    assert missing.endswith(" across n<=2")
+    assert (check_missing_pair_uninformative(config).detail
+            == "6 patterns (3 classes: 1 probed, 2 by containment) agree "
+               "across n=2..2")
     assert (check_parity_classification(config).detail
             == "18 patterns (12 classes: 10 probed, 2 by containment) "
                "agree across n<=2")
@@ -504,10 +503,11 @@ def test_pattern_checks_catch_a_gaussian_pair_symmetric_leak(
     result = check(VerifyConfig(n_max=2))
     assert not result.passed
     if check is check_missing_pair_uninformative:
-        # A leaking probe decides nothing below it: the others are probed.
-        assert result.detail == (
-            "6 patterns (3 classes: 3 probed, 0 by containment), max "
-            "distance 1.000e+00 (threshold 1e-10) across n<=2 at n=2, S1,N1")
+        # A leaking probe decides nothing below it: the others are probed,
+        # and each of the six patterns disagrees once.
+        assert result.detail == "6 disagreement(s): " + "; ".join(
+            f"n=2 {labels}: missing a pair (0, 0, 0) but probes give "
+            f"(0, 0, 1)" for labels in ("S1,N1", "S1", "N1", "S2,N2", "S2"))
     else:
         assert ("n=1 N1: classified COMPLETELY_UNINFORMATIVE (0, 0, 0) "
                 "but probes give (0, 0, 1)" in result.detail)
@@ -541,7 +541,6 @@ def test_parity_classification_fails_on_a_class_reached_both_ways(
         full = reports.get((n, 0, 0, 0))
         if full is not None:
             full.axis_distances = (0.0, 0.0, 0.0)
-            full.verdict = leakage.ProbeVerdict.UNINFORMATIVE
         return reports
 
     monkeypatch.setattr(leakage, "probe_patterns", hiding_full_register)
@@ -586,16 +585,44 @@ def test_parity_classification_fails_on_an_undecided_class(monkeypatch):
     assert "n=1 N1: no probe decides it" in result.detail
 
 
-def test_passing_parity_check_forms_no_pattern(monkeypatch):
+@pytest.mark.parametrize("check, detail", [
+    (check_parity_classification, "336 patterns (65 classes: 30 probed, 35 "
+                                  "by containment) agree across n<=4"),
+    (check_missing_pair_uninformative, "216 patterns (31 classes: 3 probed, "
+                                       "28 by containment) agree across "
+                                       "n=2..4"),
+], ids=["parity_classification", "missing_pair_uninformative"])
+def test_passing_parity_check_forms_no_pattern(monkeypatch, check, detail):
     # Classes are compared with their sizes; patterns are formed only to
     # name the disagreements of a failure.
     def no_patterns(self):
         raise AssertionError("patterns formed")
 
     monkeypatch.setattr(subsets.ClassificationTable, "__iter__", no_patterns)
-    assert (check_parity_classification(VerifyConfig(n_max=4)).detail
-            == "336 patterns (65 classes: 30 probed, 35 by containment) "
-               "agree across n<=4")
+    assert check(VerifyConfig(n_max=4)).detail == detail
+
+
+def test_missing_pair_check_never_classifies(monkeypatch):
+    # Its expected pattern, (0, 0, 0), is the claim's, never a verdict's.
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify was called")
+
+    monkeypatch.setattr(verify, "classify", refuse)
+    monkeypatch.setattr(subsets, "classify", refuse)
+    assert check_missing_pair_uninformative(VerifyConfig(n_max=4)).passed
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_an_aligned_class_is_held_below_all_ones_by_itself_alone(n):
+    # So a partially informative class, which is aligned, is decided only
+    # by its own probe: the parity check reads its leak from that report.
+    classes = enumerate_classifications(n).classes()
+    patterns = {c: verify._PATTERNS[subsets.classify(
+        subsets.first_pattern(n, c)).verdict] for c in classes}
+    for p in range(n + 1):
+        aligned = (0, p, n - p, 0)
+        assert [c for c in classes if patterns[c] != (1, 1, 1)
+                and class_contains(c, aligned)] == [aligned]
 
 
 @pytest.mark.parametrize("n_max, count", [(1, 5), (2, 20), (3, 91)])
