@@ -55,17 +55,11 @@ def parse_subset(text: str, n: int) -> RegisterSubset:
         if idx in bucket:
             raise SubsetSpecError(f"duplicate label {tok!r}")
         bucket.add(idx)
-    tags = []
-    for i in range(1, n + 1):
-        if i in signals and i in noises:
-            tags.append(PairTag.BOTH)
-        elif i in signals:
-            tags.append(PairTag.SIGNAL)
-        elif i in noises:
-            tags.append(PairTag.NOISE)
-        else:
-            tags.append(PairTag.NONE)
-    return RegisterSubset(n, tuple(tags))
+    # A pair's tag by whether its signal and its noise are listed, in the
+    # order of PairTag: both, the signal only, the noise only, neither.
+    tag_of = dict(zip(itertools.product((True, False), repeat=2), PairTag))
+    return RegisterSubset(n, tuple(tag_of[i in signals, i in noises]
+                                   for i in range(1, n + 1)))
 
 
 def parse_bloch(text: str) -> np.ndarray:
@@ -127,6 +121,29 @@ EMIT_BLOCK = 1 << 16
 
 _MARK = "@"  # a label while rows are rendered, or the record's rows
 
+# The pure-Python encoder that json.dumps runs when indent is set, and a row's
+# text cut from a stub with "rows" at the record's depth.
+_JSON = json.JSONEncoder(indent=2, allow_nan=False)
+_PRE, _POST = _JSON.encode({"rows": [_MARK]}).split(_JSON.encode(_MARK))
+
+
+def _json_row(row: dict) -> str:
+    return _JSON.encode({"rows": [row]})[len(_PRE):-len(_POST)]
+
+
+def _json_flat_rows(columns: list[str]):
+    """Render rows of one scalar per column as `_json_row` does, from its
+    text of one row with the marker in every cell: each of these holes takes
+    the C encoder's text of its value, made once per value and type."""
+    parts = _json_row(dict.fromkeys(columns, _MARK)).split(_JSON.encode(_MARK))
+    scalar = functools.lru_cache(maxsize=None, typed=True)(
+        json.JSONEncoder(allow_nan=False).encode)
+
+    def render(row: dict) -> str:
+        cells = map(scalar, map(row.__getitem__, columns))
+        return parts[0] + "".join(map(str.__add__, cells, parts[1:]))
+    return render
+
 
 class _Echo:
     """File stand-in for csv.writer: writerow returns the formatted line."""
@@ -139,7 +156,7 @@ def _blocks(pieces):
     """Join text pieces into blocks: append each piece to a list and, once it
     holds EMIT_BLOCK characters or more, yield its join. No block is empty;
     all but the last are at least EMIT_BLOCK long. Blocks stay below twice
-    that: a piece is a frame chunk, one head's rows (at most 16 448 chars)
+    that: a piece is a frame chunk, one prefix's rows (at most 16 448 chars)
     or one row (at most about 118 000: classify's only row at --n 10 000)."""
     held, size = [], 0
     for piece in pieces:
@@ -156,41 +173,30 @@ def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],
           make_row=None) -> None:
     """Stream the record (JSON) or the rows (CSV) to --out or stdout.
 
-    Rows are dicts, each rendered on its own, or with make_row the groups
-    (head label, head counts, [(tail label, fields)]) of
-    `ClassificationTable.groups`: make_row(_MARK, fields) is rendered once
-    per fields tuple, the rows of a head count class once, as a template
-    with the marker for the head label, and a head's text is its template
-    with one `str.replace`. The heads of a class share their labels'
-    quoting, as a label holds a comma exactly when its size is 2 or more.
-    The record's head, row separator and tail are what its encoding around
-    two marker rows leaves.
+    Rows are dicts, each rendered on its own, or with make_row a
+    `ClassificationTable`, whose leaf rows make_row(label, fields) are
+    rendered once per fields tuple with a stand-in label of their size (as
+    many commas, so the label cell is quoted as theirs are) that the marker
+    then replaces; each prefix is its `templates` text with one
+    `str.replace`. The record's head, row separator and tail are what its
+    encoding around two marker rows leaves.
 
     The first block is encoded before the output is opened, so an output
     shorter than EMIT_BLOCK that fails to encode (a NaN) writes nothing;
     a longer one stops where its encoding failed.
     """
     if args.fmt == "json":
-        # The pure-Python encoder that json.dumps runs when indent is set.
-        encoder = json.JSONEncoder(indent=2, allow_nan=False)
-        cell = encoder.encode
-        # A row's text is cut from a stub with "rows" at the record's depth.
-        pre, post = encoder.encode({"rows": [_MARK]}).split(cell(_MARK))
-
-        def render(row: dict) -> str:
-            return encoder.encode({"rows": [row]})[len(pre):-len(post)]
+        mark = _JSON.encode(_MARK)
+        render = _json_row if make_row is None else _json_flat_rows(columns)
 
         def frame(items: list):
-            return itertools.chain(encoder.iterencode({
+            return itertools.chain(_JSON.iterencode({
                 "n": args.n, "engine": args.engine, "seed": args.seed,
                 "rows": items, "summary": summary,
                 "tolerances": asdict(leakage.TOLERANCES)}), ["\n"])
     else:
         writer = csv.writer(_Echo(), lineterminator="\n")
-        quote = writer.dialect.quotechar
-
-        def cell(label: str) -> str:  # as csv.QUOTE_MINIMAL quotes a label
-            return quote + label + quote if "," in label else label
+        mark = _MARK
 
         def render(row: dict) -> str:  # booleans as JSON writes them
             return writer.writerow([
@@ -200,30 +206,25 @@ def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],
         def frame(items: list):
             return itertools.chain([writer.writerow(columns)], items)
 
-    mark, chunks, text = cell(_MARK), frame([_MARK, _MARK]), ""
+    chunks, text = frame([_MARK, _MARK]), ""
     while text.count(mark) < 2:  # the tail streams on from the chunks
         text += next(chunks)
     opening, sep, closing = text.split(mark, 2)
     if make_row is None:
         texts = (sep + render(row) for row in rows)
     else:
-        stub = functools.cache(lambda fields: render(make_row(_MARK, fields)))
-        templates = {}  # head counts -> the head's rows, each after a sep
-
-        def template(head: str, counts: tuple, group: list) -> str:
-            text = templates.get(counts)
-            if text is None:  # the first head's rows, the marker for its label
-                lines = [sep + stub(fields).replace(mark, cell(
-                    head + tail).replace(head + tail, _MARK + tail))
-                    for tail, fields in group]
-                if any(line.count(_MARK) != 1 for line in lines):
-                    raise RuntimeError(f"a row does not hold the label marker "
-                                       f"{_MARK!r} exactly once")
-                text = templates[counts] = "".join(lines)
+        @functools.cache
+        def leaf(fields: tuple) -> str:
+            stand_in = _MARK + "," * (fields[0] - 1)
+            text = sep + render(make_row(stand_in, fields)).replace(
+                stand_in, _MARK)
+            if text.count(_MARK) != 1:
+                raise RuntimeError(f"a row does not hold the label marker "
+                                   f"{_MARK!r} exactly once")
             return text
 
-        texts = (template(head, counts, group).replace(_MARK, head)
-                 for head, counts, group in rows if group)
+        texts = (text.replace(_MARK, label)
+                 for label, text in rows.templates(leaf, _MARK))
     first = next(texts, None)
     pieces = frame([]) if first is None else itertools.chain(
         [opening, first[len(sep):]], texts, [closing], chunks)
@@ -275,22 +276,14 @@ def _refuse_oversized(args: argparse.Namespace, subset) -> None:
                              f"of {SWEEP_BYTES_MAX >> 30} GiB; lower --grid")
 
 
-def _structural_row(pattern: str, fields: tuple) -> dict:
-    size, p, q, verdict, rule = fields
-    return {
-        "pattern": pattern,
-        "size": size,
-        "p": p,
-        "q": q,
-        "verdict": verdict,
-        "rule": rule,
-        "max_distance": None,
-        "y_signal": None,
-    }
-
-
 TABLE_COLUMNS = ["pattern", "size", "p", "q", "verdict", "rule",
                  "max_distance", "y_signal"]
+
+
+def _structural_row(pattern: str, fields: tuple) -> dict:
+    """A table row: the label, the row_fields (size, p, q, verdict, rule),
+    and no measurement."""
+    return dict(zip(TABLE_COLUMNS, (pattern, *fields, None, None)))
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -300,10 +293,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     row = _structural_row(subset.labels(), row_fields(subset, cls))
     summary = {"verdict": cls.verdict.value, "rule": cls.reason.value}
     if cls.leak is not None:
-        row["observable"] = cls.leak.observable
-        row["sign"] = cls.leak.sign
-        summary["observable"] = cls.leak.observable
-        summary["sign"] = cls.leak.sign
+        leak = {"observable": cls.leak.observable, "sign": cls.leak.sign}
+        row, summary = row | leak, summary | leak
     _emit(args, [row], summary, TABLE_COLUMNS + ["observable", "sign"])
     return 0
 
@@ -311,8 +302,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     _note_single_pair(args)
     table = enumerate_classifications(args.n)
-    _emit(args, table.groups(), {"patterns": len(table),
-                                 "verdict_counts": table.verdict_counts()},
+    _emit(args, table, {"patterns": len(table),
+                        "verdict_counts": table.verdict_counts()},
           TABLE_COLUMNS, _structural_row)
     return 0
 

@@ -109,7 +109,7 @@ class RegisterSubset:
 def _label_fragments(n: int) -> tuple[dict[PairTag, str], ...]:
     """Per position, the label each tag contributes behind a comma ('' for
     NONE): a pattern's label is its fragments joined, less the first comma."""
-    return tuple(dict(zip(PairTag, (f",S{i},N{i}", f",S{i}", f",N{i}", "")))
+    return tuple(dict(zip(_TAGS, (f",S{i},N{i}", f",S{i}", f",N{i}", "")))
                  for i in range(1, n + 1))
 
 
@@ -156,7 +156,7 @@ def row_fields(subset: RegisterSubset,
 def first_pattern(n: int, counts: tuple) -> RegisterSubset:
     """A count class's first pattern in enumeration order (tags sorted)."""
     return RegisterSubset(n, sum(((tag,) * k
-                                  for tag, k in zip(PairTag, counts)), ()))
+                                  for tag, k in zip(_TAGS, counts)), ()))
 
 
 def _half(n: int, first: int, last: int) -> list[tuple[str, tuple]]:
@@ -175,6 +175,16 @@ def _half(n: int, first: int, last: int) -> list[tuple[str, tuple]]:
     return entries
 
 
+TAIL = 3  # pairs below each streamed prefix, whose text has 4^3 patterns
+
+
+def _compositions(total: int):
+    """Every count class (#BOTH, #SIGNAL, #NOISE, #NONE) of `total` pairs."""
+    return ((both, signal, noise, total - both - signal - noise)
+            for both in range(total + 1) for signal in range(total + 1 - both)
+            for noise in range(total + 1 - both - signal))
+
+
 class ClassificationTable:
     """Every nonempty membership pattern of n pairs with its classification.
 
@@ -182,7 +192,7 @@ class ClassificationTable:
     iteration starts afresh. Patterns come in a fixed order (tag order BOTH,
     SIGNAL, NOISE, NONE, varying the last pair fastest), so output is
     deterministic. Iterating gives (RegisterSubset, Classification) pairs;
-    `groups` gives the same patterns' rows, one group per head.
+    `templates` gives the same patterns' text, one piece per prefix.
     """
 
     def __init__(self, n: int):
@@ -215,46 +225,43 @@ class ClassificationTable:
             fields = self._fields[counts] = row_fields(subset, classify(subset))
         return fields
 
-    def groups(self):
-        """(head label, head counts, [(tail label, row_fields)]) per head,
-        without a RegisterSubset per pattern.
+    def templates(self, leaf, mark: str):
+        """(prefix label, template) per prefix of the first max(n - TAIL, 0)
+        pairs, in order, without a RegisterSubset per pattern.
 
-        A pattern is a head over the first n - n//3 pairs followed by a tail
-        over the last n//3, and its label is the head label then the tail
-        label. Its row fields depend only on the head's counts plus the
-        tail's, so every head of one count class shares one list, in tail
-        order. The heads stream as the product of two stored halves, each of
-        at most 4^ceil(n/3) entries. Head labels are kept without their
-        leading comma; only the all-NONE head, whose label is empty, takes
-        the tail labels without theirs, and its list stops short of the
-        all-NONE tail, the empty pattern (at n = 1 it is empty).
+        A template is the text of the patterns under a prefix with `mark` for
+        the prefix label (`leaf(fields)` is one row's), built once per prefix
+        count class, bottom up: a class's text joins its four children's,
+        each with the pair's label fragment put in after the mark (less its
+        comma if the prefix is all NONE); a full class is its leaf, or "" if
+        empty. The prefixes stream as the product of two stored halves.
         """
         n = self.n
-        split = n - n // 3
-        tail = _half(n, split + 1, n)
-        by_head = {}  # head counts -> (tail label, row_fields) per tail entry
+        top = max(n - TAIL, 0)
+        texts = {counts: leaf(self._class_fields(counts)) if counts[3] < n
+                 else "" for counts in _compositions(n)}
+        for j in range(n, top, -1):  # pair j's fragments go in after the mark
+            fragments = _label_fragments(n)[j - 1].values()
+            texts = {counts: "".join(
+                texts[counts[:k] + (counts[k] + 1,) + counts[k + 1:]]
+                .replace(mark, mark + fragment[counts[3] == j - 1:])
+                for k, fragment in enumerate(fragments))
+                for counts in _compositions(j - 1)}
         for (left, left_counts), (right, right_counts) in itertools.product(
-                _half(n, 1, split // 2), _half(n, split // 2 + 1, split)):
-            counts = tuple(map(int.__add__, left_counts, right_counts))
-            rows = by_head.get(counts)
-            if rows is None:
-                rows = by_head[counts] = [
-                    (label if counts[3] < split else label[1:],
-                     self._class_fields(tuple(map(int.__add__, counts, c))))
-                    for label, c in tail if counts[3] + c[3] < n]
-            yield (left + right)[1:], counts, rows
+                _half(n, 1, top // 2), _half(n, top // 2 + 1, top)):
+            yield (left + right)[1:], texts[
+                tuple(map(int.__add__, left_counts, right_counts))]
 
     def classes(self) -> dict[tuple[int, int, int, int], int]:
         """Patterns per count class (#BOTH, #SIGNAL, #NOISE, #NONE) of the
         nonempty patterns, n! / (b! s! q! m!) for the class (b, s, q, m),
         in order of b, then s, then q."""
         n = self.n
-        return {(both, signal, noise, n - both - signal - noise):
+        return {(both, signal, noise, missing):
                 math.comb(n, both) * math.comb(n - both, signal)
                 * math.comb(n - both - signal, noise)
-                for both in range(n + 1) for signal in range(n + 1 - both)
-                for noise in range(n + 1 - both - signal)
-                if both + signal + noise}
+                for both, signal, noise, missing in _compositions(n)
+                if missing < n}
 
     def verdict_counts(self) -> dict[str, int]:
         """Patterns per verdict, in Verdict order, summed over count classes."""

@@ -176,6 +176,8 @@ class _Shared:
                 self.reports[n] = leakage.PoleReports(n, self.grid[1])
             except tuple(_PROBE_FAILURES) as exc:
                 self.reports[n] = exc
+            # The span holds the basis's rows: keep no copy (64 MiB at n=10).
+            oracle.encoding_basis.cache_clear()
         if isinstance(self.reports[n], Exception):
             raise self.reports[n]
         return self.reports[n]

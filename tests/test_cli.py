@@ -16,7 +16,8 @@ import pytest
 from cloneleak import cli, leakage, oracle, verify
 from cloneleak.cli import SubsetSpecError, main, parse_bloch, parse_subset
 from cloneleak.subsets import (PairTag, RegisterSubset, Verdict, classify,
-                               enumerate_classifications, row_fields)
+                               enumerate_classifications, first_pattern,
+                               row_fields)
 
 B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
 BRUTE_FORCE = ("engine_agreement", "missing_pair_uninformative",
@@ -838,11 +839,30 @@ def test_table_renders_each_row_class_once(capsys, monkeypatch, fmt):
     assert len(made) == len(set(made)) and set(made) == fields
 
 
+def test_json_rows_from_the_shape_match_the_encoder():
+    # Every row-fields tuple of n <= 8 under its first pattern's label, then
+    # values the encoder escapes, and values equal to earlier ones (1, 1.0
+    # and True) whose texts differ.
+    render = cli._json_flat_rows(cli.TABLE_COLUMNS)
+    rows = []
+    for n in range(1, 9):
+        for counts in enumerate_classifications(n).classes():
+            subset = first_pattern(n, counts)
+            rows.append(cli._structural_row(
+                subset.labels(), row_fields(subset, classify(subset))))
+    rows += [rows[0] | {"pattern": 'S1"\\\n\t\x00\u00e9\u2028@', "rule": "/"},
+             rows[0] | {"size": 1.0, "p": True, "max_distance": 1e-300},
+             rows[0] | {"size": True, "q": 0.0, "y_signal": False}]
+    for row in rows:
+        assert render(row) == cli._json_row(row)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("cell", ["@", "x@y"])
+@pytest.mark.parametrize("cell", ["@", "x@y", '"@"'])
 def test_table_refuses_a_cell_holding_the_label_marker(capsys, monkeypatch,
                                                        fmt, cell):
-    # A cell that holds the marker would take a head's label in its place.
+    # A cell that holds the marker would take a prefix's label in its place;
+    # in JSON the marker's text '"@"' is also the row shape's hole.
     structural_row = cli._structural_row
     monkeypatch.setattr(cli, "_structural_row", lambda pattern, fields: (
         structural_row(pattern, fields) | {"rule": cell}))

@@ -9,10 +9,10 @@ import pytest
 import cloneleak
 from cloneleak import leakage
 from cloneleak.branch import analytic_reduced_state
-from cloneleak.subsets import (Classification, LeakDescriptor, PairTag,
-                               RegisterSubset, Rule, Verdict, classify,
-                               enumerate_classifications, first_pattern,
-                               row_fields)
+from cloneleak.subsets import (TAIL, Classification, LeakDescriptor,
+                               PairTag, RegisterSubset, Rule, Verdict,
+                               classify, enumerate_classifications,
+                               first_pattern, row_fields)
 
 B, S, N, E = PairTag.BOTH, PairTag.SIGNAL, PairTag.NOISE, PairTag.NONE
 
@@ -149,9 +149,18 @@ def _eager_classifications(n):
 
 
 def _flat_rows(view):
-    """(label, row_fields) per pattern: each group's rows under its head."""
-    return [(head + tail, fields) for head, _, rows in view.groups()
-            for tail, fields in rows]
+    """(label, row_fields) per pattern, read back from the templates of a
+    leaf that writes each row as the marker and the index of its fields."""
+    fields = []
+
+    def leaf(row_fields):
+        fields.append(row_fields)
+        return f"\n@|{len(fields) - 1}"
+
+    text = "".join(text.replace("@", label)
+                   for label, text in view.templates(leaf, "@"))
+    return [(label, fields[int(index)])
+            for label, index in (line.split("|") for line in text.split("\n")[1:])]
 
 
 def test_enumeration_view_matches_the_eager_loop():
@@ -164,24 +173,33 @@ def test_enumeration_view_matches_the_eager_loop():
                                     for s, c in reference]
 
 
-def test_groups_share_one_list_per_head_count_class():
+def test_templates_share_one_text_per_prefix_count_class():
     for n in range(1, 8):
-        heads = n - n // 3
-        lists, groups = {}, 0
-        for (head, counts, rows), tags in zip(
-                enumerate_classifications(n).groups(),
-                itertools.product(PairTag, repeat=heads), strict=True):
-            groups += 1
-            assert head == RegisterSubset(heads, tags).labels()
-            assert counts == tuple(map(tags.count, PairTag))
-            assert lists.setdefault(counts, rows) is rows
-            # Every label is whole: never empty (the empty pattern never
-            # appears) and no empty token, so only the all-NONE head has
-            # bare tail labels. At n = 1 that head has no rows at all.
-            assert all("" not in (head + tail).split(",") for tail, _ in rows)
-            assert len(rows) == 4 ** (n // 3) - (not head)
-        assert groups == 4 ** heads
-        assert len(lists) == math.comb(heads + 3, 3)
+        top = max(n - TAIL, 0)
+        texts, prefixes, leaves = {}, 0, []
+
+        def leaf(fields):
+            leaves.append(fields)
+            return "\n@"
+
+        for (label, text), tags in zip(
+                enumerate_classifications(n).templates(leaf, "@"),
+                itertools.product(PairTag, repeat=top), strict=True):
+            prefixes += 1
+            padded = tags + (PairTag.NONE,) * (n - top)
+            assert label == RegisterSubset(n, padded).labels()
+            counts = tuple(map(tags.count, PairTag))
+            assert texts.setdefault(counts, text) is text
+            # Every pattern under the prefix but the empty one, which is
+            # last, and each row holds the marker once: no label is empty
+            # and none has an empty token.
+            assert text.count("@") == 4 ** (n - top) - (not label)
+            assert all("" not in row.split(",")
+                       for row in text.replace("@", label).split("\n")[1:])
+        assert prefixes == 4 ** top
+        assert len(texts) == math.comb(top + 3, 3)
+        # One leaf per nonempty count class of n pairs.
+        assert len(leaves) == math.comb(n + 3, 3) - 1
 
 
 def test_enumeration_length_builds_no_subset(monkeypatch):

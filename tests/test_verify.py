@@ -786,6 +786,15 @@ def test_integer_rows_are_the_encoding_basis():
                               oracle.encoding_basis(n))
 
 
+def test_a_certified_span_leaves_no_basis_cached():
+    # The span holds the basis's integer rows; a cached basis beside them
+    # would hold them twice for the rest of the battery.
+    shared = verify._Shared(VerifyConfig())
+    for n in range(1, 4):
+        shared.span(n)
+        assert oracle.encoding_basis.cache_info().currsize == 0
+
+
 def test_gram_blocks_sum_exactly_in_complex64():
     # A Gram entry sums at most 2^(2n) products with parts in {-2, ..., 2},
     # and an identity adds two blocks: below 2^24, where every complex64
