@@ -4,8 +4,8 @@ Verbs: classify, reduce, table, verify, sweep. Output is JSON (one record
 with n, engine, seed, rows, summary, tolerances) or CSV rows; identical
 configuration and seed produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(argparse's or a UsageError), 3 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ import numpy as np
 
 from . import leakage, oracle, verify
 from .pauli import DENSE_QUBIT_CAP, dense_to_pauli_sum, pauli_sum_to_dense
-from .subsets import (PairTag, RegisterSubset, classify,
+from .subsets import (ENUMERATION_GUARD, PairTag, RegisterSubset, classify,
                       enumerate_classifications, row_fields)
 
-_LABEL = re.compile(r"([SN])([0-9]+)")
-
-
-class SubsetSpecError(ValueError):
-    pass
+_LABEL = re.compile(r"([SN])0*([0-9]{1,4300})")  # int() reads 4 300 digits
 
 
 class UsageError(ValueError):
+    pass
+
+
+class SubsetSpecError(UsageError):
     pass
 
 
@@ -156,8 +156,8 @@ def _blocks(pieces):
     """Join text pieces into blocks: append each piece to a list and, once it
     holds EMIT_BLOCK characters or more, yield its join. No block is empty;
     all but the last are at least EMIT_BLOCK long. Blocks stay below twice
-    that: a piece is a frame chunk, one prefix's rows (at most 16 448 chars)
-    or one row (at most about 118 000: classify's only row at --n 10 000)."""
+    that: a piece is a frame chunk, a prefix's `str.join` (at most 16 448
+    chars) or a row (at most about 118 000: classify's row at --n 10 000)."""
     held, size = [], 0
     for piece in pieces:
         held.append(piece)
@@ -177,9 +177,9 @@ def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],
     `ClassificationTable`, whose leaf rows make_row(label, fields) are
     rendered once per fields tuple with a stand-in label of their size (as
     many commas, so the label cell is quoted as theirs are) that the marker
-    then replaces; each prefix is its `templates` text with one
-    `str.replace`. The record's head, row separator and tail are what its
-    encoding around two marker rows leaves.
+    then replaces; each prefix is its label joined between the pieces of its
+    `templates` text, one `str.join`. The record's head, row separator and
+    tail are what its encoding around two marker rows leaves.
 
     The first block is encoded before the output is opened, so an output
     shorter than EMIT_BLOCK that fails to encode (a NaN) writes nothing;
@@ -223,8 +223,8 @@ def _emit(args: argparse.Namespace, rows, summary: dict, columns: list[str],
                                    f"{_MARK!r} exactly once")
             return text
 
-        texts = (text.replace(_MARK, label)
-                 for label, text in rows.templates(leaf, _MARK))
+        texts = (label.join(pieces)
+                 for label, pieces in rows.templates(leaf, _MARK))
     first = next(texts, None)
     pieces = frame([]) if first is None else itertools.chain(
         [opening, first[len(sep):]], texts, [closing], chunks)
@@ -250,9 +250,8 @@ def _note_single_pair(args: argparse.Namespace) -> None:
 
 
 def _refuse_oversized(args: argparse.Namespace, subset) -> None:
-    """Refuse a reduce or sweep run too large to finish, before anything is
-    encoded. argparse bounds each flag alone; these bounds join flags."""
-    aligned = not (subset.missing_pairs or subset.both_count)
+    """Refuse, before anything is encoded, a reduce or sweep run too large to
+    finish or unaligned for the analytic engine; argparse bounds each flag."""
     if args.engine != leakage.ENGINE_ANALYTIC and args.n > args.oracle_cap:
         raise UsageError(f"n={args.n} exceeds the oracle cap {args.oracle_cap} "
                          f"({2 * args.n + 1} qubits); raise the cap explicitly "
@@ -261,14 +260,15 @@ def _refuse_oversized(args: argparse.Namespace, subset) -> None:
             and subset.size > DENSE_QUBIT_CAP):
         raise UsageError(f"keeping {subset.size} qubits exceeds the dense cap "
                          f"{DENSE_QUBIT_CAP}")
-    if aligned and subset.size > DENSE_QUBIT_CAP:
+    refusal = leakage.analytic_refusal(subset)  # "" if the subset is aligned
+    if args.engine != leakage.ENGINE_ORACLE and refusal:
+        raise UsageError(refusal)
+    if subset.size > DENSE_QUBIT_CAP:
         # The analytic engine would answer in Pauli form, but reduce and
-        # sweep keep within the dense cap. It refuses unaligned subsets
-        # itself, before a state of their size is formed.
+        # sweep keep within the dense cap.
         raise UsageError(f"PauliSum on {subset.size} qubits exceeds dense "
                          f"cap {DENSE_QUBIT_CAP}")
-    if args.command == "sweep" and (args.engine == leakage.ENGINE_ORACLE
-                                    or aligned):
+    if args.command == "sweep":
         held = 16 * 4 ** subset.size * (args.grid + 3 * leakage.PAIR_CHUNK)
         if held > SWEEP_BYTES_MAX:
             raise UsageError(f"sweep would hold {held / 2 ** 30:.1f} GiB of "
@@ -300,6 +300,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.n > ENUMERATION_GUARD:
+        raise UsageError(f"n={args.n} exceeds the enumeration guard "
+                         f"{ENUMERATION_GUARD} (4^n patterns)")
     _note_single_pair(args)
     table = enumerate_classifications(args.n)
     _emit(args, table, {"patterns": len(table),
@@ -402,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "storage register reveal about the stored qubit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_n=True, engines=None, grid=False,
+    def common(p, run, *, needs_n=True, engines=None, grid=False,
                oracle_cap=False):
+        p.set_defaults(run=run)
         if needs_n:
             p.add_argument("--n", type=_int_in(1, N_MAX), required=True,
                            help="number of clone/noise pairs")
@@ -428,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="structural verdict for one subset")
     p.add_argument("--subset", required=True, metavar="SPEC",
                    help="comma-separated labels, e.g. S1,N2,N3")
-    common(p)
-    p.set_defaults(run=cmd_classify)
+    common(p, cmd_classify)
 
     p = sub.add_parser("reduce", help="reduced state of one subset")
     p.add_argument("--subset", required=True, metavar="SPEC")
@@ -437,32 +440,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Bloch vector of the stored qubit")
     p.add_argument("--dense", action="store_true",
                    help="include dense matrix entries in the summary")
-    common(p, engines=["oracle", "analytic", "both"], oracle_cap=True)
-    p.set_defaults(run=cmd_reduce)
+    common(p, cmd_reduce, engines=["oracle", "analytic", "both"],
+           oracle_cap=True)
 
     p = sub.add_parser("table", help="classify every nonempty subset pattern")
-    common(p)
-    p.set_defaults(run=cmd_table)
+    common(p, cmd_table)
 
     p = sub.add_parser("verify", help="run the full cross-check battery")
     p.add_argument("--n", type=int, default=4,
                    help="largest n for the brute-force comparisons")
-    common(p, needs_n=False, grid=True, oracle_cap=True)
-    p.set_defaults(run=cmd_verify)
+    common(p, cmd_verify, needs_n=False, grid=True, oracle_cap=True)
 
     p = sub.add_parser("sweep", help="leakage estimates across a probe grid")
     p.add_argument("--subset", required=True, metavar="SPEC")
-    common(p, engines=["oracle", "analytic"], grid=True, oracle_cap=True)
-    p.set_defaults(run=cmd_sweep)
+    common(p, cmd_sweep, engines=["oracle", "analytic"], grid=True,
+           oracle_cap=True)
 
     return parser
 
 
+_PARSER = build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
-    except ValueError as exc:  # SubsetSpecError and UsageError included
+    except UsageError as exc:  # SubsetSpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input

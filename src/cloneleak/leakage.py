@@ -139,13 +139,18 @@ def keep_positions(subset: RegisterSubset) -> list[int]:
     return pos
 
 
+def analytic_refusal(subset: RegisterSubset) -> str:
+    """Why the analytic engine refuses a subset, or "" if it is aligned."""
+    reason = ("MISSING_PAIR" if subset.missing_pairs else
+              "OVERSIZED" if subset.both_count else "")
+    return reason and (f"analytic engine needs an aligned subset (one qubit "
+                       f"per pair); {subset.labels() or '(empty)'!r} is {reason}")
+
+
 def analytic_state(subset: RegisterSubset, bloch) -> PauliSum:
     """Exact Pauli form of an aligned subset's reduced state (branch calculus)."""
-    if subset.missing_pairs or subset.both_count:
-        reason = "MISSING_PAIR" if subset.missing_pairs else "OVERSIZED"
-        raise ValueError(f"analytic engine needs an aligned subset (one qubit "
-                         f"per pair); {subset.labels() or '(empty)'!r} is "
-                         f"{reason}")
+    if refusal := analytic_refusal(subset):
+        raise ValueError(refusal)
     return branch.analytic_reduced_state(subset.n, subset.signal_count, bloch)
 
 

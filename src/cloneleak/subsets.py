@@ -192,7 +192,7 @@ class ClassificationTable:
     iteration starts afresh. Patterns come in a fixed order (tag order BOTH,
     SIGNAL, NOISE, NONE, varying the last pair fastest), so output is
     deterministic. Iterating gives (RegisterSubset, Classification) pairs;
-    `templates` gives the same patterns' text, one piece per prefix.
+    `templates` gives the same patterns' text, one split template per prefix.
     """
 
     def __init__(self, n: int):
@@ -226,15 +226,14 @@ class ClassificationTable:
         return fields
 
     def templates(self, leaf, mark: str):
-        """(prefix label, template) per prefix of the first max(n - TAIL, 0)
+        """(prefix label, pieces) per prefix of the first max(n - TAIL, 0)
         pairs, in order, without a RegisterSubset per pattern.
 
-        A template is the text of the patterns under a prefix with `mark` for
-        the prefix label (`leaf(fields)` is one row's), built once per prefix
-        count class, bottom up: a class's text joins its four children's,
-        each with the pair's label fragment put in after the mark (less its
-        comma if the prefix is all NONE); a full class is its leaf, or "" if
-        empty. The prefixes stream as the product of two stored halves.
+        `label.join(pieces)` is the text of the patterns under a prefix, built
+        with `mark` for the label once per prefix count class, bottom up, and
+        split once: a class's text joins its four children's, each with the
+        pair's fragment put in after the mark (less its comma if the prefix
+        is all NONE); a full class is `leaf(fields)` or "" if empty.
         """
         n = self.n
         top = max(n - TAIL, 0)
@@ -247,6 +246,8 @@ class ClassificationTable:
                 .replace(mark, mark + fragment[counts[3] == j - 1:])
                 for k, fragment in enumerate(fragments))
                 for counts in _compositions(j - 1)}
+        for counts, text in texts.items():  # each text is freed as it splits
+            texts[counts] = text.split(mark)
         for (left, left_counts), (right, right_counts) in itertools.product(
                 _half(n, 1, top // 2), _half(n, top // 2 + 1, top)):
             yield (left + right)[1:], texts[

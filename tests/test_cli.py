@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloneleak import cli, leakage, oracle, verify
 from cloneleak.cli import SubsetSpecError, main, parse_bloch, parse_subset
-from cloneleak.subsets import (PairTag, RegisterSubset, Verdict, classify,
+from cloneleak.subsets import (ENUMERATION_GUARD, PairTag, RegisterSubset,
+                               Verdict, classify,
                                enumerate_classifications, first_pattern,
                                row_fields)
 
@@ -474,6 +479,198 @@ def test_an_internal_fault_exits_3_without_a_traceback(capsys, monkeypatch):
                             "expectation has imaginary residue 0.5\n")
 
 
+@pytest.mark.parametrize("home, name, argv", [
+    (cli, "enumerate_classifications", ["table", "--n", "2"]),
+    (leakage, "bloch_grid", ["sweep", "--n", "2", "--subset", "S1,N2"]),
+    (leakage, "analytic_state", ["reduce", "--n", "3", "--subset", "S1,S2,S3",
+                                 "--psi", "0,1,0", "--engine", "analytic"]),
+], ids=["table", "sweep", "reduce"])
+def test_an_internal_value_error_exits_3(capsys, monkeypatch, home, name,
+                                         argv):
+    # Only a UsageError is a fault of the input; a ValueError raised inside
+    # the program is an internal error like any other exception.
+    def faulty(*args, **kwargs):
+        raise ValueError("not a usage error")
+
+    monkeypatch.setattr(home, name, faulty)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal error: ValueError: "
+                            "not a usage error\n")
+
+
+def test_the_enumeration_guard_is_a_usage_error(capsys, monkeypatch):
+    with pytest.raises(ValueError) as library:
+        enumerate_classifications(ENUMERATION_GUARD + 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("made a table view above the guard")
+
+    monkeypatch.setattr(cli, "enumerate_classifications", refuse)
+    assert main(["table", "--n", str(ENUMERATION_GUARD + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {library.value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--n", "2", "--subset", "S1,N1", "--psi", "0,1,0",
+     "--engine", "analytic"],
+    ["reduce", "--n", "2", "--subset", "S1,N1,S2", "--psi", "0,1,0",
+     "--engine", "both"],
+    ["sweep", "--n", "3", "--subset", "S1,N3", "--engine", "analytic"],
+], ids=["reduce-analytic", "reduce-both", "sweep"])
+def test_the_analytic_refusal_is_a_usage_error(capsys, monkeypatch, argv):
+    # Refused before anything is encoded, with the library's own text.
+    subset = parse_subset(argv[4], int(argv[2]))
+    with pytest.raises(ValueError) as library:
+        leakage.analytic_state(subset, (0.0, 1.0, 0.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed a state despite the refusal")
+
+    _refuse_work(monkeypatch)
+    monkeypatch.setattr(leakage, "analytic_state", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {library.value}\n"
+
+
+def test_an_index_too_long_for_int_is_an_unknown_token(capsys):
+    token = "S" + "1" * 5000
+    assert main(["classify", "--n", "3", "--subset", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown token {token!r}: labels look "
+                            "like S3 or N1\n")
+    assert parse_subset("S" + "0" * 5000 + "2", 3).membership == (E, S, E)
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_many_calls(monkeypatch, tmp_path):
+    out = tmp_path / "table.json"
+    verbs = [
+        (["reduce", "--n", "2", "--subset", "S1,N2", "--psi", "0,1,0"],
+         ["--dense"]),
+        (["sweep", "--n", "3", "--subset", "S1,S2,S3", "--grid", "6"],
+         ["--engine", "analytic"]),
+        (["verify", "--n", "2"], ["--format", "csv"]),
+        (["table", "--n", "2"], ["--out", str(out)]),
+        (["classify", "--n", "2", "--subset", "S1"], ["--unknown"]),
+    ]
+    # Each verb with its flag, then each without: nothing one call sets may
+    # reach a later one.
+    calls = [verb + flag for verb, flag in verbs] + [verb for verb, _ in verbs]
+
+    def run(argv):
+        result = _call(argv)
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return result + (written,)
+
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(run(argv))
+    assert shared == fresh
+    for flagged, plain in zip(shared, shared[len(verbs):]):
+        assert flagged != plain
+    assert [result[0] for result in shared] == [0, 0, 0, 0, 2] + [0] * 5
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["classify", "--n", "2", "--subset", "S1"]) == 0
+    assert main(["table", "--n", "2", "--format", "csv"]) == 0
+    assert main(["classify", "--n", "2", "--subset", "Q1"]) == 2
+    with pytest.raises(SystemExit):
+        main(["table", "--n", "0"])
+    assert built == []
+    cli.build_parser()  # the count sees a build: the parser and 5 verbs
+    assert len(built) == 6
+
+
+# Mostly labels of the first pairs and unit Bloch vectors, so that many calls
+# succeed, with some that cannot.
+_FUZZ_LABELS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("SNsn"), st.integers(1, 2)),
+    st.builds("{}{}".format, st.sampled_from("SNQ"), st.integers(0, 13)),
+    st.text(alphabet="SN0123 ,x", max_size=5))
+_FUZZ_UNIT = st.sampled_from(["0,1,0", "0,-1,0", "0.6,0,-0.8", "1,0,0",
+                              "0,0,1", "0,0.6000001,0.8"])
+_FUZZ_PSI = st.one_of(_FUZZ_UNIT, _FUZZ_UNIT, st.lists(
+    st.one_of(st.floats().map(repr), st.sampled_from(["", "x", "1e400"])),
+    min_size=2, max_size=4).map(",".join))
+
+
+def _flag(name, values):
+    """Either no flag, or the flag with one of the values."""
+    return st.one_of(st.just([]), values.map(lambda value: [name, str(value)]))
+
+
+@st.composite
+def _cheap_argv(draw):
+    """An argv of classify (n <= 12), table (n <= 3) or reduce (n <= 2)
+    with random labels and flag values."""
+    verb, top = draw(st.sampled_from([("classify", 12), ("table", 3),
+                                      ("reduce", 2)]))
+    argv = [verb, "--n", str(draw(st.sampled_from(
+        [*range(1, top + 1)] * 4 + [-1, 0, top + 1])))]
+    if verb != "table":
+        argv += ["--subset", ",".join(draw(st.lists(_FUZZ_LABELS, min_size=1,
+                                                    max_size=3)))]
+    if verb == "reduce":
+        argv.append("--psi=" + draw(_FUZZ_PSI))
+        argv += draw(st.sampled_from([[], ["--dense"]]))
+        argv += draw(_flag("--engine", st.sampled_from(
+            ["oracle", "analytic", "both", "exact"])))
+        argv += draw(_flag("--oracle-cap", st.integers(-1, 11)))
+    argv += draw(_flag("--format", st.sampled_from(["json", "csv", "xml"])))
+    argv += draw(_flag("--seed", st.sampled_from(
+        [0, 1, -7, 2 ** 63 - 1, -2 ** 63, 2 ** 63, "x"])))
+    return argv
+
+
+def _strict(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cheap_argv())
+def test_main_fuzz_exits_0_or_2_with_strict_output(argv):
+    code, out, err = _call(argv)
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    elif "csv" in argv:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows)
+    else:
+        record = json.loads(out, parse_constant=_strict)
+        assert record["rows"] and record["summary"]
+
+
 def _refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ran work despite a size refusal")
@@ -564,9 +761,9 @@ def test_sweep_within_the_memory_budget_builds_its_grid(capsys, monkeypatch,
 ], ids=["analytic-unaligned", "oracle-above-dense-cap"])
 def test_sweep_budget_leaves_library_refusals_alone(capsys, argv, message):
     # Neither run forms a state of its subset's size, so the budget, which
-    # counts dense states, does not apply: the library refuses the unaligned
-    # subset, and the keep set above the dense cap is refused before the
-    # budget is reached.
+    # counts dense states, does not apply: the analytic engine's refusal of
+    # the unaligned subset, and the keep set above the dense cap, are
+    # refused before the budget is reached.
     assert main(["sweep"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -157,8 +157,8 @@ def _flat_rows(view):
         fields.append(row_fields)
         return f"\n@|{len(fields) - 1}"
 
-    text = "".join(text.replace("@", label)
-                   for label, text in view.templates(leaf, "@"))
+    text = "".join(label.join(pieces)
+                   for label, pieces in view.templates(leaf, "@"))
     return [(label, fields[int(index)])
             for label, index in (line.split("|") for line in text.split("\n")[1:])]
 
@@ -182,20 +182,20 @@ def test_templates_share_one_text_per_prefix_count_class():
             leaves.append(fields)
             return "\n@"
 
-        for (label, text), tags in zip(
+        for (label, pieces), tags in zip(
                 enumerate_classifications(n).templates(leaf, "@"),
                 itertools.product(PairTag, repeat=top), strict=True):
             prefixes += 1
             padded = tags + (PairTag.NONE,) * (n - top)
             assert label == RegisterSubset(n, padded).labels()
             counts = tuple(map(tags.count, PairTag))
-            assert texts.setdefault(counts, text) is text
+            assert texts.setdefault(counts, pieces) is pieces
             # Every pattern under the prefix but the empty one, which is
             # last, and each row holds the marker once: no label is empty
             # and none has an empty token.
-            assert text.count("@") == 4 ** (n - top) - (not label)
+            assert len(pieces) - 1 == 4 ** (n - top) - (not label)
             assert all("" not in row.split(",")
-                       for row in text.replace("@", label).split("\n")[1:])
+                       for row in label.join(pieces).split("\n")[1:])
         assert prefixes == 4 ** top
         assert len(texts) == math.comb(top + 3, 3)
         # One leaf per nonempty count class of n pairs.
